@@ -130,13 +130,7 @@ def q_total(model: ToyModel) -> sparse.csr_matrix:
     """Total charge N+ - N- from the union of an ONB of ran(P+) and one of
     ran(P-); eigenvalue on an (n, m) sector is n - m."""
     union = np.hstack([model.basis_plus, model.basis_minus])
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
-    for j in range(union.shape[1]):
-        f = union[:, j]
-        bs = fock.creator_b(model, f)
-        cs = fock.creator_c(model, f)
-        out = out + bs @ bs.conj().T - cs @ cs.conj().T
-    return out.tocsr()
+    return q_tilde(model, SubspaceBasis.from_vectors(model, union))
 
 
 def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_matrix:

@@ -20,10 +20,10 @@ why the series itself is basis sensitive.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import fock
 from .charge import SubspaceBasis, bc_psi_omega
-from .involution import c_invariant_onb
 from .modes import Shell, enumerate_shell, shell_conjugation
 from .quadrature import QuadGrid, GramMatrices, gram_suite, ideal_m_plus, m_plus
 
@@ -81,12 +81,27 @@ def _check_suite(suite: GramMatrices, kmax: int):
             f"precomputed Gram suite covers shell {suite.shell.K} < {kmax}")
 
 
-def c_invariant_transform(shell: Shell) -> np.ndarray:
-    """Unitary whose columns express a conjugation-invariant ONB of the
-    shell's spinor modes in the product basis.  Seeding the constructor with
-    the canonically ordered standard basis keeps sub-shell spans intact, so
-    truncations of the result are bases of the sub-shells."""
-    return c_invariant_onb(shell_conjugation(shell))
+def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
+    """Sparse unitary whose columns express a conjugation-invariant ONB of
+    the shell's spinor modes in the product basis.
+
+    The shell conjugation is a signed permutation without fixed indices:
+    C e_j = s e_p with p != j.  Each pair j < p yields the two C-fixed columns
+    (e_j + s e_p)/sqrt(2) and i(e_j - s e_p)/sqrt(2), emitted in ascending j,
+    so every column has exactly two nonzeros.  The shell order is closed
+    under k -> -k within each sub-shell, hence the first 4(2k+1)^3 columns
+    span sub-shell k.  This is the basis `c_invariant_onb` builds from the
+    standard seeds, in closed form.
+    """
+    U = shell_conjugation(shell).U.tocsc()
+    n = U.shape[0]
+    partner, sign = U.indices, U.data  # C e_j = sign[j] e_partner[j]
+    j = np.flatnonzero(partner > np.arange(n))
+    p, s = partner[j], sign[j]
+    one = np.ones_like(s)
+    rows = np.repeat(np.column_stack([j, p]), 2, axis=0).ravel()
+    data = np.sqrt(0.5) * np.column_stack([one, s, 1j * one, -1j * s]).ravel()
+    return sparse.csc_matrix((data, rows, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
 
 
 def vacuum_series_trace(shells, m: float, grid: QuadGrid,
@@ -148,15 +163,15 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
                             grid.describe(), tail)
 
 
-def mplus_diagonal(suite: GramMatrices, transform: np.ndarray = None) -> np.ndarray:
+def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
     """Diagonal of the honest (quadrature) M+ in the product basis or, given
-    a transform V, of V* M+ V.  For a conjugation-invariant basis these
-    entries sit at 1/2 up to the quadrature tolerance."""
+    a (dense or sparse) transform V, of V* M+ V.  For a conjugation-invariant
+    basis these entries sit at 1/2 up to the quadrature tolerance."""
     M = m_plus(suite)
     if transform is None:
         return np.real(np.diagonal(M)).copy()
-    MV = M @ transform
-    return np.real(np.sum(np.conj(transform) * MV, axis=0))
+    V = sparse.csc_matrix(transform)
+    return np.real(np.asarray(V.conj().multiply(M @ V).sum(axis=0))).ravel()
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

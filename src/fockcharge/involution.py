@@ -26,7 +26,6 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 CLASSIFY_TOL = 1e-10  # loose on purpose: every branch is numerically stable
 RANK_TOL = 1e-8
-_FLUSH_BLOCK = 64
 
 PARALLEL = "parallel"
 ORTHOGONAL = "orthogonal"
@@ -107,10 +106,10 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
     and the span after consuming any C-invariant prefix of the seeds equals
     the span of that prefix.
 
-    Orthogonalization is right-looking and blocked: freshly emitted vectors
-    are deflated out of the remaining seed columns in batches, which keeps
-    the work in matrix products (the per-seed classical Gram-Schmidt variant
-    is prohibitively slow past a few hundred dimensions).
+    Orthogonalization is classical Gram-Schmidt, applied twice, against all
+    vectors emitted so far: O(n^3) and meant for the toy-scale spaces.  The
+    shell conjugation is a signed permutation, whose invariant basis
+    `divergence.c_invariant_transform` writes down in closed form.
     """
     n = C.dim
     if seed_basis is None:
@@ -122,20 +121,15 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
         if _max_abs(seeds.conj().T @ seeds - np.eye(n)) > 1e-10:
             raise ValueError("seed basis is not orthonormal")
 
-    S = np.asfortranarray(seeds)
     out = np.zeros((n, n), dtype=complex, order="F")
     count = 0
-    flushed = 0
-
-    def pending():
-        return out[:, flushed:count]
 
     def emit(vec):
         nonlocal count
         vec = 0.5 * (vec + C.apply(vec))  # exact projection onto {Cv = v}
         # C-fixed vectors have real mutual inner products, so real
         # coefficients suffice and cannot leave the C-fixed subspace
-        P = pending()
+        P = out[:, :count]
         for _ in range(2):
             if P.shape[1]:
                 vec = vec - P @ (P.conj().T @ vec).real
@@ -143,8 +137,8 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
         count += 1
 
     for j in range(n):
-        g = S[:, j].copy()
-        P = pending()
+        g = seeds[:, j].copy()
+        P = out[:, :count]
         for _ in range(2):
             if P.shape[1]:
                 g -= P @ (P.conj().T @ g)
@@ -165,13 +159,6 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
                 v = 1j * alpha * g - 1j * np.conj(alpha) * cg
                 emit(u / np.linalg.norm(u))
                 emit(v / np.linalg.norm(v))
-        if count - flushed >= _FLUSH_BLOCK or (j == n - 1 and count > flushed):
-            W = out[:, flushed:count]
-            rest = S[:, j + 1:]
-            if rest.shape[1]:
-                for _ in range(2):
-                    rest -= W @ (W.conj().T @ rest)
-            flushed = count
         if count == n:
             break
 

@@ -19,7 +19,6 @@ from .involution import AntiUnitary
 from .spinor import conjugation_matrix
 
 __all__ = [
-    "BoxRegion",
     "Shell",
     "axis_factor",
     "mode_ft",
@@ -27,19 +26,7 @@ __all__ = [
     "shell_conjugation",
 ]
 
-HALF_SIDE = np.pi  # the construction is specific to cubes of side 2*pi
 _TAYLOR_CUT = 1e-6
-
-
-@dataclass(frozen=True)
-class BoxRegion:
-    """Axis-parallel cube x0 + [-pi, pi]^3."""
-
-    center: tuple = (0.0, 0.0, 0.0)
-
-    @property
-    def half_side(self) -> float:
-        return HALF_SIDE
 
 
 def axis_factor(q):
@@ -79,10 +66,6 @@ class Shell:
     @property
     def count(self) -> int:
         return self.modes.shape[0]
-
-    @property
-    def spinor_count(self) -> int:
-        return 4 * self.count
 
     def prefix_counts(self):
         """Mode counts of the nested sub-shells 0..K."""

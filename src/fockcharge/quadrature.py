@@ -32,7 +32,6 @@ __all__ = [
     "build_grid",
     "GramMatrices",
     "gram_suite",
-    "gram_weighted",
     "m_plus",
     "ideal_m_plus",
 ]
@@ -179,8 +178,8 @@ class GramMatrices:
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     """Assemble all weighted Gram matrices of a shell in one quadrature pass."""
-    if m < 0:
-        raise ValueError("mass must be non-negative")
+    if not (np.isfinite(m) and m >= 0):
+        raise ValueError("mass must be finite and non-negative")
     if grid.cutoff <= shell.K:
         raise ValueError("cutoff must exceed the shell radius")
     E, Ox, xp, PI = _axis_tables(shell.K, grid)
@@ -216,29 +215,6 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
         g0=_unfold(acc0, PI, perm),
         gs=tuple(_unfold(a, PI, perm) for a in (acc1, acc2, acc3)),
     )
-
-
-def gram_weighted(shell: Shell, m: float, grid: QuadGrid, weight) -> np.ndarray:
-    """Single weighted Gram matrix; weight is "one", "inv_lambda" or
-    ("p_over_lambda", s) with axis s in {1, 2, 3}.
-
-    Conceptually B diag(w g) B* with B the matrix of mode values at the
-    nodes; realized through the shared folded assembly.
-    """
-    if weight == "one":
-        perm = _shell_permutation(shell)
-        B = _full_axis_table(shell.K, grid)
-        g1d = B @ B.T
-        return np.kron(np.kron(g1d, g1d), g1d)[np.ix_(perm, perm)]
-    suite = gram_suite(shell, m, grid)
-    if weight == "inv_lambda":
-        return suite.g0
-    if isinstance(weight, tuple) and len(weight) == 2 and weight[0] == "p_over_lambda":
-        s = weight[1]
-        if s not in (1, 2, 3):
-            raise ValueError("axis must be 1, 2 or 3")
-        return suite.gs[s - 1]
-    raise ValueError(f"unknown weight {weight!r}")
 
 
 def _spin_blocks():

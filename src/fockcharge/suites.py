@@ -490,14 +490,9 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     scalar = divergence.vacuum_series_scalar(shells, cfg.m, grid, suite=suite)
     product = divergence.vacuum_series_trace(shells, cfg.m, grid,
                                              basis_kind=divergence.PRODUCT, suite=suite)
-    V = divergence.c_invariant_transform(top)
-    M = quadrature.ideal_m_plus(suite)
-    M_ci = V.conj().T @ (M @ V)
-    S_ci = []
-    for K in shells:
-        j4 = 4 * (2 * K + 1) ** 3
-        sub = M_ci[:j4, :j4]
-        S_ci.append(float(np.trace(sub).real - np.vdot(sub, sub).real))
+    c_inv = divergence.vacuum_series_trace(shells, cfg.m, grid,
+                                           basis_kind=divergence.C_INVARIANT, suite=suite)
+    S_ci = c_inv.S
 
     route_dev = max(abs(a - b) / max(abs(b), 1e-300)
                     for a, b in zip(product.S, scalar.S))
@@ -508,7 +503,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     increments = np.diff(np.asarray(S_ci))
     monotone = float(np.min(increments)) if increments.size else 1.0
 
-    diag = divergence.mplus_diagonal(suite, V)
+    diag = divergence.mplus_diagonal(suite, divergence.c_invariant_transform(top))
     diag_dev = float(np.max(np.abs(diag - 0.5)))
 
     # self-convergence: the requested order against its double (or, when the
@@ -535,10 +530,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
             f"divergence/S(K={cfg.shells})-vs-2*S(K={half})",
             S_ci[-1], 2.0 * S_ci[half]))
     if len(shells) >= 3:
-        diag_report = divergence.growth_diagnostics(
-            divergence.DivergenceSeries(shells, product.mode_counts, S_ci,
-                                        divergence.C_INVARIANT, cfg.m,
-                                        grid.describe(), tail))
+        diag_report = divergence.growth_diagnostics(c_inv)
         checks.append(Check("divergence/no-cauchy-convergence",
                             1.0 if diag_report["verdict"] == "no Cauchy convergence" else 0.0,
                             1.0, diag_report["verdict"] == "no Cauchy convergence"))

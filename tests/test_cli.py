@@ -34,6 +34,13 @@ def test_invalid_grid_config_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_non_finite_mass_exits_2(mass, capsys):
+    code, out, err = run_cli(["vacuum-divergence", "--m", mass] + FAST_ARGS, capsys)
+    assert code == 2
+    assert "finite" in err and out == ""
+
+
 def test_summary_lines_and_csv(tmp_path, capsys):
     out_file = tmp_path / "aligned.csv"
     code, out, _ = run_cli(["aligned", "--seed", "3", "--no-timestamp",

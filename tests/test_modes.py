@@ -3,6 +3,7 @@ import pytest
 
 from fockcharge import involution as inv
 from fockcharge import modes
+from fockcharge.divergence import c_invariant_transform
 
 
 def test_axis_factor_value_and_taylor_guard():
@@ -73,11 +74,20 @@ def test_shell_conjugation_is_involution():
 
 
 def test_shell_conjugation_composes_with_basis_constructor():
-    sh = modes.enumerate_shell(1)
-    C = modes.shell_conjugation(sh)
-    F = inv.c_invariant_onb(C)
-    assert inv.c_fixed_deviation(C, F) < 1e-10
-    assert inv.gram_deviation(F) < 1e-10
+    # the closed-form shell basis is what the general constructor builds
+    for K in (0, 1, 2):
+        sh = modes.enumerate_shell(K)
+        C = modes.shell_conjugation(sh)
+        F = inv.c_invariant_onb(C)
+        assert inv.c_fixed_deviation(C, F) < 1e-10
+        assert inv.gram_deviation(F) < 1e-10
+        V = c_invariant_transform(sh).toarray()
+        assert np.max(np.abs(V - F)) < 1e-14
+        assert np.all(np.count_nonzero(V, axis=0) == 2)
+        for count in sh.prefix_counts():
+            # the first 4 count columns are orthonormal and lie in the
+            # sub-shell of that mode count, so they span it
+            assert not np.any(V[4 * count:, :4 * count])
 
 
 def test_shell_requires_nonnegative_radius():

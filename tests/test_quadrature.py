@@ -59,22 +59,17 @@ def test_folded_assembly_matches_naive_reference():
 def test_gram_weighted_single_entry_points():
     shell = modes.enumerate_shell(0)
     grid = quad.build_grid(6, 1, 4)
-    g0 = quad.gram_weighted(shell, 1.0, grid, "inv_lambda")
-    g2 = quad.gram_weighted(shell, 1.0, grid, ("p_over_lambda", 2))
-    gone = quad.gram_weighted(shell, 1.0, grid, "one")
+    suite = quad.gram_suite(shell, 1.0, grid)
+    g0, g2, gone = suite.g0, suite.gs[1], suite.g_one
     assert g0.shape == (1, 1) and g0[0, 0] > 0
     assert abs(g2[0, 0]) < 1e-16  # odd weight kills the diagonal at k = 0
     assert abs(gone[0, 0] - 1.0) < grid.tail_estimate(0)
-    with pytest.raises(ValueError):
-        quad.gram_weighted(shell, 1.0, grid, "bogus")
-    with pytest.raises(ValueError):
-        quad.gram_weighted(shell, 1.0, grid, ("p_over_lambda", 4))
 
 
 def test_plancherel_within_tail():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(16, 1, 5)
-    gone = quad.gram_weighted(shell, 1.0, grid, "one")
+    gone = quad.gram_suite(shell, 1.0, grid).g_one
     assert np.max(np.abs(gone - np.eye(shell.count))) < grid.tail_estimate(1)
 
 
@@ -170,8 +165,9 @@ def test_gram_suite_validation():
     shell = modes.enumerate_shell(2)
     with pytest.raises(ValueError, match="cutoff"):
         quad.gram_suite(shell, 1.0, quad.build_grid(2, 1, 4))
-    with pytest.raises(ValueError, match="non-negative"):
-        quad.gram_suite(shell, -1.0, quad.build_grid(6, 1, 4))
+    for m in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative"):
+            quad.gram_suite(shell, m, quad.build_grid(6, 1, 4))
 
 
 def test_tail_estimate_monotone():
