@@ -1,20 +1,31 @@
 """The central experiment: partial sums S_J = |Q^J Omega|^2 of the truncated
 region-charge series across mode shells of the cube.
 
-Two independent evaluation routes are kept side by side:
+Two evaluation routes are kept side by side, both reading the same Gram
+suite:
 
-* trace route: S_J = tr(M+_J) - tr((M+_J)^2) on the spinor-level projector
-  Gram M+, for the product basis or for a conjugation-invariant basis
-  obtained by rotating the shell modes;
+* trace route: S_J = tr(W_J) - |W_J|_F^2 with W_J the leading principal
+  block of V* M+ V, for the product basis (V = 1) or for the
+  conjugation-invariant basis.  No spinor matrix is formed.  M+ is the
+  Kronecker sum sum_t X_t (x) Y_t of the real scalar Grams X_t with 4x4
+  Dirac matrices Y_t, and V is a frame of column groups sum_u R_u (x) Q_u
+  (R_u selects scalar modes, Q_u is a fixed spin matrix).  Every block of
+  V* M+ V is then sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its trace and
+  Frobenius norm follow from traces and inner products of scalar blocks
+  together with the spin cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which
+  is computed, not assumed;
 * scalar route: S_J = sum_{i,j<=J} [delta_ij - m^2 |<phi_i, phi_j/lambda>|^2
   - sum_s |<phi_i, (p_s/lambda) phi_j>|^2] over scalar modes, the 4-spin
-  reduction of the same quantity.
+  reduction of the same quantity with tr(Gamma_w Gamma_w') = 4 delta
+  written in by hand.
 
-Both exploit that the identity part of M+ is exact by orthonormality of the
-modes; the honest quadrature Gram enters through the 1/lambda and
-p_s/lambda weights only.  On complete shells the sums are basis independent
-(trace invariance); the basis matters for partial shells, which is exactly
-why the series itself is basis sensitive.
+Both routes read the same quadrature Grams, so their agreement checks the
+four-spin reduction and the basis algebra, not the quadrature.  Both exploit
+that the identity part of M+ is exact by orthonormality of the modes; the
+honest quadrature Gram enters through the 1/lambda and p_s/lambda weights
+only.  On complete shells the sums are basis independent (trace
+invariance); the basis matters for partial shells, which is exactly why the
+series itself is basis sensitive.
 """
 
 from dataclasses import dataclass
@@ -25,7 +36,7 @@ from scipy import sparse
 from . import fock
 from .charge import SubspaceBasis, bc_psi_omega
 from .modes import Shell, enumerate_shell, shell_conjugation
-from .quadrature import QuadGrid, GramMatrices, gram_suite, ideal_m_plus, m_plus
+from .quadrature import QuadGrid, GramMatrices, gram_suite, m_plus_terms
 
 __all__ = [
     "DivergenceSeries",
@@ -81,6 +92,41 @@ def _check_suite(suite: GramMatrices, kmax: int):
             f"precomputed Gram suite covers shell {suite.shell.K} < {kmax}")
 
 
+def _selection(rows: np.ndarray, n: int) -> sparse.csc_matrix:
+    """n x len(rows) matrix R with R e_l = e_rows[l]."""
+    return sparse.csc_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                             shape=(n, rows.size))
+
+
+def _product_frame(shell: Shell):
+    return [[(np.arange(shell.count), np.eye(4))]]
+
+
+def _invariant_frame(shell: Shell):
+    """The conjugation-invariant basis as column groups sum_u R_u (x) Q_u,
+    each term given as (rows, Q) with R_u the selection of `rows`.
+
+    Read off the shell conjugation U = P_pi (x) C, C = i gamma2: the zero
+    mode is its own partner and gives the group (0, T0), T0 pairing the
+    spins s < s' with C e_s = c e_s'; every other pair of modes i < pi(i)
+    gives eight columns, collected into the group (L, [I, iI]/sqrt(2)) +
+    (pi(L), [C, -iC]/sqrt(2)) over L = {i : pi(i) > i} in ascending order
+    (columns interleaved per spin, (e_s, i e_s) and (C e_s, -i C e_s)).
+    """
+    U = shell_conjugation(shell).U.tocsc()
+    n = shell.count
+    partner = U.indices[::4] // 4
+    C = U[4 * partner[0]:4 * partner[0] + 4, :4].toarray()
+    A = np.sqrt(0.5) * np.kron(np.eye(4), [1.0, 1j])
+    B = np.sqrt(0.5) * np.kron(C, [1.0, -1j])
+    fixed = np.flatnonzero(partner == np.arange(n))
+    # a self-partner mode keeps the columns of the spins s < s'
+    lo = np.flatnonzero(np.abs(C).argmax(axis=0) > np.arange(4))
+    T0 = (A + B).reshape(4, 4, 2)[:, lo].reshape(4, -1)
+    L = np.flatnonzero(partner > np.arange(n))
+    return [[(fixed, T0)], [(L, A), (partner[L], B)]]
+
+
 def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     """Sparse unitary whose columns express a conjugation-invariant ONB of
     the shell's spinor modes in the product basis.
@@ -91,28 +137,50 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     so every column has exactly two nonzeros.  The shell order is closed
     under k -> -k within each sub-shell, hence the first 4(2k+1)^3 columns
     span sub-shell k.  This is the basis `c_invariant_onb` builds from the
-    standard seeds, in closed form.
+    standard seeds, in closed form, assembled from its Kronecker frame.
     """
-    U = shell_conjugation(shell).U.tocsc()
-    n = U.shape[0]
-    partner, sign = U.indices, U.data  # C e_j = sign[j] e_partner[j]
-    j = np.flatnonzero(partner > np.arange(n))
-    p, s = partner[j], sign[j]
-    one = np.ones_like(s)
-    rows = np.repeat(np.column_stack([j, p]), 2, axis=0).ravel()
-    data = np.sqrt(0.5) * np.column_stack([one, s, 1j * one, -1j * s]).ravel()
-    return sparse.csc_matrix((data, rows, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    n = shell.count
+    groups = [sum(sparse.kron(_selection(rows, n), Q, format="csc")
+                  for rows, Q in group)
+              for group in _invariant_frame(shell)]
+    return sparse.hstack(groups, format="csc")
+
+
+def _frame_moments(frame, terms, n: int):
+    """tr(W) and |W|_F^2 of W = V_n* M+ V_n, where V_n holds the frame's
+    columns on the first n scalar modes and M+ = sum_t X_t (x) Y_t."""
+    # each group's leading rows are ascending and the sub-shell's come first
+    groups = [[(rows[:np.count_nonzero(group[0][0] < n)], Q) for rows, Q in group]
+              for group in frame]
+    tr = fro2 = 0.0
+    for a, left in enumerate(groups):
+        for b, right in enumerate(groups):
+            Z = np.stack([X[np.ix_(r, r2)].ravel()
+                          for X, _ in terms for r, _ in left for r2, _ in right])
+            P = np.stack([(Q.conj().T @ Y @ Q2).ravel()
+                          for _, Y in terms for _, Q in left for _, Q2 in right])
+            # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
+            fro2 += float(np.sum((Z @ Z.T) * (P.conj() @ P.T)).real)
+            if a == b:
+                k, q = left[0][0].size, left[0][1].shape[1]
+                tr += float(np.sum(Z[:, ::k + 1].sum(axis=1)
+                                   * P[:, ::q + 1].sum(axis=1)).real)
+    return tr, fro2
 
 
 def vacuum_series_trace(shells, m: float, grid: QuadGrid,
                         basis_kind: str = PRODUCT,
                         suite: GramMatrices = None) -> DivergenceSeries:
-    """S_J per shell via S = tr(M+_J) - tr((M+_J)^2).
+    """S_J per shell via S = tr(W_J) - tr(W_J^2), W_J = V_J* M+ V_J, using
+    the exact identity part of M+ and no spinor matrix.
 
     basis_kind "product" uses the plane-wave spinor modes; "c_invariant"
-    conjugates M+ by the invariant basis built from the shell conjugation,
-    realizing the basis whose terms all carry weight 1/2.
+    uses the invariant basis built from the shell conjugation, realizing the
+    basis whose terms all carry weight 1/2.
     """
+    frames = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
+    if basis_kind not in frames:
+        raise ValueError(f"unknown basis kind {basis_kind!r}")
     shells = _check_shells(shells)
     kmax = shells[-1]
     tail = _check_grid(grid, kmax)
@@ -120,19 +188,15 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     top = enumerate_shell(kmax)
     if suite is None:
         suite = gram_suite(top, m, grid)
-    M = ideal_m_plus(suite)
-    if basis_kind == C_INVARIANT:
-        V = c_invariant_transform(top)
-        M = V.conj().T @ (M @ V)
-    elif basis_kind != PRODUCT:
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
+    frame = frames[basis_kind](top)
+    terms = m_plus_terms(suite, np.eye(top.count))
     S, counts = [], []
     for K in shells:
-        j4 = 4 * (2 * K + 1) ** 3
-        sub = M[:j4, :j4]
-        # tr(H^2) = |H|_F^2 for Hermitian H
-        S.append(float(np.trace(sub).real - np.vdot(sub, sub).real))
-        counts.append(j4)
+        n = (2 * K + 1) ** 3
+        tr, fro2 = _frame_moments(frame, terms, n)
+        # tr(W^2) = |W|_F^2 for Hermitian W
+        S.append(tr - fro2)
+        counts.append(4 * n)
     return DivergenceSeries(shells, counts, S, basis_kind, float(m),
                             grid.describe(), tail)
 
@@ -166,12 +230,28 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
 def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
     """Diagonal of the honest (quadrature) M+ in the product basis or, given
     a (dense or sparse) transform V, of V* M+ V.  For a conjugation-invariant
-    basis these entries sit at 1/2 up to the quadrature tolerance."""
-    M = m_plus(suite)
+    basis these entries sit at 1/2 up to the quadrature tolerance.
+
+    Gathered per column: a column with stored entries v_x at spinor rows
+    x = (i_x, s_x) gives sum_t sum_xy conj(v_x) X_t[i_x, i_y] Y_t[s_x, s_y] v_y
+    over the Kronecker terms of M+, so no spinor matrix is formed.
+    """
     if transform is None:
-        return np.real(np.diagonal(M)).copy()
+        transform = sparse.identity(4 * suite.shell.count, format="csc")
     V = sparse.csc_matrix(transform)
-    return np.real(np.asarray(V.conj().multiply(M @ V).sum(axis=0))).ravel()
+    counts = np.diff(V.indptr)
+    col = np.repeat(np.arange(V.shape[1]), counts)
+    pos = np.arange(V.nnz) - V.indptr[col]
+    rows = np.zeros((V.shape[1], counts.max(initial=0)), dtype=int)
+    vals = np.zeros(rows.shape, dtype=complex)  # zero padding adds nothing
+    rows[col, pos] = V.indices
+    vals[col, pos] = V.data
+    i, s = np.divmod(rows, 4)
+    out = np.zeros(V.shape[1])
+    for X, Y in m_plus_terms(suite, suite.g_one):
+        block = X[i[:, :, None], i[:, None, :]] * Y[s[:, :, None], s[:, None, :]]
+        out += np.einsum("ca,cab,cb->c", vals.conj(), block, vals).real
+    return out
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

@@ -32,6 +32,7 @@ __all__ = [
     "build_grid",
     "GramMatrices",
     "gram_suite",
+    "m_plus_terms",
     "m_plus",
     "ideal_m_plus",
 ]
@@ -217,34 +218,41 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     )
 
 
-def _spin_blocks():
+def m_plus_terms(suite: GramMatrices, identity: np.ndarray):
+    """Kronecker terms (X_t, Y_t) of the spinor-level Gram of the positive
+    spectral projector, M+ = sum_t X_t (x) Y_t with spin as the fast index:
+    (identity, I/2), (G0, m beta/2) and (Gs, alpha_s/2).
+
+    `identity` is the scalar matrix of the identity part: the quadrature
+    `g_one` for the honest M+, or the exact identity when orthonormality of
+    the modes is invoked.
+    """
     g = gamma_matrices()
-    return g.beta, g.alpha
+    return ([(identity, 0.5 * np.eye(4, dtype=complex)),
+             (suite.g0, 0.5 * suite.m * g.beta)]
+            + [(G, 0.5 * a) for G, a in zip(suite.gs, g.alpha)])
+
+
+def _dense_m_plus(suite: GramMatrices, identity: np.ndarray) -> np.ndarray:
+    return sum(np.kron(X, Y) for X, Y in m_plus_terms(suite, identity))
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:
-    """Spinor-level Gram of the positive spectral projector,
-    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as the fast index.
+    """Dense small-scale oracle; the series path does not call it.
 
-    Uses the quadrature value of the weight-one Gram for the identity part,
-    so eigenvalues sit in [0, 1] up to the quadrature tolerance.
+    Spinor-level Gram of the positive spectral projector,
+    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as the fast index, with
+    the quadrature weight-one Gram as its identity part, so eigenvalues sit
+    in [0, 1] up to the quadrature tolerance.
     """
-    beta, alpha = _spin_blocks()
-    out = 0.5 * np.kron(suite.g_one, np.eye(4, dtype=complex))
-    out += 0.5 * suite.m * np.kron(suite.g0, beta)
-    for s in range(3):
-        out += 0.5 * np.kron(suite.gs[s], alpha[s])
-    return out
+    return _dense_m_plus(suite, suite.g_one)
 
 
 def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
-    """Same as m_plus but with the identity part taken exactly, invoking the
+    """Dense small-scale oracle; the series path does not call it.
+
+    Same as m_plus but with the identity part taken exactly, invoking the
     exact orthonormality of the modes; this is the form whose traces match
-    the scalar-reduced series identically."""
-    beta, alpha = _spin_blocks()
-    J4 = 4 * suite.shell.count
-    out = 0.5 * np.eye(J4, dtype=complex)
-    out += 0.5 * suite.m * np.kron(suite.g0, beta)
-    for s in range(3):
-        out += 0.5 * np.kron(suite.gs[s], alpha[s])
-    return out
+    the scalar-reduced series identically.
+    """
+    return _dense_m_plus(suite, np.eye(suite.shell.count))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fockcharge import cli
+from fockcharge import cli, quadrature
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -39,6 +39,24 @@ def test_non_finite_mass_exits_2(mass, capsys):
     code, out, err = run_cli(["vacuum-divergence", "--m", mass] + FAST_ARGS, capsys)
     assert code == 2
     assert "finite" in err and out == ""
+
+
+def test_shells_zero_skips_growth_checks(capsys):
+    code, out, _ = run_cli(["vacuum-divergence", "--shells", "0", "--cutoff", "8",
+                            "--panels", "1", "--order", "4", "--no-timestamp"], capsys)
+    assert code == 0
+    assert "PASS divergence/positivity" in out
+    assert "strictly-increasing" not in out
+
+
+def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
+    def refuse(suite):
+        raise AssertionError("dense spinor matrix built on the series path")
+
+    monkeypatch.setattr(quadrature, "m_plus", refuse)
+    monkeypatch.setattr(quadrature, "ideal_m_plus", refuse)
+    code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
+    assert code == 0 and "FAIL" not in out
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):

@@ -56,6 +56,49 @@ def test_c_invariant_route_matches_at_shell_boundaries(small_suite):
         assert abs(a - b) / abs(b) < 1e-8
 
 
+def _dense_series(M, shells):
+    out = []
+    for K in shells:
+        j4 = 4 * (2 * K + 1) ** 3
+        W = M[:j4, :j4]
+        out.append(float(np.trace(W).real - np.vdot(W, W).real))
+    return out
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_trace_series_matches_dense_oracle(K):
+    # the Kronecker-frame route against tr(W_K) - |W_K|_F^2 on the dense M+
+    shell = modes.enumerate_shell(K)
+    suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
+    shells = list(range(K + 1))
+    M = quad.ideal_m_plus(suite)
+    V = dv.c_invariant_transform(shell).toarray()
+    for kind, dense in ((dv.PRODUCT, M), (dv.C_INVARIANT, V.conj().T @ M @ V)):
+        series = dv.vacuum_series_trace(shells, 1.0, SMALL_GRID, basis_kind=kind, suite=suite)
+        for a, b in zip(series.S, _dense_series(dense, shells)):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_mplus_diagonal_matches_dense_oracle(K):
+    shell = modes.enumerate_shell(K)
+    suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
+    M = quad.m_plus(suite)
+    V = dv.c_invariant_transform(shell)
+    Vd = V.toarray()
+    expected = np.diagonal(Vd.conj().T @ M @ Vd).real
+    assert np.max(np.abs(dv.mplus_diagonal(suite, V) - expected)) < 1e-14
+    assert np.max(np.abs(dv.mplus_diagonal(suite) - np.diagonal(M).real)) < 1e-14
+
+
+def test_mplus_diagonal_dense_transform(rng):
+    suite = quad.gram_suite(modes.enumerate_shell(1), 1.0, SMALL_GRID)
+    M = quad.m_plus(suite)
+    V = random_unitary(rng, M.shape[0])
+    expected = np.diagonal(V.conj().T @ M @ V).real
+    assert np.max(np.abs(dv.mplus_diagonal(suite, V) - expected)) < 1e-14
+
+
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):
     # unitary mixing inside complete shells must not move the shell sums
     M = quad.ideal_m_plus(small_suite)
@@ -67,12 +110,7 @@ def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng
         U[at:at + B.shape[0], at:at + B.shape[0]] = B
         at += B.shape[0]
     Mr = U.conj().T @ (M @ U)
-    for K in SHELLS:
-        j4 = 4 * (2 * K + 1) ** 3
-        a = M[:j4, :j4]
-        b = Mr[:j4, :j4]
-        sa = float(np.trace(a).real - np.vdot(a, a).real)
-        sb = float(np.trace(b).real - np.vdot(b, b).real)
+    for sa, sb in zip(_dense_series(M, SHELLS), _dense_series(Mr, SHELLS)):
         assert abs(sa - sb) < 1e-8
 
 
@@ -132,6 +170,9 @@ def test_shell_and_grid_validation():
         dv.vacuum_series_scalar([0, 1, 2], 1.0, tiny)
     with pytest.raises(ValueError, match="basis kind"):
         dv.vacuum_series_trace([0], 1.0, SMALL_GRID, basis_kind="bogus")
+    # the basis kind is rejected before the shells or the grid are looked at
+    with pytest.raises(ValueError, match="basis kind"):
+        dv.vacuum_series_trace([0, 1, 2], 1.0, tiny, basis_kind="bogus")
     small = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
     with pytest.raises(ValueError, match="covers shell"):
         dv.vacuum_series_scalar([0, 1], 1.0, SMALL_GRID, suite=small)
