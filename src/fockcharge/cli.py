@@ -14,8 +14,11 @@ runs once the timestamp header is suppressed.  Exit code 0 means every
 check passed, 1 a contract failure, 2 an unusable invocation.
 
 --threads (or the FOCKCHARGE_THREADS environment variable) caps the linear
-algebra thread pools; it must act before the numerics are imported, which is
-why the heavy modules are loaded inside main().
+algebra thread pools by setting their environment variables, which act only
+if numpy is not yet imported in the process; that is why the heavy modules
+are loaded inside main().  It therefore takes effect for the `fockcharge`
+console script, but not when main() is called in a process that has already
+imported numpy (tests, benchmark harnesses).
 """
 
 import argparse

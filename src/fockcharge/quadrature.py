@@ -7,12 +7,19 @@ The integrals behind the region-charge series are 3d integrals of
 over the cube modes of a shell.  The mode transforms factor per axis and the
 grid is a tensor product of identical 1d panels, so a Gram matrix is a
 three-stage contraction of per-axis factor tables against the non-separable
-weight g(p).  Two structural savings make the big shells cheap:
+weight g(p).  Four structural savings make the big shells cheap:
 
 * per axis the two modes enter through the symmetric product
   D(a - p) D(a' - p), so only pairs a <= a' are contracted;
 * the node set is symmetric under p -> -p and every weight is even or odd
-  in each coordinate, so each axis is folded onto its positive nodes.
+  in each coordinate, so each axis is folded onto its positive nodes;
+* 1/lambda is symmetric under permuting the axes, so G1 and G2 are G3 with
+  its axes relabelled, and each plane of nodes only needs E W E^T;
+* D is even, so the pairs (a, a') and (-a', -a) share their folded even
+  row, and a plane is contracted over one pair of each such class.
+
+The plane loop writes the weights and both products into buffers allocated
+once before it, so it allocates nothing per plane.
 
 Panels are aligned to the integers because the integrand oscillates with
 unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
@@ -113,10 +120,13 @@ def _pair_index(M: int):
 def _axis_tables(K: int, grid: QuadGrid):
     """Even/odd folded pair tables over the positive half-axis.
 
-    Returns (E, Ox, xp) where for the pair r = (a, a')
+    Returns (E, Ox, xp, PI, reps, cls) where for the pair r = (a, a')
       E[r, i]  = B(a, x_i) B(a', x_i) + B(a, -x_i) B(a', -x_i)
       Ox[r, i] = x_i * (B(a, x_i) B(a', x_i) - B(a, -x_i) B(a', -x_i))
-    with B(a, x) = sqrt(w) D(a - x) / (2 pi).
+    with B(a, x) = sqrt(w) D(a - x) / (2 pi).  Since D is even,
+    B(a, -x) = B(-a, x), so the pairs (a, a') and (-a', -a) share their E row
+    and have opposite Ox rows.  `reps` lists one pair of each such class and
+    `cls` gives every pair the position of its class in `reps`.
     """
     N = grid.nodes_per_axis
     xp = grid.nodes[N // 2:]
@@ -132,7 +142,10 @@ def _axis_tables(K: int, grid: QuadGrid):
     prod_m = Bm[a] * Bm[b]
     E = prod_p + prod_m
     Ox = xp[None, :] * (prod_p - prod_m)
-    return E, Ox, xp, PI
+    mirror = PI[M - 1 - b, M - 1 - a]
+    reps, cls = np.unique(np.minimum(np.arange(len(pairs)), mirror),
+                          return_inverse=True)
+    return E, Ox, xp, PI, reps, cls
 
 
 def _full_axis_table(K: int, grid: QuadGrid):
@@ -179,31 +192,35 @@ class GramMatrices:
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     """Assemble all weighted Gram matrices of a shell in one quadrature pass."""
-    if not (np.isfinite(m) and m >= 0):
-        raise ValueError("mass must be finite and non-negative")
+    m2 = float(m) * float(m)
+    if not (m >= 0 and np.isfinite(m2)):
+        raise ValueError("mass must be finite and non-negative, with a finite square")
     if grid.cutoff <= shell.K:
         raise ValueError("cutoff must exceed the shell radius")
-    E, Ox, xp, PI = _axis_tables(shell.K, grid)
-    npair = E.shape[0]
+    E, Ox, xp, PI, reps, cls = _axis_tables(shell.K, grid)
+    Er = E[reps]
     Nh = xp.size
-    R = np.vstack([E, Ox])
 
-    Yee = np.empty((Nh, npair, npair))
-    Yoe = np.empty((Nh, npair, npair))
-    Yeo = np.empty((Nh, npair, npair))
+    # W = 1/lambda on the plane of the i3-th node, evaluated in place
     x2 = xp ** 2
-    plane = x2[:, None] + x2[None, :] + m * m
+    plane = x2[:, None] + x2[None, :] + m2
+    W = np.empty_like(plane)
+    EW = np.empty((reps.size, Nh))
+    Yr = np.empty((Nh, reps.size, reps.size))
     for i3 in range(Nh):
-        W = 1.0 / np.sqrt(plane + x2[i3])
-        Y = (R @ W) @ R.T
-        Yee[i3] = Y[:npair, :npair]
-        Yoe[i3] = Y[npair:, :npair]
-        Yeo[i3] = Y[:npair, npair:]
+        np.add(plane, x2[i3], out=W)
+        np.sqrt(W, out=W)
+        np.divide(1.0, W, out=W)
+        np.matmul(Er, W, out=EW)
+        np.matmul(EW, Er.T, out=Yr[i3])
+    Y = Yr[:, cls[:, None], cls[None, :]]
 
-    acc0 = np.tensordot(Yee, E, axes=([0], [1]))
-    acc3 = np.tensordot(Yee, Ox, axes=([0], [1]))
-    acc1 = np.tensordot(Yoe, E, axes=([0], [1]))
-    acc2 = np.tensordot(Yeo, E, axes=([0], [1]))
+    acc0 = np.tensordot(Y, E, axes=([0], [1]))
+    acc3 = np.tensordot(Y, Ox, axes=([0], [1]))
+    # the weight is symmetric under permuting the axes, so G1 and G2 are G3
+    # with its odd axis moved to the first or the second place
+    acc1 = acc3.transpose(2, 1, 0)
+    acc2 = acc3.transpose(0, 2, 1)
 
     perm = _shell_permutation(shell)
     B = _full_axis_table(shell.K, grid)

@@ -41,6 +41,12 @@ def test_non_finite_mass_exits_2(mass, capsys):
     assert "finite" in err and out == ""
 
 
+def test_mass_with_overflowing_square_exits_2(capsys):
+    code, out, err = run_cli(["vacuum-divergence", "--m", "2e154"] + FAST_ARGS, capsys)
+    assert code == 2
+    assert "finite square" in err and out == ""
+
+
 def test_shells_zero_skips_growth_checks(capsys):
     code, out, _ = run_cli(["vacuum-divergence", "--shells", "0", "--cutoff", "8",
                             "--panels", "1", "--order", "4", "--no-timestamp"], capsys)

@@ -4,20 +4,21 @@ import pytest
 from fockcharge import divergence, modes, quadrature as quad
 
 
-def naive_gram(shell, m, grid, weight):
-    """Literal B diag(w g) B* assembly over the full 3d node set."""
+def naive_grams(shell, grid, masses):
+    """Literal B diag(w g) B* assembly over the full 3d node set; yields
+    (m, G_one, G0, (G1, G2, G3)) for each mass."""
     x, w = grid.nodes, grid.weights
     P = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     W3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    lam = np.sqrt(np.sum(P ** 2, axis=1) + m * m)
-    if weight == "one":
-        g = np.ones_like(lam)
-    elif weight == "inv_lambda":
-        g = 1.0 / lam
-    else:
-        g = P[:, weight[1] - 1] / lam
     B = np.stack([modes.mode_ft(k, P) for k in shell.modes])
-    return np.real((B * (W3 * g)[None, :]) @ B.conj().T)
+
+    def gram(g):
+        return np.real((B * (W3 * g)[None, :]) @ B.conj().T)
+
+    for m in masses:
+        lam = np.sqrt(np.sum(P ** 2, axis=1) + m * m)
+        yield (m, gram(np.ones_like(lam)), gram(1.0 / lam),
+               tuple(gram(P[:, s] / lam) for s in range(3)))
 
 
 def test_build_grid_node_count():
@@ -46,14 +47,27 @@ def test_grid_nodes_symmetric_and_weights_positive():
 
 
 def test_folded_assembly_matches_naive_reference():
-    shell = modes.enumerate_shell(1)
-    grid = quad.build_grid(5, 1, 4)
-    suite = quad.gram_suite(shell, 1.0, grid)
-    assert np.max(np.abs(suite.g0 - naive_gram(shell, 1.0, grid, "inv_lambda"))) < 1e-13
-    for s in (1, 2, 3):
-        ref = naive_gram(shell, 1.0, grid, ("p_over_lambda", s))
-        assert np.max(np.abs(suite.gs[s - 1] - ref)) < 1e-13
-    assert np.max(np.abs(suite.g_one - naive_gram(shell, 1.0, grid, "one"))) < 1e-13
+    for K, grid_args in ((1, (5, 1, 4)), (2, (3, 1, 4))):
+        shell = modes.enumerate_shell(K)
+        grid = quad.build_grid(*grid_args)
+        for m, g_one, g0, gs in naive_grams(shell, grid, (0.0, 0.1, 1.0, 10.0)):
+            suite = quad.gram_suite(shell, m, grid)
+            assert np.max(np.abs(suite.g0 - g0)) < 1e-13
+            for G, ref in zip(suite.gs, gs):
+                assert np.max(np.abs(G - ref)) < 1e-13
+            assert np.max(np.abs(suite.g_one - g_one)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_axis_gram_matrices_related_by_mode_permutations(m):
+    # relabelling the axes maps G3 onto G1 (swap k1, k3) and onto G2 (swap k2, k3)
+    shell = modes.enumerate_shell(2)
+    suite = quad.gram_suite(shell, m, quad.build_grid(4, 1, 4))
+    index = {tuple(k): i for i, k in enumerate(shell.modes)}
+    g3 = suite.gs[2]
+    for G, axes in ((suite.gs[0], [2, 1, 0]), (suite.gs[1], [0, 2, 1])):
+        perm = np.array([index[tuple(k[axes])] for k in shell.modes])
+        assert np.max(np.abs(G - g3[np.ix_(perm, perm)])) <= 1e-15
 
 
 def test_gram_weighted_single_entry_points():
@@ -165,7 +179,7 @@ def test_gram_suite_validation():
     shell = modes.enumerate_shell(2)
     with pytest.raises(ValueError, match="cutoff"):
         quad.gram_suite(shell, 1.0, quad.build_grid(2, 1, 4))
-    for m in (-1.0, float("nan"), float("inf")):
+    for m in (-1.0, float("nan"), float("inf"), 2e154):
         with pytest.raises(ValueError, match="non-negative"):
             quad.gram_suite(shell, m, quad.build_grid(6, 1, 4))
 
