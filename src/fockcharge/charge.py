@@ -44,11 +44,15 @@ CLUSTER_GAP = 1e-6
 
 
 def max_abs(M) -> float:
-    """Largest absolute entry of a sparse or dense matrix."""
+    """Largest absolute entry of a sparse or dense matrix; M is not changed.
+
+    A CSR or CSC matrix is read through its stored values (explicit zeros
+    cannot raise the maximum); other sparse formats are converted first.
+    """
     if sparse.issparse(M):
-        M = sparse.csr_matrix(M)
-        M.eliminate_zeros()
-        return 0.0 if M.nnz == 0 else float(np.max(np.abs(M.data)))
+        if M.format not in ("csr", "csc"):
+            M = M.tocsr()
+        return float(np.max(np.abs(M.data))) if M.data.size else 0.0
     return float(np.max(np.abs(M))) if np.asarray(M).size else 0.0
 
 

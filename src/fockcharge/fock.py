@@ -9,8 +9,14 @@ antiparticle modes follow.  With that ordering the Jordan-Wigner sign string
 of an antiparticle creator crosses the whole particle block, which is exactly
 the (-1)^n factor in the antiparticle creation operator.
 
-All operators are returned as scipy CSR matrices; they stay cheap to combine
-for the mode counts (n <= 12) this module is meant for.
+All operators are returned as scipy CSR matrices, for the mode counts
+(n <= 12) this module is meant for.  Each builder is one gather and one CSR
+constructor call: the sparsity pattern of sum_k x_k a*_k + sum_l y_l a_l
+(row pointers, column indices, which coefficient each stored entry takes and
+its Jordan-Wigner sign) is cached per mode count and mode sets, and the
+field operators use one merged pattern for their two disjoint blocks.  The
+Kronecker-product, sum-of-adds construction is kept in the tests as the
+exact oracle.
 """
 
 from dataclasses import dataclass, field
@@ -39,26 +45,38 @@ __all__ = [
 MODEL_TOL = 1e-12
 
 
-@lru_cache(maxsize=32)
-def _jw_creators(nmodes: int):
-    """Jordan-Wigner creation operators for `nmodes` modes.
+@lru_cache(maxsize=64)
+def _jw_pattern(nmodes: int, raised: tuple, lowered: tuple):
+    """CSR structure of sum_i x_i a*_{raised[i]} + sum_j y_j a_{lowered[j]}.
 
-    Mode 0 is the leftmost Kronecker factor; the Z string sits on the modes
-    *before* the target mode, so creating in mode k picks up the parity of
-    the occupation of modes 0..k-1.
+    Mode 0 is the most significant bit of a basis index.  The Jordan-Wigner
+    string sits on the modes *before* the target mode, so raising or lowering
+    mode k picks up the parity of the occupation of modes 0..k-1.  Distinct
+    (mode, direction) terms never share a stored entry, so the operator is a
+    gather: stored entry e holds ``coeffs[pos[e]] * sign[e]`` with ``coeffs``
+    the concatenation (x, y).  Returns ``(indptr, indices, pos, sign)`` with
+    the indices sorted within each row.
     """
-    z = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    up = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))  # |1><0|
-    eye = sparse.identity(2, format="csr")
-    ops = []
-    for k in range(nmodes):
-        factors = [z] * k + [up] + [eye] * (nmodes - k - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = sparse.kron(op, f, format="csr")
-        op.eliminate_zeros()
-        ops.append(op.astype(complex))
-    return tuple(ops)
+    dim = 2 ** nmodes
+    states = np.arange(dim, dtype=np.int64)
+    rows, cols, pos, sign = [], [], [], []
+    terms = [(k, True) for k in raised] + [(k, False) for k in lowered]
+    for p, (k, raise_) in enumerate(terms):
+        bit = 1 << (nmodes - 1 - k)
+        src = states[((states & bit) == 0) == raise_]
+        parity = np.zeros(src.size, dtype=np.int64)
+        for j in range(k):
+            parity ^= (src >> (nmodes - 1 - j)) & 1
+        rows.append(src ^ bit)
+        cols.append(src)
+        pos.append(np.full(src.size, p, dtype=np.intp))
+        sign.append(1.0 - 2.0 * parity)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return (indptr, cols[order].astype(np.int32),
+            np.concatenate(pos)[order], np.concatenate(sign)[order])
 
 
 @dataclass
@@ -143,49 +161,67 @@ def _check_f(model: ToyModel, f) -> np.ndarray:
     return f
 
 
+def _jw_operator(model: ToyModel, raised: tuple, lowered: tuple, coeffs) -> sparse.csr_matrix:
+    """sum_i coeffs[i] a*_{raised[i]} + sum_j coeffs[len(raised) + j] a_{lowered[j]}
+    as a fresh CSR matrix that owns its arrays, without explicit zeros."""
+    indptr, indices, pos, sign = _jw_pattern(model.n, raised, lowered)
+    op = sparse.csr_matrix((coeffs[pos] * sign, indices.copy(), indptr.copy()),
+                           shape=(model.fock_dim, model.fock_dim))
+    op.eliminate_zeros()
+    return op
+
+
+def _particle_modes(model: ToyModel) -> tuple:
+    return tuple(range(model.d_plus))
+
+
+def _antiparticle_modes(model: ToyModel) -> tuple:
+    return tuple(range(model.d_plus, model.n))
+
+
+def _b_coeffs(model: ToyModel, f) -> np.ndarray:
+    """<u_a, f> over the particle ONB: the coefficients of b*(f)."""
+    return model.basis_plus.conj().T @ _check_f(model, f)
+
+
+def _c_coeffs(model: ToyModel, f) -> np.ndarray:
+    """Coefficients of c*(f): C P- f over the antiparticle ONB."""
+    target = model.conj.apply(model.p_minus @ _check_f(model, f))
+    return model.basis_antip.conj().T @ target
+
+
 def creator_b(model: ToyModel, f) -> sparse.csr_matrix:
     """Particle creation operator b*(f); creates P+ f, linear in f."""
-    f = _check_f(model, f)
-    ops = _jw_creators(model.n)
-    coeffs = model.basis_plus.conj().T @ f  # <u_a, f>
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
-    for a in range(model.d_plus):
-        out = out + coeffs[a] * ops[a]
-    return out
+    return _jw_operator(model, _particle_modes(model), (), _b_coeffs(model, f))
 
 
 def annihilator_b(model: ToyModel, f) -> sparse.csr_matrix:
     """Particle annihilation operator b(f) = (b*(f))^dagger; anti-linear in f."""
-    return creator_b(model, f).conj().T.tocsr()
+    return _jw_operator(model, (), _particle_modes(model), _b_coeffs(model, f).conj())
 
 
 def creator_c(model: ToyModel, f) -> sparse.csr_matrix:
     """Antiparticle creation operator c*(f); creates C P- f in the
     antiparticle modes, with the parity factor over the particle block
     supplied by the Jordan-Wigner string."""
-    f = _check_f(model, f)
-    ops = _jw_creators(model.n)
-    target = model.conj.apply(model.p_minus @ f)
-    coeffs = model.basis_antip.conj().T @ target
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
-    for b in range(model.d_minus):
-        out = out + coeffs[b] * ops[model.d_plus + b]
-    return out
+    return _jw_operator(model, _antiparticle_modes(model), (), _c_coeffs(model, f))
 
 
 def annihilator_c(model: ToyModel, f) -> sparse.csr_matrix:
     """Antiparticle annihilation operator c(f) = (c*(f))^dagger; linear in f."""
-    return creator_c(model, f).conj().T.tocsr()
+    return _jw_operator(model, (), _antiparticle_modes(model), _c_coeffs(model, f).conj())
 
 
 def field_op(model: ToyModel, f) -> sparse.csr_matrix:
     """Field operator Psi(f) = b(f) + c*(f)."""
-    return (annihilator_b(model, f) + creator_c(model, f)).tocsr()
+    coeffs = np.concatenate([_c_coeffs(model, f), _b_coeffs(model, f).conj()])
+    return _jw_operator(model, _antiparticle_modes(model), _particle_modes(model), coeffs)
 
 
 def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
     """Psi*(f) = b*(f) + c(f), the matrix adjoint of Psi(f)."""
-    return (creator_b(model, f) + annihilator_c(model, f)).tocsr()
+    coeffs = np.concatenate([_b_coeffs(model, f), _c_coeffs(model, f).conj()])
+    return _jw_operator(model, _particle_modes(model), _antiparticle_modes(model), coeffs)
 
 
 def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:

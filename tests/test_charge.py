@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import random_unitary
 from fockcharge import charge, fock
@@ -13,6 +14,25 @@ def test_single_c_invariant_mode_eigenvalues(model6, rng):
     Q = charge.q_subspace(model6, basis)
     eigs = charge.cluster_eigenvalues(np.linalg.eigvalsh(Q.toarray()))
     assert np.allclose(eigs, [-0.5, 0.5], atol=1e-10)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_max_abs_leaves_sparse_argument_unchanged(fmt):
+    M = sparse.csr_matrix((np.array([0.0, -2.0]), np.array([0, 1]), np.array([0, 1, 2])),
+                          shape=(2, 2)).asformat(fmt)
+    before = {k: getattr(M, k).copy() for k in ("data", "indices", "indptr", "row", "col")
+              if hasattr(M, k)}
+    assert M.nnz == 2
+    assert max_abs(M) == 2.0
+    assert M.nnz == 2
+    for k, arr in before.items():
+        assert np.array_equal(getattr(M, k), arr)
+
+
+def test_max_abs_of_stored_zeros_only():
+    M = sparse.csr_matrix((np.zeros(2), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2))
+    assert max_abs(M) == 0.0
+    assert max_abs(sparse.csr_matrix((3, 3))) == 0.0
 
 
 def test_empty_subspace_gives_zero_operator(model6):

@@ -6,8 +6,91 @@ from fockcharge import fock
 from fockcharge.charge import max_abs
 
 
+BUILDERS = ("creator_b", "annihilator_b", "creator_c", "annihilator_c",
+            "field_op", "field_adjoint")
+
+
 def anti(A, B):
     return A @ B + B @ A
+
+
+def kron_creators(nmodes):
+    """Jordan-Wigner creators as Kronecker products: mode 0 is the leftmost
+    factor and Z sits on the modes before the target mode."""
+    z = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    up = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))  # |1><0|
+    eye = sparse.identity(2, format="csr")
+    ops = []
+    for k in range(nmodes):
+        factors = [z] * k + [up] + [eye] * (nmodes - k - 1)
+        op = factors[0]
+        for f in factors[1:]:
+            op = sparse.kron(op, f, format="csr")
+        op.eliminate_zeros()
+        ops.append(op.astype(complex))
+    return ops
+
+
+def oracle_operators(model, f):
+    """The six builders as sums of Kronecker creators and their adjoints."""
+    ops = kron_creators(model.n)
+
+    def combine(coeffs, modes):
+        out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+        for c, k in zip(coeffs, modes):
+            out = out + c * ops[k]
+        return out
+
+    f = np.asarray(f, dtype=complex)
+    bs = combine(model.basis_plus.conj().T @ f, range(model.d_plus))
+    target = model.conj.apply(model.p_minus @ f)
+    cs = combine(model.basis_antip.conj().T @ target, range(model.d_plus, model.n))
+    b = bs.conj().T.tocsr()
+    c = cs.conj().T.tocsr()
+    return {"creator_b": bs, "annihilator_b": b, "creator_c": cs, "annihilator_c": c,
+            "field_op": (b + cs).tocsr(), "field_adjoint": (bs + c).tocsr()}
+
+
+def assert_same_csr(A, B):
+    assert A.format == B.format == "csr"
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
+def test_builders_equal_kronecker_oracle(n):
+    rng = np.random.default_rng(n)
+    model = fock.random_model(n, rng)
+    fs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+    fs += [model.basis_plus[:, 0], model.basis_minus[:, -1]]
+    for f in fs:
+        expected = oracle_operators(model, f)
+        for name in BUILDERS:
+            assert_same_csr(getattr(fock, name)(model, f), expected[name])
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_builders_of_zero_vector_store_nothing(n):
+    model = fock.random_model(n, np.random.default_rng(n))
+    expected = oracle_operators(model, np.zeros(n))
+    for name in BUILDERS:
+        op = getattr(fock, name)(model, np.zeros(n))
+        assert op.nnz == 0
+        assert_same_csr(op, expected[name])
+
+
+def test_in_place_changes_do_not_reach_the_pattern_cache(model6, rng):
+    f = rng.normal(size=6) + 1j * rng.normal(size=6)
+    expected = oracle_operators(model6, f)
+    for name in BUILDERS:
+        op = getattr(fock, name)(model6, f)
+        op.data[:] = 0
+        op.eliminate_zeros()
+        op.sort_indices()
+        assert op.nnz == 0
+        assert_same_csr(getattr(fock, name)(model6, f), expected[name])
 
 
 def test_vacuum_is_normalized_and_annihilated(model6, rng):
