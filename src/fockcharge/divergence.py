@@ -1,31 +1,35 @@
 """The central experiment: partial sums S_J = |Q^J Omega|^2 of the truncated
 region-charge series across mode shells of the cube.
 
-Two evaluation routes are kept side by side, both reading the same Gram
-suite:
+On an orthonormal frame V_J of the first J spinor modes, W_J = V_J* M+ V_J
+is I/2 + R_J, where the identity part of M+ is exact by orthonormality of
+the modes and R_J = V_J* (sum_t X_t (x) Y_t) V_J carries the quadrature
+Grams: X_t in {m G0, G1, G2, G3} (weights 1/lambda and p_s/lambda), Y_t in
+{beta/2, alpha_s/2} (`quadrature.m_plus_terms`).  Hence
 
-* trace route: S_J = tr(W_J) - |W_J|_F^2 with W_J the leading principal
-  block of V* M+ V, for the product basis (V = 1) or for the
-  conjugation-invariant basis.  No spinor matrix is formed.  M+ is the
-  Kronecker sum sum_t X_t (x) Y_t of the real scalar Grams X_t with 4x4
-  Dirac matrices Y_t, and V is a frame of column groups sum_u R_u (x) Q_u
-  (R_u selects scalar modes, Q_u is a fixed spin matrix).  Every block of
-  V* M+ V is then sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its trace and
-  Frobenius norm follow from traces and inner products of scalar blocks
-  together with the spin cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which
-  is computed, not assumed;
-* scalar route: S_J = sum_{i,j<=J} [delta_ij - m^2 |<phi_i, phi_j/lambda>|^2
-  - sum_s |<phi_i, (p_s/lambda) phi_j>|^2] over scalar modes, the 4-spin
-  reduction of the same quantity with tr(Gamma_w Gamma_w') = 4 delta
-  written in by hand.
+    S_J = tr(W_J) - tr(W_J^2) = n - |R_J|_F^2
 
-Both routes read the same quadrature Grams, so their agreement checks the
-four-spin reduction and the basis algebra, not the quadrature.  Both exploit
-that the identity part of M+ is exact by orthonormality of the modes; the
-honest quadrature Gram enters through the 1/lambda and p_s/lambda weights
-only.  On complete shells the sums are basis independent (trace
-invariance); the basis matters for partial shells, which is exactly why the
-series itself is basis sensitive.
+with n = J/4 scalar modes, and both evaluation routes compute this one
+quantity; they differ only in how they reduce |R_J|_F^2:
+
+* trace route: for the product basis (V = 1) or the conjugation-invariant
+  basis, V is a frame of column groups sum_u R_u (x) Q_u (R_u selects
+  scalar modes, Q_u is a fixed spin matrix).  Every block of R_J is then
+  sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius norm follows
+  from inner products of scalar blocks together with the spin cross-Gram
+  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  No
+  spinor matrix is formed;
+* scalar route: |R_J|_F^2 = sum_{i,j<=n} [m^2 |G0_ij|^2 + sum_s |Gs_ij|^2],
+  the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
+  hand.
+
+Both routes read the same quadrature Grams, so their agreement
+(`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2 and the
+basis algebra, not the quadrature.  The honest quadrature M+, identity part
+g_one included, enters only `mplus_diagonal`; the dense M+ lives only in the
+tests, as a small-scale oracle.  On complete shells the sums are basis
+independent (trace invariance); the basis matters for partial shells, which
+is exactly why the series itself is basis sensitive.
 """
 
 from dataclasses import dataclass
@@ -67,29 +71,6 @@ class DivergenceSeries:
 
     def increments(self):
         return [self.S[0]] + [b - a for a, b in zip(self.S, self.S[1:])]
-
-
-def _check_shells(shells):
-    shells = [int(k) for k in shells]
-    if not shells or any(k < 0 for k in shells):
-        raise ValueError("need a non-empty list of shell radii >= 0")
-    if sorted(set(shells)) != shells:
-        raise ValueError("shell radii must be strictly ascending")
-    return shells
-
-
-def _check_grid(grid: QuadGrid, kmax: int):
-    tail = grid.tail_estimate(kmax)
-    if tail > MAX_TAIL:
-        raise ValueError(
-            f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
-    return tail
-
-
-def _check_suite(suite: GramMatrices, kmax: int):
-    if suite is not None and suite.shell.K < kmax:
-        raise ValueError(
-            f"precomputed Gram suite covers shell {suite.shell.K} < {kmax}")
 
 
 def _selection(rows: np.ndarray, n: int) -> sparse.csc_matrix:
@@ -146,33 +127,59 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     return sparse.hstack(groups, format="csc")
 
 
-def _frame_moments(frame, terms, n: int):
-    """tr(W) and |W|_F^2 of W = V_n* M+ V_n, where V_n holds the frame's
-    columns on the first n scalar modes and M+ = sum_t X_t (x) Y_t."""
+def _frame_fro2(frame, terms, n: int) -> float:
+    """|R|_F^2 of R = V_n* (sum_t X_t (x) Y_t) V_n, where V_n holds the
+    frame's columns on the first n scalar modes."""
     # each group's leading rows are ascending and the sub-shell's come first
     groups = [[(rows[:np.count_nonzero(group[0][0] < n)], Q) for rows, Q in group]
               for group in frame]
-    tr = fro2 = 0.0
-    for a, left in enumerate(groups):
-        for b, right in enumerate(groups):
+    fro2 = 0.0
+    for left in groups:
+        for right in groups:
             Z = np.stack([X[np.ix_(r, r2)].ravel()
                           for X, _ in terms for r, _ in left for r2, _ in right])
             P = np.stack([(Q.conj().T @ Y @ Q2).ravel()
                           for _, Y in terms for _, Q in left for _, Q2 in right])
             # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
             fro2 += float(np.sum((Z @ Z.T) * (P.conj() @ P.T)).real)
-            if a == b:
-                k, q = left[0][0].size, left[0][1].shape[1]
-                tr += float(np.sum(Z[:, ::k + 1].sum(axis=1)
-                                   * P[:, ::q + 1].sum(axis=1)).real)
-    return tr, fro2
+    return fro2
+
+
+def _series(shells, m: float, grid: QuadGrid, suite: GramMatrices,
+            basis_kind: str, reducer) -> DivergenceSeries:
+    """S = n - |R_n|_F^2 at each shell boundary, n = (2K+1)^3 scalar modes.
+
+    Validates the shells, the grid and a precomputed suite and builds the
+    suite when none is given; `reducer(top, terms)` returns the map
+    n -> |R_n|_F^2 for the top shell and the Kronecker terms of R.
+    """
+    shells = [int(k) for k in shells]
+    if not shells or any(k < 0 for k in shells):
+        raise ValueError("need a non-empty list of shell radii >= 0")
+    if sorted(set(shells)) != shells:
+        raise ValueError("shell radii must be strictly ascending")
+    kmax = shells[-1]
+    tail = grid.tail_estimate(kmax)
+    if tail > MAX_TAIL:
+        raise ValueError(
+            f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
+    if suite is not None and suite.shell.K < kmax:
+        raise ValueError(
+            f"precomputed Gram suite covers shell {suite.shell.K} < {kmax}")
+    top = enumerate_shell(kmax)
+    if suite is None:
+        suite = gram_suite(top, m, grid)
+    r2 = reducer(top, m_plus_terms(suite))
+    ns = [(2 * K + 1) ** 3 for K in shells]
+    return DivergenceSeries(shells, [4 * n for n in ns], [n - r2(n) for n in ns],
+                            basis_kind, float(m), grid.describe(), tail)
 
 
 def vacuum_series_trace(shells, m: float, grid: QuadGrid,
                         basis_kind: str = PRODUCT,
                         suite: GramMatrices = None) -> DivergenceSeries:
-    """S_J per shell via S = tr(W_J) - tr(W_J^2), W_J = V_J* M+ V_J, using
-    the exact identity part of M+ and no spinor matrix.
+    """S_J per shell as n - |R_J|_F^2, R_J = V_J* M+ V_J - I/2, with |R_J|_F^2
+    reduced through the Dirac cross-Gram of the frame; no spinor matrix.
 
     basis_kind "product" uses the plane-wave spinor modes; "c_invariant"
     uses the invariant basis built from the shell conjugation, realizing the
@@ -181,24 +188,12 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     frames = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
     if basis_kind not in frames:
         raise ValueError(f"unknown basis kind {basis_kind!r}")
-    shells = _check_shells(shells)
-    kmax = shells[-1]
-    tail = _check_grid(grid, kmax)
-    _check_suite(suite, kmax)
-    top = enumerate_shell(kmax)
-    if suite is None:
-        suite = gram_suite(top, m, grid)
-    frame = frames[basis_kind](top)
-    terms = m_plus_terms(suite, np.eye(top.count))
-    S, counts = [], []
-    for K in shells:
-        n = (2 * K + 1) ** 3
-        tr, fro2 = _frame_moments(frame, terms, n)
-        # tr(W^2) = |W|_F^2 for Hermitian W
-        S.append(tr - fro2)
-        counts.append(4 * n)
-    return DivergenceSeries(shells, counts, S, basis_kind, float(m),
-                            grid.describe(), tail)
+
+    def reducer(top, terms):
+        frame = frames[basis_kind](top)
+        return lambda n: _frame_fro2(frame, terms, n)
+
+    return _series(shells, m, grid, suite, basis_kind, reducer)
 
 
 def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
@@ -206,25 +201,13 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
     """S_J per shell from the scalar-mode Gram matrices, with the sum over
     the four spins already carried out:
 
-        S = sum_{ij} [delta_ij - m^2 |G0_ij|^2 - sum_s |Gs_ij|^2].
+        S = n - sum_{i,j<=n} [m^2 |G0_ij|^2 + sum_s |Gs_ij|^2].
     """
-    shells = _check_shells(shells)
-    kmax = shells[-1]
-    tail = _check_grid(grid, kmax)
-    _check_suite(suite, kmax)
-    if suite is None:
-        suite = gram_suite(enumerate_shell(kmax), m, grid)
-    S, counts = [], []
-    for K in shells:
-        n = (2 * K + 1) ** 3
-        total = float(n)
-        total -= m * m * float(np.sum(suite.g0[:n, :n] ** 2))
-        for gs in suite.gs:
-            total -= float(np.sum(gs[:n, :n] ** 2))
-        S.append(total)
-        counts.append(4 * n)
-    return DivergenceSeries(shells, counts, S, PRODUCT, float(m),
-                            grid.describe(), tail)
+    def reducer(top, terms):
+        # tr(Y_t Y_t') = delta_tt' for Y_t in {beta/2, alpha_s/2}
+        return lambda n: sum(float(np.sum(X[:n, :n] ** 2)) for X, _ in terms)
+
+    return _series(shells, m, grid, suite, PRODUCT, reducer)
 
 
 def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
@@ -234,7 +217,8 @@ def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
 
     Gathered per column: a column with stored entries v_x at spinor rows
     x = (i_x, s_x) gives sum_t sum_xy conj(v_x) X_t[i_x, i_y] Y_t[s_x, s_y] v_y
-    over the Kronecker terms of M+, so no spinor matrix is formed.
+    over the Kronecker terms of M+, the quadrature identity part
+    (g_one, I/2) followed by `m_plus_terms`, so no spinor matrix is formed.
     """
     if transform is None:
         transform = sparse.identity(4 * suite.shell.count, format="csc")
@@ -248,7 +232,7 @@ def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
     vals[col, pos] = V.data
     i, s = np.divmod(rows, 4)
     out = np.zeros(V.shape[1])
-    for X, Y in m_plus_terms(suite, suite.g_one):
+    for X, Y in [(suite.g_one, 0.5 * np.eye(4, dtype=complex))] + m_plus_terms(suite):
         block = X[i[:, :, None], i[:, None, :]] * Y[s[:, :, None], s[:, None, :]]
         out += np.einsum("ca,cab,cb->c", vals.conj(), block, vals).real
     return out

@@ -32,14 +32,6 @@ ORTHOGONAL = "orthogonal"
 GENERIC = "generic"
 
 
-def _max_abs(A) -> float:
-    if sparse.issparse(A):
-        A = sparse.csr_matrix(A)
-        A.eliminate_zeros()
-        return 0.0 if A.nnz == 0 else float(np.max(np.abs(A.data)))
-    return float(np.max(np.abs(A)))
-
-
 class AntiUnitary:
     """Anti-unitary involution v -> U conj(v) on C^dim."""
 
@@ -54,9 +46,9 @@ class AntiUnitary:
             eye = np.eye(n)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError(f"U must be square, got shape {U.shape}")
-        if _max_abs(U.conj().T @ U - eye) >= UNITARITY_TOL:
+        if abs(U.conj().T @ U - eye).max() >= UNITARITY_TOL:
             raise ValueError("U is not unitary")
-        if _max_abs(U @ U.conj() - eye) >= UNITARITY_TOL:
+        if abs(U @ U.conj() - eye).max() >= UNITARITY_TOL:
             raise ValueError("U conj(U) != I: the map is not an involution")
         self.U = U
         self.dim = n
@@ -118,7 +110,7 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
         seeds = np.asarray(seed_basis, dtype=complex)
         if seeds.shape != (n, n):
             raise ValueError(f"seed basis must be {n}x{n}, got {seeds.shape}")
-        if _max_abs(seeds.conj().T @ seeds - np.eye(n)) > 1e-10:
+        if abs(seeds.conj().T @ seeds - np.eye(n)).max() > 1e-10:
             raise ValueError("seed basis is not orthonormal")
 
     out = np.zeros((n, n), dtype=complex, order="F")

@@ -25,6 +25,11 @@ Panels are aligned to the integers because the integrand oscillates with
 unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node ordering, so
 results are reproducible run to run.
+
+The Grams reach the spinor level through `m_plus_terms`, the Kronecker terms
+of R = M+ - I/2.  The series needs only R, since S_J = n - |R_J|_F^2 with the
+identity part of M+ exact; the dense M+ lives only in the tests, as a
+small-scale oracle.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +45,6 @@ __all__ = [
     "GramMatrices",
     "gram_suite",
     "m_plus_terms",
-    "m_plus",
-    "ideal_m_plus",
 ]
 
 MAX_EFFECTIVE_NODES = 1e9
@@ -186,9 +189,6 @@ class GramMatrices:
     g0: np.ndarray
     gs: tuple  # (G1, G2, G3)
 
-    def tail_estimate(self) -> float:
-        return self.grid.tail_estimate(self.shell.K)
-
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     """Assemble all weighted Gram matrices of a shell in one quadrature pass."""
@@ -235,41 +235,16 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     )
 
 
-def m_plus_terms(suite: GramMatrices, identity: np.ndarray):
-    """Kronecker terms (X_t, Y_t) of the spinor-level Gram of the positive
-    spectral projector, M+ = sum_t X_t (x) Y_t with spin as the fast index:
-    (identity, I/2), (G0, m beta/2) and (Gs, alpha_s/2).
+def m_plus_terms(suite: GramMatrices):
+    """Kronecker terms (X_t, Y_t) of R = M+ - I/2, the spinor-level Gram of
+    the positive spectral projector less its identity part, with spin as
+    the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
 
-    `identity` is the scalar matrix of the identity part: the quadrature
-    `g_one` for the honest M+, or the exact identity when orthonormality of
-    the modes is invoked.
+    The mass sits in the scalar block, so both factors stay of order one up
+    to the largest mass whose square is finite.  The identity part is exact
+    on the orthonormal modes; `divergence.mplus_diagonal`, which needs the
+    quadrature M+, adds (g_one, I/2) itself.
     """
     g = gamma_matrices()
-    return ([(identity, 0.5 * np.eye(4, dtype=complex)),
-             (suite.g0, 0.5 * suite.m * g.beta)]
+    return ([(suite.m * suite.g0, 0.5 * g.beta)]
             + [(G, 0.5 * a) for G, a in zip(suite.gs, g.alpha)])
-
-
-def _dense_m_plus(suite: GramMatrices, identity: np.ndarray) -> np.ndarray:
-    return sum(np.kron(X, Y) for X, Y in m_plus_terms(suite, identity))
-
-
-def m_plus(suite: GramMatrices) -> np.ndarray:
-    """Dense small-scale oracle; the series path does not call it.
-
-    Spinor-level Gram of the positive spectral projector,
-    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as the fast index, with
-    the quadrature weight-one Gram as its identity part, so eigenvalues sit
-    in [0, 1] up to the quadrature tolerance.
-    """
-    return _dense_m_plus(suite, suite.g_one)
-
-
-def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
-    """Dense small-scale oracle; the series path does not call it.
-
-    Same as m_plus but with the identity part taken exactly, invoking the
-    exact orthonormality of the modes; this is the form whose traces match
-    the scalar-reduced series identically.
-    """
-    return _dense_m_plus(suite, np.eye(suite.shell.count))

@@ -500,7 +500,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
                     for a, b in zip(product.S, scalar.S))
     basis_dev = max(abs(a - b) / max(abs(b), 1e-300)
                     for a, b in zip(S_ci, product.S))
-    tail = grid.tail_estimate(cfg.shells)
+    tail = c_inv.tail
     positivity = min(min(scalar.S), min(S_ci))
 
     diag = divergence.mplus_diagonal(suite, divergence.c_invariant_transform(top))
@@ -539,18 +539,14 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
                             1.0 if diag_report["verdict"] == "no Cauchy convergence" else 0.0,
                             1.0, diag_report["verdict"] == "no Cauchy convergence"))
 
-    rows = []
-    prev = 0.0
-    for idx, K in enumerate(shells):
-        rows.append({
-            "shell": idx,
-            "K": K,
-            "J": product.mode_counts[idx],
-            "S": S_ci[idx],
-            "deltaS": S_ci[idx] - prev,
-            "tail_estimate": grid.tail_estimate(K),
-        })
-        prev = S_ci[idx]
+    rows = [{
+        "shell": idx,
+        "K": K,
+        "J": product.mode_counts[idx],
+        "S": S_ci[idx],
+        "deltaS": delta,
+        "tail_estimate": grid.tail_estimate(K),
+    } for idx, (K, delta) in enumerate(zip(shells, c_inv.increments()))]
     return SuiteResult("vacuum-divergence",
                        ["shell", "K", "J", "S", "deltaS", "tail_estimate"],
                        rows=rows, checks=checks)

@@ -1,8 +1,10 @@
+import importlib
 import json
+import tracemalloc
 
 import pytest
 
-from fockcharge import cli, quadrature
+from fockcharge import cli
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -55,14 +57,28 @@ def test_shells_zero_skips_growth_checks(capsys):
     assert "strictly-increasing" not in out
 
 
-def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
-    def refuse(suite):
-        raise AssertionError("dense spinor matrix built on the series path")
+def test_mass_just_below_overflowing_square_runs_clean(capsys):
+    # the largest mass whose square is finite: the mass sits in the scalar
+    # block m G0 of order one, so no spin product overflows
+    code, out, _ = run_cli(["vacuum-divergence", "--m", "1.3407807929942596e154",
+                            "--no-timestamp"] + FAST_ARGS, capsys)
+    assert code == 0
+    assert "FAIL" not in out and "nan" not in out
 
-    monkeypatch.setattr(quadrature, "m_plus", refuse)
-    monkeypatch.setattr(quadrature, "ideal_m_plus", refuse)
-    code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
+
+def test_vacuum_divergence_builds_no_dense_spinor_matrix(capsys):
+    # one dense complex spinor matrix at K=4 (2916 x 2916) takes 136 MB; the
+    # modules are imported first, so the bound counts the run alone
+    importlib.import_module("fockcharge.suites")
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["vacuum-divergence", "--shells", "4", "--cutoff", "8",
+                                "--panels", "1", "--order", "4", "--no-timestamp"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 0 and "FAIL" not in out
+    assert peak < 100 * 2 ** 20
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):

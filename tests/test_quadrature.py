@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fockcharge import divergence, modes, quadrature as quad
+from conftest import ideal_m_plus, m_plus
+from fockcharge import divergence, modes, quadrature as quad, spinor
 
 
 def naive_grams(shell, grid, masses):
@@ -128,7 +129,7 @@ def test_m_plus_properties():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(12, 1, 6)
     suite = quad.gram_suite(shell, 1.0, grid)
-    M = quad.m_plus(suite)
+    M = m_plus(suite)
     tail = grid.tail_estimate(1)
     assert np.max(np.abs(M - M.conj().T)) < 1e-13
     eigs = np.linalg.eigvalsh(M)
@@ -141,13 +142,30 @@ def test_m_plus_properties():
     assert np.max(np.abs(diag - 0.5)) < tail
 
 
+@pytest.mark.parametrize("m", [0.1, 2.5])
+def test_m_plus_matches_literal_projector_quadrature(m):
+    # M+_{(i,s),(j,t)} = sum_p w phi_i(p) conj(phi_j(p)) Lambda+(p)_{st}, with
+    # the projector evaluated node by node: checks where the mass enters
+    shell = modes.enumerate_shell(1)
+    grid = quad.build_grid(2, 1, 4)
+    x, w = grid.nodes, grid.weights
+    P = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    W3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    B = np.stack([modes.mode_ft(k, P) for k in shell.modes])
+    lam_plus = np.stack([spinor.spectral_projector(p, m, +1) for p in P])
+    literal = np.einsum("ip,jp,pst->isjt", B * W3, B.conj(), lam_plus)
+    literal = literal.reshape(4 * shell.count, 4 * shell.count)
+    M = m_plus(quad.gram_suite(shell, m, grid))
+    assert np.max(np.abs(M - literal)) < 1e-13
+
+
 def test_scalar_spinor_trace_consistency():
     # sum over spins of the scalar reduction equals tr(M+) - tr(M+^2) with
     # the exact identity part
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(10, 1, 5)
     suite = quad.gram_suite(shell, 1.0, grid)
-    M = quad.ideal_m_plus(suite)
+    M = ideal_m_plus(suite)
     trace_route = float(np.trace(M).real - np.vdot(M, M).real)
     scalar = shell.count - np.sum(suite.g0 ** 2) - sum(np.sum(G ** 2) for G in suite.gs)
     assert trace_route == pytest.approx(float(scalar), rel=1e-8)
