@@ -19,15 +19,16 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   from inner products of scalar blocks together with the spin cross-Gram
   <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  No
   spinor matrix is formed;
-* scalar route: |R_J|_F^2 = sum_{i,j<=n} [m^2 |G0_ij|^2 + sum_s |Gs_ij|^2],
+* scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
-  hand.
+  hand, read from the Grams and the mass directly.
 
 Both routes read the same quadrature Grams, so their agreement
-(`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2 and the
-basis algebra, not the quadrature.  The honest quadrature M+, identity part
-g_one included, enters only `mplus_diagonal`; the dense M+ lives only in the
-tests, as a small-scale oracle.  On complete shells the sums are basis
+(`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2, the place
+where the mass enters `m_plus_terms` and the basis algebra, not the
+quadrature.  The honest quadrature M+, identity part g_one included, enters
+only `mplus_diagonal`; the dense M+ (`quadrature.m_plus`) is a small-scale
+oracle that only the tests call.  On complete shells the sums are basis
 independent (trace invariance); the basis matters for partial shells, which
 is exactly why the series itself is basis sensitive.
 """
@@ -145,13 +146,12 @@ def _frame_fro2(frame, terms, n: int) -> float:
     return fro2
 
 
-def _series(shells, m: float, grid: QuadGrid, suite: GramMatrices,
-            basis_kind: str, reducer) -> DivergenceSeries:
-    """S = n - |R_n|_F^2 at each shell boundary, n = (2K+1)^3 scalar modes.
+def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
+    """Validate the shell radii, the grid and a precomputed suite.
 
-    Validates the shells, the grid and a precomputed suite and builds the
-    suite when none is given; `reducer(top, terms)` returns the map
-    n -> |R_n|_F^2 for the top shell and the Kronecker terms of R.
+    Returns the radii, their scalar mode counts n = (2K+1)^3, the tail
+    estimate at the top shell, the top shell and its Gram suite, built when
+    none is given.
     """
     shells = [int(k) for k in shells]
     if not shells or any(k < 0 for k in shells):
@@ -169,10 +169,7 @@ def _series(shells, m: float, grid: QuadGrid, suite: GramMatrices,
     top = enumerate_shell(kmax)
     if suite is None:
         suite = gram_suite(top, m, grid)
-    r2 = reducer(top, m_plus_terms(suite))
-    ns = [(2 * K + 1) ** 3 for K in shells]
-    return DivergenceSeries(shells, [4 * n for n in ns], [n - r2(n) for n in ns],
-                            basis_kind, float(m), grid.describe(), tail)
+    return shells, [(2 * K + 1) ** 3 for K in shells], tail, top, suite
 
 
 def vacuum_series_trace(shells, m: float, grid: QuadGrid,
@@ -188,26 +185,28 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     frames = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
     if basis_kind not in frames:
         raise ValueError(f"unknown basis kind {basis_kind!r}")
-
-    def reducer(top, terms):
-        frame = frames[basis_kind](top)
-        return lambda n: _frame_fro2(frame, terms, n)
-
-    return _series(shells, m, grid, suite, basis_kind, reducer)
+    shells, ns, tail, top, suite = _prepare(shells, m, grid, suite)
+    frame, terms = frames[basis_kind](top), m_plus_terms(suite)
+    S = [n - _frame_fro2(frame, terms, n) for n in ns]
+    return DivergenceSeries(shells, [4 * n for n in ns], S, basis_kind, float(m),
+                            grid.describe(), tail)
 
 
 def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
                          suite: GramMatrices = None) -> DivergenceSeries:
     """S_J per shell from the scalar-mode Gram matrices, with the sum over
-    the four spins already carried out:
+    the four spins already carried out by tr(Gamma_w Gamma_w') = 4 delta:
 
-        S = n - sum_{i,j<=n} [m^2 |G0_ij|^2 + sum_s |Gs_ij|^2].
+        S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2].
+
+    The mass enters here directly, not through `m_plus_terms`, so the
+    agreement with the trace route also checks where it enters there.
     """
-    def reducer(top, terms):
-        # tr(Y_t Y_t') = delta_tt' for Y_t in {beta/2, alpha_s/2}
-        return lambda n: sum(float(np.sum(X[:n, :n] ** 2)) for X, _ in terms)
-
-    return _series(shells, m, grid, suite, PRODUCT, reducer)
+    shells, ns, tail, _, suite = _prepare(shells, m, grid, suite)
+    X = [m * suite.g0, *suite.gs]
+    S = [n - sum(float(np.sum(G[:n, :n] ** 2)) for G in X) for n in ns]
+    return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, float(m),
+                            grid.describe(), tail)
 
 
 def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:

@@ -28,8 +28,8 @@ results are reproducible run to run.
 
 The Grams reach the spinor level through `m_plus_terms`, the Kronecker terms
 of R = M+ - I/2.  The series needs only R, since S_J = n - |R_J|_F^2 with the
-identity part of M+ exact; the dense M+ lives only in the tests, as a
-small-scale oracle.
+identity part of M+ exact.  The dense M+ (`m_plus`, `ideal_m_plus`) is a
+small-scale oracle that only the tests call.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +45,8 @@ __all__ = [
     "GramMatrices",
     "gram_suite",
     "m_plus_terms",
+    "m_plus",
+    "ideal_m_plus",
 ]
 
 MAX_EFFECTIVE_NODES = 1e9
@@ -248,3 +250,29 @@ def m_plus_terms(suite: GramMatrices):
     g = gamma_matrices()
     return ([(suite.m * suite.g0, 0.5 * g.beta)]
             + [(G, 0.5 * a) for G, a in zip(suite.gs, g.alpha)])
+
+
+def _dense_m_plus(suite: GramMatrices, identity: np.ndarray) -> np.ndarray:
+    terms = [(identity, 0.5 * np.eye(4, dtype=complex))] + m_plus_terms(suite)
+    return sum(np.kron(X, Y) for X, Y in terms)
+
+
+def m_plus(suite: GramMatrices) -> np.ndarray:
+    """Dense small-scale oracle; the series path does not call it.
+
+    Spinor-level Gram of the positive spectral projector,
+    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as the fast index, with
+    the quadrature weight-one Gram as its identity part, so eigenvalues sit
+    in [0, 1] up to the quadrature tolerance.
+    """
+    return _dense_m_plus(suite, suite.g_one)
+
+
+def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
+    """Dense small-scale oracle; the series path does not call it.
+
+    Same as m_plus but with the identity part taken exactly, invoking the
+    exact orthonormality of the modes; this is the form whose traces match
+    the series routes identically.
+    """
+    return _dense_m_plus(suite, np.eye(suite.shell.count))

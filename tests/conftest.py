@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fockcharge import fock, quadrature
+from fockcharge import fock
 
 
 @pytest.fixture
@@ -28,24 +28,3 @@ def random_unitary(rng, d):
 def random_involution(rng, d):
     W = random_unitary(rng, d)
     return W @ W.T
-
-
-def _dense_m_plus(suite, identity):
-    terms = [(identity, 0.5 * np.eye(4, dtype=complex))] + quadrature.m_plus_terms(suite)
-    return sum(np.kron(X, Y) for X, Y in terms)
-
-
-def m_plus(suite):
-    """Dense small-scale oracle of the spinor-level Gram of the positive
-    spectral projector, M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as
-    the fast index, kron(g_one, I/2) + sum_t kron(X_t, Y_t) over
-    `quadrature.m_plus_terms`.  The identity part is the quadrature
-    weight-one Gram, so eigenvalues sit in [0, 1] up to the quadrature
-    tolerance."""
-    return _dense_m_plus(suite, suite.g_one)
-
-
-def ideal_m_plus(suite):
-    """Dense small-scale oracle: m_plus with the identity part taken exactly,
-    the form whose traces match the series routes identically."""
-    return _dense_m_plus(suite, np.eye(suite.shell.count))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ideal_m_plus, m_plus, random_unitary
+from conftest import random_unitary
 from fockcharge import charge, divergence as dv, fock, modes, quadrature as quad
 
 SMALL_GRID = quad.build_grid(10, 1, 5)
@@ -42,7 +42,7 @@ def test_single_c_invariant_mode_quarter():
     shell = modes.enumerate_shell(0)
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
     V = dv.c_invariant_transform(shell)
-    M = m_plus(suite)
+    M = quad.m_plus(suite)
     Mc = V.conj().T @ (M @ V)
     s1 = float(Mc[0, 0].real - abs(Mc[0, 0]) ** 2)
     assert abs(s1 - 0.25) < SMALL_GRID.tail_estimate(0)
@@ -71,7 +71,7 @@ def test_trace_series_matches_dense_oracle(K):
     shell = modes.enumerate_shell(K)
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
     shells = list(range(K + 1))
-    M = ideal_m_plus(suite)
+    M = quad.ideal_m_plus(suite)
     V = dv.c_invariant_transform(shell).toarray()
     for kind, dense in ((dv.PRODUCT, M), (dv.C_INVARIANT, V.conj().T @ M @ V)):
         series = dv.vacuum_series_trace(shells, 1.0, SMALL_GRID, basis_kind=kind, suite=suite)
@@ -83,7 +83,7 @@ def test_trace_series_matches_dense_oracle(K):
 def test_mplus_diagonal_matches_dense_oracle(K):
     shell = modes.enumerate_shell(K)
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
-    M = m_plus(suite)
+    M = quad.m_plus(suite)
     V = dv.c_invariant_transform(shell)
     Vd = V.toarray()
     expected = np.diagonal(Vd.conj().T @ M @ Vd).real
@@ -93,7 +93,7 @@ def test_mplus_diagonal_matches_dense_oracle(K):
 
 def test_mplus_diagonal_dense_transform(rng):
     suite = quad.gram_suite(modes.enumerate_shell(1), 1.0, SMALL_GRID)
-    M = m_plus(suite)
+    M = quad.m_plus(suite)
     V = random_unitary(rng, M.shape[0])
     expected = np.diagonal(V.conj().T @ M @ V).real
     assert np.max(np.abs(dv.mplus_diagonal(suite, V) - expected)) < 1e-14
@@ -101,7 +101,7 @@ def test_mplus_diagonal_dense_transform(rng):
 
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):
     # unitary mixing inside complete shells must not move the shell sums
-    M = ideal_m_plus(small_suite)
+    M = quad.ideal_m_plus(small_suite)
     sizes = [4 * c for c in (1, 26, 98)]  # spinor modes added per shell
     blocks = [random_unitary(rng, s) for s in sizes]
     U = np.zeros((M.shape[0], M.shape[0]), dtype=complex)

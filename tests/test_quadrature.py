@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import ideal_m_plus, m_plus
 from fockcharge import divergence, modes, quadrature as quad, spinor
 
 
@@ -129,7 +128,7 @@ def test_m_plus_properties():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(12, 1, 6)
     suite = quad.gram_suite(shell, 1.0, grid)
-    M = m_plus(suite)
+    M = quad.m_plus(suite)
     tail = grid.tail_estimate(1)
     assert np.max(np.abs(M - M.conj().T)) < 1e-13
     eigs = np.linalg.eigvalsh(M)
@@ -155,7 +154,7 @@ def test_m_plus_matches_literal_projector_quadrature(m):
     lam_plus = np.stack([spinor.spectral_projector(p, m, +1) for p in P])
     literal = np.einsum("ip,jp,pst->isjt", B * W3, B.conj(), lam_plus)
     literal = literal.reshape(4 * shell.count, 4 * shell.count)
-    M = m_plus(quad.gram_suite(shell, m, grid))
+    M = quad.m_plus(quad.gram_suite(shell, m, grid))
     assert np.max(np.abs(M - literal)) < 1e-13
 
 
@@ -165,7 +164,7 @@ def test_scalar_spinor_trace_consistency():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(10, 1, 5)
     suite = quad.gram_suite(shell, 1.0, grid)
-    M = ideal_m_plus(suite)
+    M = quad.ideal_m_plus(suite)
     trace_route = float(np.trace(M).real - np.vdot(M, M).real)
     scalar = shell.count - np.sum(suite.g0 ** 2) - sum(np.sum(G ** 2) for G in suite.gs)
     assert trace_route == pytest.approx(float(scalar), rel=1e-8)
