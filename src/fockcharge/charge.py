@@ -71,7 +71,7 @@ class SubspaceBasis:
         if V.ndim != 2 or V.shape[0] != model.n:
             raise ValueError(f"expected shape ({model.n}, d)")
         d = V.shape[1]
-        if d and np.max(np.abs(V.conj().T @ V - np.eye(d))) > ONB_TOL:
+        if d and not np.max(np.abs(V.conj().T @ V - np.eye(d))) <= ONB_TOL:
             raise ValueError("basis is not orthonormal")
         dplus = float(np.real(np.einsum("ij,ik,kj->", V.conj(), model.p_plus, V)))
         return cls(vectors=V, dplus=dplus, dminus=d - dplus)

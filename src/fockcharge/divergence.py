@@ -17,16 +17,16 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   scalar modes, Q_u is a fixed spin matrix).  Every block of R_J is then
   sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius norm follows
   from inner products of scalar blocks together with the spin cross-Gram
-  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  No
-  spinor matrix is formed;
+  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  Scalar
+  blocks are gathered from the suite; no spinor matrix is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
-  hand, read from the Grams and the mass directly.
+  hand, summed over pair triples of the suite (`GramMatrices.fro2`).
 
 Both routes read the same quadrature Grams, so their agreement
 (`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2, the place
 where the mass enters `m_plus_terms` and the basis algebra, not the
-quadrature.  The honest quadrature M+, identity part g_one included, enters
+quadrature.  The honest quadrature M+, weight-one Gram included, enters
 only `mplus_diagonal`; the dense M+ (`quadrature.m_plus`) is a small-scale
 oracle that only the tests call.  On complete shells the sums are basis
 independent (trace invariance); the basis matters for partial shells, which
@@ -137,7 +137,7 @@ def _frame_fro2(frame, terms, n: int) -> float:
     fro2 = 0.0
     for left in groups:
         for right in groups:
-            Z = np.stack([X[np.ix_(r, r2)].ravel()
+            Z = np.stack([X(r[:, None], r2).ravel()
                           for X, _ in terms for r, _ in left for r2, _ in right])
             P = np.stack([(Q.conj().T @ Y @ Q2).ravel()
                           for _, Y in terms for _, Q in left for _, Q2 in right])
@@ -163,9 +163,9 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     if tail > MAX_TAIL:
         raise ValueError(
             f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
-    if suite is not None and suite.shell.K < kmax:
-        raise ValueError(
-            f"precomputed Gram suite covers shell {suite.shell.K} < {kmax}")
+    if suite is not None and (suite.shell.K < kmax or suite.m != m):
+        raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
+                         f"at m={suite.m}, not shell {kmax} at m={m}")
     top = enumerate_shell(kmax)
     if suite is None:
         suite = gram_suite(top, m, grid)
@@ -197,14 +197,13 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
     """S_J per shell from the scalar-mode Gram matrices, with the sum over
     the four spins already carried out by tr(Gamma_w Gamma_w') = 4 delta:
 
-        S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2].
+        S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
 
-    The mass enters here directly, not through `m_plus_terms`, so the
-    agreement with the trace route also checks where it enters there.
+    by `GramMatrices.fro2`.  The mass enters there, not through
+    `m_plus_terms`, so the trace route's agreement checks where it enters.
     """
     shells, ns, tail, _, suite = _prepare(shells, m, grid, suite)
-    X = [m * suite.g0, *suite.gs]
-    S = [n - sum(float(np.sum(G[:n, :n] ** 2)) for G in X) for n in ns]
+    S = [n - suite.fro2(K) for n, K in zip(ns, shells)]
     return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, float(m),
                             grid.describe(), tail)
 
@@ -216,8 +215,8 @@ def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
 
     Gathered per column: a column with stored entries v_x at spinor rows
     x = (i_x, s_x) gives sum_t sum_xy conj(v_x) X_t[i_x, i_y] Y_t[s_x, s_y] v_y
-    over the Kronecker terms of M+, the quadrature identity part
-    (g_one, I/2) followed by `m_plus_terms`, so no spinor matrix is formed.
+    over the Kronecker terms of M+, the quadrature identity part ("one",
+    I/2) followed by `m_plus_terms`, so no spinor matrix is formed.
     """
     if transform is None:
         transform = sparse.identity(4 * suite.shell.count, format="csc")
@@ -231,8 +230,9 @@ def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
     vals[col, pos] = V.data
     i, s = np.divmod(rows, 4)
     out = np.zeros(V.shape[1])
-    for X, Y in [(suite.g_one, 0.5 * np.eye(4, dtype=complex))] + m_plus_terms(suite):
-        block = X[i[:, :, None], i[:, None, :]] * Y[s[:, :, None], s[:, None, :]]
+    identity = (lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4, dtype=complex))
+    for X, Y in [identity] + m_plus_terms(suite):
+        block = X(i[:, :, None], i[:, None, :]) * Y[s[:, :, None], s[:, None, :]]
         out += np.einsum("ca,cab,cb->c", vals.conj(), block, vals).real
     return out
 

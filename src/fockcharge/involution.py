@@ -46,9 +46,10 @@ class AntiUnitary:
             eye = np.eye(n)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError(f"U must be square, got shape {U.shape}")
-        if abs(U.conj().T @ U - eye).max() >= UNITARITY_TOL:
+        # `not <` so that NaN deviations are rejected too
+        if not abs(U.conj().T @ U - eye).max() < UNITARITY_TOL:
             raise ValueError("U is not unitary")
-        if abs(U @ U.conj() - eye).max() >= UNITARITY_TOL:
+        if not abs(U @ U.conj() - eye).max() < UNITARITY_TOL:
             raise ValueError("U conj(U) != I: the map is not an involution")
         self.U = U
         self.dim = n

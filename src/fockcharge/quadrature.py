@@ -26,13 +26,14 @@ unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node ordering, so
 results are reproducible run to run.
 
-The Grams reach the spinor level through `m_plus_terms`, the Kronecker terms
-of R = M+ - I/2.  The series needs only R, since S_J = n - |R_J|_F^2 with the
-identity part of M+ exact.  The dense M+ (`m_plus`, `ideal_m_plus`) is a
-small-scale oracle that only the tests call.
+The Grams stay pair-compressed (`GramMatrices`) and reach the spinor level
+through `m_plus_terms`, the Kronecker terms of R = M+ - I/2.  The series
+needs only R, since S_J = n - |R_J|_F^2 with the identity part of M+ exact.
+The dense M+ (`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -113,13 +114,10 @@ def build_grid(cutoff: int, panels_per_unit: int = 2, gauss_order: int = 6) -> Q
 
 def _pair_index(M: int):
     """Index matrix PI[a, a'] into the list of unordered pairs a <= a'."""
+    a, b = np.triu_indices(M)
     PI = np.empty((M, M), dtype=int)
-    pairs = []
-    for a in range(M):
-        for b in range(a, M):
-            PI[a, b] = PI[b, a] = len(pairs)
-            pairs.append((a, b))
-    return PI, np.array(pairs)
+    PI[a, b] = PI[b, a] = np.arange(a.size)
+    return PI, a, b
 
 
 def _axis_tables(K: int, grid: QuadGrid):
@@ -141,55 +139,65 @@ def _axis_tables(K: int, grid: QuadGrid):
     Bp = sq[None, :] * axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
     Bm = sq[None, :] * axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
     M = offsets.size
-    PI, pairs = _pair_index(M)
-    a, b = pairs[:, 0], pairs[:, 1]
+    PI, a, b = _pair_index(M)
     prod_p = Bp[a] * Bp[b]
     prod_m = Bm[a] * Bm[b]
     E = prod_p + prod_m
     Ox = xp[None, :] * (prod_p - prod_m)
     mirror = PI[M - 1 - b, M - 1 - a]
-    reps, cls = np.unique(np.minimum(np.arange(len(pairs)), mirror),
+    reps, cls = np.unique(np.minimum(np.arange(a.size), mirror),
                           return_inverse=True)
     return E, Ox, xp, PI, reps, cls
 
 
-def _full_axis_table(K: int, grid: QuadGrid):
-    offsets = np.arange(-K, K + 1, dtype=float)
-    return (np.sqrt(grid.weights)[None, :]
-            * axis_factor(offsets[:, None] - grid.nodes[None, :]) / (2 * np.pi))
-
-
-def _shell_permutation(shell: Shell):
-    """Positions of the canonically ordered shell modes inside the plain
-    product enumeration over (k1, k2, k3)."""
-    K, M = shell.K, 2 * shell.K + 1
-    a = shell.modes + K
-    return (a[:, 0] * M + a[:, 1]) * M + a[:, 2]
-
-
-def _unfold(acc: np.ndarray, PI: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Pair-compressed (npair, npair, npair) accumulator -> (M^3, M^3) Gram
-    in canonical shell order."""
-    M = PI.shape[0]
-    I1 = PI[:, None, None, :, None, None]
-    I2 = PI[None, :, None, None, :, None]
-    I3 = PI[None, None, :, None, None, :]
-    G = acc[I1, I2, I3].reshape(M ** 3, M ** 3)
-    return np.ascontiguousarray(G[np.ix_(perm, perm)])
-
-
 @dataclass
 class GramMatrices:
-    """Weighted Gram matrices of a shell's modes: G_one (weight 1), G0
-    (weight 1/lambda) and G1..G3 (weights p_s/lambda), all real symmetric
-    in canonical shell order, plus grid metadata."""
+    """Weighted Gram matrices of a shell's modes, real symmetric in canonical
+    shell order: "one" (weight 1), "g0" (1/lambda), "g1".."g3" (p_s/lambda),
+    stored pair-compressed, never as n x n matrices.  With the per-axis pairs
+    p_s = PI[k_s(i) + K, k_s(j) + K] of modes i, j the entries are
+    one = g1d[p1] g1d[p2] g1d[p3], g0 = acc0[p1, p2, p3], g3 = acc3[p1, p2, p3];
+    g1 and g2 are g3 with the axes relabelled."""
 
     shell: Shell
     m: float
     grid: QuadGrid
-    g_one: np.ndarray
-    g0: np.ndarray
-    gs: tuple  # (G1, G2, G3)
+    pair_index: np.ndarray = field(repr=False)  # PI, (2K+1, 2K+1)
+    g1d: np.ndarray = field(repr=False)         # (npair,) 1d weight-one Gram
+    acc0: np.ndarray = field(repr=False)        # (npair,)*3, weight 1/lambda
+    acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
+
+    def gather(self, name: str, rows, cols) -> np.ndarray:
+        """Entries G[rows, cols] of the Gram `name`, with the index arrays
+        broadcast against each other as in fancy indexing."""
+        a, PI = self.shell.modes + self.shell.K, self.pair_index
+        if name == "one":
+            g = self.g1d[PI]
+            return (g[a[rows, 0], a[cols, 0]] * g[a[rows, 1], a[cols, 1]]
+                    * g[a[rows, 2], a[cols, 2]])
+        # 1/lambda is symmetric under permuting the axes: gs is acc3 with its
+        # odd (last) axis moved to place s
+        acc, (i, j, k) = {"g0": (self.acc0, (0, 1, 2)), "g1": (self.acc3, (2, 1, 0)),
+                          "g2": (self.acc3, (0, 2, 1)), "g3": (self.acc3, (0, 1, 2))}[name]
+        # flat index (p_i npair + p_j) npair + p_k, reading p_i, p_j together
+        M, npair = PI.shape[0], acc.shape[0]
+        T = (PI[:, None, :, None] * npair + PI[None, :, None, :]) * npair
+        c = a[:, i] * M + a[:, j]
+        flat = T.reshape(M * M, M * M)[c[rows], c[cols]]
+        flat += PI[a[rows, k], a[cols, k]]
+        return acc.take(flat)
+
+    def fro2(self, k: int) -> float:
+        """sum_{i,j<=n} [(m g0_ij)^2 + sum_s gs_ij^2] over the first
+        n = (2k+1)^3 modes (|k|_inf <= k), summed over pair triples with a
+        pair a != a' counted twice.  The sub-shell is symmetric under
+        permuting the axes, so g1..g3 add up equally; m scales g0 before
+        squaring, so the sum is finite wherever m^2 is."""
+        a, b = np.triu_indices(2 * k + 1)
+        sub = np.ix_(*[self.pair_index[a + self.shell.K - k, b + self.shell.K - k]] * 3)
+        w = np.where(a == b, 1.0, 2.0)
+        T = (self.m * self.acc0[sub]) ** 2 + 3.0 * self.acc3[sub] ** 2
+        return float(w @ (T @ w) @ w)
 
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
@@ -217,23 +225,10 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
         np.matmul(EW, Er.T, out=Yr[i3])
     Y = Yr[:, cls[:, None], cls[None, :]]
 
-    acc0 = np.tensordot(Y, E, axes=([0], [1]))
-    acc3 = np.tensordot(Y, Ox, axes=([0], [1]))
-    # the weight is symmetric under permuting the axes, so G1 and G2 are G3
-    # with its odd axis moved to the first or the second place
-    acc1 = acc3.transpose(2, 1, 0)
-    acc2 = acc3.transpose(0, 2, 1)
-
-    perm = _shell_permutation(shell)
-    B = _full_axis_table(shell.K, grid)
-    g1d = B @ B.T
-    g_one = np.kron(np.kron(g1d, g1d), g1d)[np.ix_(perm, perm)]
-
     return GramMatrices(
-        shell=shell, m=float(m), grid=grid,
-        g_one=np.ascontiguousarray(g_one),
-        g0=_unfold(acc0, PI, perm),
-        gs=tuple(_unfold(a, PI, perm) for a in (acc1, acc2, acc3)),
+        shell=shell, m=float(m), grid=grid, pair_index=PI, g1d=E.sum(axis=1),
+        acc0=np.tensordot(Y, E, axes=([0], [1])),
+        acc3=np.tensordot(Y, Ox, axes=([0], [1])),
     )
 
 
@@ -242,19 +237,22 @@ def m_plus_terms(suite: GramMatrices):
     the positive spectral projector less its identity part, with spin as
     the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
 
+    Each X_t is a function (rows, cols) -> entries gathered from the suite.
     The mass sits in the scalar block, so both factors stay of order one up
     to the largest mass whose square is finite.  The identity part is exact
     on the orthonormal modes; `divergence.mplus_diagonal`, which needs the
-    quadrature M+, adds (g_one, I/2) itself.
+    quadrature M+, adds the weight-one Gram ("one", I/2) itself.
     """
     g = gamma_matrices()
-    return ([(suite.m * suite.g0, 0.5 * g.beta)]
-            + [(G, 0.5 * a) for G, a in zip(suite.gs, g.alpha)])
+    return ([(lambda rows, cols: suite.m * suite.gather("g0", rows, cols), 0.5 * g.beta)]
+            + [(partial(suite.gather, name), 0.5 * a)
+               for name, a in zip(("g1", "g2", "g3"), g.alpha)])
 
 
-def _dense_m_plus(suite: GramMatrices, identity: np.ndarray) -> np.ndarray:
+def _dense_m_plus(suite: GramMatrices, identity) -> np.ndarray:
+    idx = np.arange(suite.shell.count)
     terms = [(identity, 0.5 * np.eye(4, dtype=complex))] + m_plus_terms(suite)
-    return sum(np.kron(X, Y) for X, Y in terms)
+    return sum(np.kron(X(idx[:, None], idx), Y) for X, Y in terms)
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:
@@ -265,7 +263,7 @@ def m_plus(suite: GramMatrices) -> np.ndarray:
     the quadrature weight-one Gram as its identity part, so eigenvalues sit
     in [0, 1] up to the quadrature tolerance.
     """
-    return _dense_m_plus(suite, suite.g_one)
+    return _dense_m_plus(suite, partial(suite.gather, "one"))
 
 
 def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
@@ -275,4 +273,4 @@ def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
     exact orthonormality of the modes; this is the form whose traces match
     the series routes identically.
     """
-    return _dense_m_plus(suite, np.eye(suite.shell.count))
+    return _dense_m_plus(suite, lambda rows, cols: np.equal(rows, cols) * 1.0)

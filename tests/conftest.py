@@ -28,3 +28,9 @@ def random_unitary(rng, d):
 def random_involution(rng, d):
     W = random_unitary(rng, d)
     return W @ W.T
+
+
+def dense_gram(suite, name):
+    """The full n x n Gram `name` ("one", "g0".."g3") of a suite, gathered."""
+    idx = np.arange(suite.shell.count)
+    return suite.gather(name, idx[:, None], idx[None, :])

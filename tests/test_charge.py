@@ -40,6 +40,15 @@ def test_empty_subspace_gives_zero_operator(model6):
     assert max_abs(charge.q_subspace(model6, empty)) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_non_finite_vectors_rejected(model6, bad):
+    V = np.eye(6)[:, :2]
+    V[0, 0] = bad
+    with pytest.raises(ValueError, match="orthonormal"):
+        charge.SubspaceBasis.from_vectors(model6, V)
+
+
 def test_spectrum_lattice_random_instances(rng):
     for n, d in [(6, 3), (8, 4), (4, 2)]:
         model = fock.random_model(n, rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import dense_gram, random_unitary
 from fockcharge import charge, divergence as dv, fock, modes, quadrature as quad
 
 SMALL_GRID = quad.build_grid(10, 1, 5)
@@ -31,10 +31,10 @@ def test_k0_partial_sum_parity():
     # at K = 0 the p_s/lambda terms vanish by parity, so S1 reduces to
     # 1 - |<phi0, phi0/lambda>|^2
     suite = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
-    for G in suite.gs:
-        assert abs(G[0, 0]) < 1e-16
+    for name in ("g1", "g2", "g3"):
+        assert abs(dense_gram(suite, name)[0, 0]) < 1e-16
     sc = dv.vacuum_series_scalar([0], 1.0, SMALL_GRID, suite=suite)
-    assert sc.S[0] == pytest.approx(1.0 - suite.g0[0, 0] ** 2, abs=1e-14)
+    assert sc.S[0] == pytest.approx(1.0 - dense_gram(suite, "g0")[0, 0] ** 2, abs=1e-14)
 
 
 def test_single_c_invariant_mode_quarter():
@@ -117,8 +117,22 @@ def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng
 def test_mass_zero_drops_mass_term():
     suite = quad.gram_suite(modes.enumerate_shell(0), 0.0, SMALL_GRID)
     sc = dv.vacuum_series_scalar([0], 0.0, SMALL_GRID, suite=suite)
-    expected = 1.0 - sum(float(G[0, 0]) ** 2 for G in suite.gs)
+    expected = 1.0 - sum(float(dense_gram(suite, name)[0, 0]) ** 2
+                         for name in ("g1", "g2", "g3"))
     assert sc.S[0] == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.1, 2.5])
+def test_scalar_route_matches_dense_sub_block_sums(m):
+    # the pair-triple closed form against sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2]
+    suite = quad.gram_suite(modes.enumerate_shell(2), m, SMALL_GRID)
+    grams = [m * dense_gram(suite, "g0")] + [dense_gram(suite, name)
+                                             for name in ("g1", "g2", "g3")]
+    sc = dv.vacuum_series_scalar(SHELLS, m, SMALL_GRID, suite=suite)
+    for K, S in zip(SHELLS, sc.S):
+        n = (2 * K + 1) ** 3
+        dense = n - sum(float(np.sum(G[:n, :n] ** 2)) for G in grams)
+        assert abs(S - dense) <= 1e-13 * abs(dense)
 
 
 def test_growth_diagnostics_verdicts():
@@ -176,3 +190,7 @@ def test_shell_and_grid_validation():
     small = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
     with pytest.raises(ValueError, match="covers shell"):
         dv.vacuum_series_scalar([0, 1], 1.0, SMALL_GRID, suite=small)
+    # both routes read the mass from the suite, so it must be the one asked for
+    for route in (dv.vacuum_series_scalar, dv.vacuum_series_trace):
+        with pytest.raises(ValueError, match="at m=1.0, not shell 0 at m=2.0"):
+            route([0], 2.0, SMALL_GRID, suite=small)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import random_involution, random_unitary
 from fockcharge import involution as inv
@@ -34,6 +35,18 @@ def test_rotation_rejected_as_non_involution():
 def test_non_unitary_rejected():
     with pytest.raises(ValueError, match="unitary"):
         inv.make_involution(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("U", [
+    np.full((2, 2), np.nan),
+    sparse.csr_matrix(np.full((2, 2), np.nan)),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["nan-dense", "nan-sparse", "inf-dense"])
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_non_finite_matrix_rejected(U):
+    # a NaN deviation compares False against the tolerance either way
+    with pytest.raises(ValueError, match="unitary"):
+        inv.make_involution(U)
 
 
 def test_non_square_rejected():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import dense_gram
 from fockcharge import divergence, modes, quadrature as quad, spinor
+
+GS = ("g1", "g2", "g3")
 
 
 def naive_grams(shell, grid, masses):
@@ -52,10 +55,55 @@ def test_folded_assembly_matches_naive_reference():
         grid = quad.build_grid(*grid_args)
         for m, g_one, g0, gs in naive_grams(shell, grid, (0.0, 0.1, 1.0, 10.0)):
             suite = quad.gram_suite(shell, m, grid)
-            assert np.max(np.abs(suite.g0 - g0)) < 1e-13
-            for G, ref in zip(suite.gs, gs):
-                assert np.max(np.abs(G - ref)) < 1e-13
-            assert np.max(np.abs(suite.g_one - g_one)) < 1e-13
+            assert np.max(np.abs(dense_gram(suite, "g0") - g0)) < 1e-13
+            for name, ref in zip(GS, gs):
+                assert np.max(np.abs(dense_gram(suite, name) - ref)) < 1e-13
+            assert np.max(np.abs(dense_gram(suite, "one") - g_one)) < 1e-13
+
+
+def shell_permutation(shell):
+    """Positions of the canonically ordered shell modes inside the plain
+    product enumeration over (k1, k2, k3)."""
+    K, M = shell.K, 2 * shell.K + 1
+    a = shell.modes + K
+    return (a[:, 0] * M + a[:, 1]) * M + a[:, 2]
+
+
+def unfold(acc, PI, perm):
+    """Pair-compressed (npair, npair, npair) accumulator -> (M^3, M^3) Gram
+    in canonical shell order."""
+    M = PI.shape[0]
+    I1 = PI[:, None, None, :, None, None]
+    I2 = PI[None, :, None, None, :, None]
+    I3 = PI[None, None, :, None, None, :]
+    G = acc[I1, I2, I3].reshape(M ** 3, M ** 3)
+    return G[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_gather_matches_unfolded_accumulators(K):
+    # the on-demand gather against the dense unfolding of the accumulators,
+    # G1 and G2 being G3 with its odd axis moved to the first or second place
+    shell = modes.enumerate_shell(K)
+    suite = quad.gram_suite(shell, 0.7, quad.build_grid(4, 1, 4))
+    PI, perm = suite.pair_index, shell_permutation(shell)
+    g1d = suite.g1d[PI]
+    oracle = {
+        "one": np.kron(np.kron(g1d, g1d), g1d)[np.ix_(perm, perm)],
+        "g0": unfold(suite.acc0, PI, perm),
+        "g1": unfold(suite.acc3.transpose(2, 1, 0), PI, perm),
+        "g2": unfold(suite.acc3.transpose(0, 2, 1), PI, perm),
+        "g3": unfold(suite.acc3, PI, perm),
+    }
+    for name, G in oracle.items():
+        assert np.array_equal(dense_gram(suite, name), G), name
+
+
+def test_suite_stores_less_than_one_dense_gram():
+    shell = modes.enumerate_shell(4)
+    suite = quad.gram_suite(shell, 1.0, quad.build_grid(5, 1, 2))
+    stored = sum(v.nbytes for v in vars(suite).values() if isinstance(v, np.ndarray))
+    assert stored < shell.count ** 2 * 8
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
@@ -64,17 +112,17 @@ def test_axis_gram_matrices_related_by_mode_permutations(m):
     shell = modes.enumerate_shell(2)
     suite = quad.gram_suite(shell, m, quad.build_grid(4, 1, 4))
     index = {tuple(k): i for i, k in enumerate(shell.modes)}
-    g3 = suite.gs[2]
-    for G, axes in ((suite.gs[0], [2, 1, 0]), (suite.gs[1], [0, 2, 1])):
+    g3 = dense_gram(suite, "g3")
+    for name, axes in (("g1", [2, 1, 0]), ("g2", [0, 2, 1])):
         perm = np.array([index[tuple(k[axes])] for k in shell.modes])
-        assert np.max(np.abs(G - g3[np.ix_(perm, perm)])) <= 1e-15
+        assert np.max(np.abs(dense_gram(suite, name) - g3[np.ix_(perm, perm)])) <= 1e-15
 
 
 def test_gram_weighted_single_entry_points():
     shell = modes.enumerate_shell(0)
     grid = quad.build_grid(6, 1, 4)
     suite = quad.gram_suite(shell, 1.0, grid)
-    g0, g2, gone = suite.g0, suite.gs[1], suite.g_one
+    g0, g2, gone = (dense_gram(suite, name) for name in ("g0", "g2", "one"))
     assert g0.shape == (1, 1) and g0[0, 0] > 0
     assert abs(g2[0, 0]) < 1e-16  # odd weight kills the diagonal at k = 0
     assert abs(gone[0, 0] - 1.0) < grid.tail_estimate(0)
@@ -83,7 +131,7 @@ def test_gram_weighted_single_entry_points():
 def test_plancherel_within_tail():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(16, 1, 5)
-    gone = quad.gram_suite(shell, 1.0, grid).g_one
+    gone = dense_gram(quad.gram_suite(shell, 1.0, grid), "one")
     assert np.max(np.abs(gone - np.eye(shell.count))) < grid.tail_estimate(1)
 
 
@@ -91,7 +139,7 @@ def test_gram_matrices_real_symmetric():
     shell = modes.enumerate_shell(1)
     grid = quad.build_grid(8, 1, 5)
     suite = quad.gram_suite(shell, 1.0, grid)
-    for G in (suite.g0,) + suite.gs:
+    for G in (dense_gram(suite, name) for name in ("g0",) + GS):
         assert np.isrealobj(G)
         assert np.max(np.abs(G - G.T)) < 1e-14
 
@@ -103,8 +151,9 @@ def test_negation_symmetry_of_gram_entries():
     suite = quad.gram_suite(shell, 1.0, grid)
     index = {tuple(m): i for i, m in enumerate(shell.modes)}
     neg = np.array([index[tuple(-m)] for m in shell.modes])
-    assert np.max(np.abs(suite.g0 - suite.g0[np.ix_(neg, neg)])) < 1e-14
-    for G in suite.gs:
+    g0 = dense_gram(suite, "g0")
+    assert np.max(np.abs(g0 - g0[np.ix_(neg, neg)])) < 1e-14
+    for G in (dense_gram(suite, name) for name in GS):
         assert np.max(np.abs(G + G[np.ix_(neg, neg)])) < 1e-14
 
 
@@ -112,15 +161,15 @@ def test_heavy_mass_scaling():
     # G0 entries scale like 1/m for large m
     shell = modes.enumerate_shell(0)
     grid = quad.build_grid(10, 1, 5)
-    a = quad.gram_suite(shell, 10.0, grid).g0[0, 0]
-    b = quad.gram_suite(shell, 20.0, grid).g0[0, 0]
+    a = dense_gram(quad.gram_suite(shell, 10.0, grid), "g0")[0, 0]
+    b = dense_gram(quad.gram_suite(shell, 20.0, grid), "g0")[0, 0]
     assert a / b == pytest.approx(2.0, rel=0.02)
 
 
 def test_order_refinement_self_convergence():
     shell = modes.enumerate_shell(1)
-    ref = quad.gram_suite(shell, 1.0, quad.build_grid(8, 1, 8)).g0
-    fine = quad.gram_suite(shell, 1.0, quad.build_grid(8, 1, 12)).g0
+    ref = dense_gram(quad.gram_suite(shell, 1.0, quad.build_grid(8, 1, 8)), "g0")
+    fine = dense_gram(quad.gram_suite(shell, 1.0, quad.build_grid(8, 1, 12)), "g0")
     assert abs(ref[0, 0] - fine[0, 0]) < 1e-6
 
 
@@ -166,7 +215,7 @@ def test_scalar_spinor_trace_consistency():
     suite = quad.gram_suite(shell, 1.0, grid)
     M = quad.ideal_m_plus(suite)
     trace_route = float(np.trace(M).real - np.vdot(M, M).real)
-    scalar = shell.count - np.sum(suite.g0 ** 2) - sum(np.sum(G ** 2) for G in suite.gs)
+    scalar = shell.count - sum(np.sum(dense_gram(suite, name) ** 2) for name in ("g0",) + GS)
     assert trace_route == pytest.approx(float(scalar), rel=1e-8)
 
 
@@ -177,7 +226,7 @@ def test_inverse_energy_gram_entry_position_space_crosscheck():
     from fockcharge import bessel
     m = 1.0
     grid = quad.build_grid(24, 2, 6)
-    momentum = quad.gram_suite(modes.enumerate_shell(0), m, grid).g0[0, 0]
+    momentum = dense_gram(quad.gram_suite(modes.enumerate_shell(0), m, grid), "g0")[0, 0]
     n = 60
     xi, wi = np.polynomial.legendre.leggauss(n)
     t = np.pi * (xi + 1.0)
