@@ -35,6 +35,7 @@ EXPERIMENT_NAMES = [
     "decomposition", "oracle-equivalence",
 ]
 
+FORMATS = ("csv", "json")
 _NUMERIC_KEYS = {"m": float, "shells": int, "cutoff": int, "panels": int,
                  "order": int, "seed": int, "threads": int}
 _STRING_KEYS = {"experiment", "output", "format"}
@@ -57,6 +58,8 @@ def parse_config_file(path: str) -> dict:
                 values[key] = _NUMERIC_KEYS[key](value)
             elif key in _BOOL_KEYS:
                 values[key] = value.lower() in ("1", "true", "yes", "on")
+            elif key == "format" and value not in FORMATS:
+                raise ValueError(f"{path}:{lineno}: format must be one of {FORMATS}")
             elif key in _STRING_KEYS:
                 values[key] = value
             else:
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="Gauss order per panel (default 6)")
     p.add_argument("--seed", type=int, help="seed fixing all randomness (default 0)")
     p.add_argument("--output", help="output file for the records ('-' = stdout, the default)")
-    p.add_argument("--format", choices=["csv", "json"], help="record format (default csv)")
+    p.add_argument("--format", choices=FORMATS, help="record format (default csv)")
     p.add_argument("--no-timestamp", action="store_true", default=None,
                    help="suppress the timestamp header line in CSV output")
     p.add_argument("--threads", type=int,
@@ -125,48 +128,42 @@ def render_json(result) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(parser, args) -> int:
     settings = {"m": 1.0, "shells": 3, "cutoff": 40, "panels": 2, "order": 6,
                 "seed": 0, "output": "-", "format": "csv",
                 "no_timestamp": False, "threads": None, "experiment": None}
     if args.config:
-        try:
-            settings.update(parse_config_file(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        settings.update(parse_config_file(args.config))
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     if args.experiment_pos and args.experiment and args.experiment_pos != args.experiment:
-        print("error: conflicting experiment names given", file=sys.stderr)
-        return 2
+        raise ValueError("conflicting experiment names given")
     name = args.experiment or args.experiment_pos or settings["experiment"]
     if not name:
         parser.print_usage(sys.stderr)
-        print("error: no experiment selected", file=sys.stderr)
-        return 2
+        raise ValueError("no experiment selected")
     if name not in EXPERIMENT_NAMES:
-        print(f"error: unknown experiment {name!r}", file=sys.stderr)
-        return 2
-
-    try:
-        _apply_threads(settings["threads"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown experiment {name!r}")
+    output = settings["output"]
+    if output != "-" and not os.path.isdir(os.path.dirname(output) or "."):
+        raise ValueError(f"output directory of {output!r} does not exist")
+    _apply_threads(settings["threads"])
 
     from .suites import ExperimentConfig, run_experiment  # after thread setup
 
     cfg = ExperimentConfig(m=settings["m"], shells=settings["shells"],
                            cutoff=settings["cutoff"], panels=settings["panels"],
                            order=settings["order"], seed=settings["seed"])
-    try:
-        result = run_experiment(name, cfg)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_experiment(name, cfg)
 
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -176,10 +173,10 @@ def main(argv=None) -> int:
         payload = render_csv(result, timestamp=not settings["no_timestamp"])
     else:
         payload = render_json(result)
-    if settings["output"] in (None, "-"):
+    if output == "-":
         sys.stdout.write(payload)
     else:
-        with open(settings["output"], "w", encoding="utf-8", newline="") as fh:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
 
     return 0 if result.ok else 1

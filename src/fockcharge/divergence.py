@@ -17,8 +17,9 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   scalar modes, Q_u is a fixed spin matrix).  Every block of R_J is then
   sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius norm follows
   from inner products of scalar blocks together with the spin cross-Gram
-  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  Scalar
-  blocks are gathered from the suite; no spinor matrix is formed;
+  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  The
+  scalar blocks of the top shell are gathered from the suite once, and each
+  sub-shell reads their leading corner; no spinor matrix is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, summed over pair triples of the suite (`GramMatrices.fro2`).
@@ -27,10 +28,12 @@ Both routes read the same quadrature Grams, so their agreement
 (`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2, the place
 where the mass enters `m_plus_terms` and the basis algebra, not the
 quadrature.  The honest quadrature M+, weight-one Gram included, enters
-only `mplus_diagonal`; the dense M+ (`quadrature.m_plus`) is a small-scale
-oracle that only the tests call.  On complete shells the sums are basis
-independent (trace invariance); the basis matters for partial shells, which
-is exactly why the series itself is basis sensitive.
+only `mplus_diagonal`, which reads its diagonal off the same frames
+(`FRAMES`); `c_invariant_transform` assembles the invariant frame as a sparse
+matrix and, like the dense M+ (`quadrature.m_plus`), serves as an oracle for
+the tests.  On complete shells the sums are basis independent (trace
+invariance); the basis matters for partial shells, which is exactly why the
+series itself is basis sensitive.
 """
 
 from dataclasses import dataclass
@@ -74,12 +77,6 @@ class DivergenceSeries:
         return [self.S[0]] + [b - a for a, b in zip(self.S, self.S[1:])]
 
 
-def _selection(rows: np.ndarray, n: int) -> sparse.csc_matrix:
-    """n x len(rows) matrix R with R e_l = e_rows[l]."""
-    return sparse.csc_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                             shape=(n, rows.size))
-
-
 def _product_frame(shell: Shell):
     return [[(np.arange(shell.count), np.eye(4))]]
 
@@ -109,6 +106,15 @@ def _invariant_frame(shell: Shell):
     return [[(fixed, T0)], [(L, A), (partner[L], B)]]
 
 
+FRAMES = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
+
+
+def _frame_builder(basis_kind: str):
+    if basis_kind not in FRAMES:
+        raise ValueError(f"unknown basis kind {basis_kind!r}")
+    return FRAMES[basis_kind]
+
+
 def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     """Sparse unitary whose columns express a conjugation-invariant ONB of
     the shell's spinor modes in the product basis.
@@ -121,28 +127,34 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     span sub-shell k.  This is the basis `c_invariant_onb` builds from the
     standard seeds, in closed form, assembled from its Kronecker frame.
     """
-    n = shell.count
-    groups = [sum(sparse.kron(_selection(rows, n), Q, format="csc")
+    eye = sparse.identity(shell.count, format="csc")
+    groups = [sum(sparse.kron(eye[:, rows], Q, format="csc")
                   for rows, Q in group)
               for group in _invariant_frame(shell)]
     return sparse.hstack(groups, format="csc")
 
 
-def _frame_fro2(frame, terms, n: int) -> float:
-    """|R|_F^2 of R = V_n* (sum_t X_t (x) Y_t) V_n, where V_n holds the
-    frame's columns on the first n scalar modes."""
-    # each group's leading rows are ascending and the sub-shell's come first
-    groups = [[(rows[:np.count_nonzero(group[0][0] < n)], Q) for rows, Q in group]
-              for group in frame]
-    fro2 = 0.0
-    for left in groups:
-        for right in groups:
-            Z = np.stack([X(r[:, None], r2).ravel()
-                          for X, _ in terms for r, _ in left for r2, _ in right])
+def _frame_fro2(frame, terms, ns) -> list:
+    """|R_n|_F^2 of R_n = V_n* (sum_t X_t (x) Y_t) V_n for each n in ns, where
+    V_n holds the frame's columns on the first n scalar modes."""
+    # each group's leading rows are ascending and a sub-shell's come first
+    counts = [[np.count_nonzero(group[0][0] < n) for n in ns] for group in frame]
+    fro2 = [0.0] * len(ns)
+    for left, ca in zip(frame, counts):
+        for right, cb in zip(frame, counts):
+            # the top sub-shell's blocks, gathered once; sub-shell n reads the
+            # leading ca[n] x cb[n] corner of each
+            blocks = [(X, r, r2) for X, _ in terms for r, _ in left for r2, _ in right]
+            Z = np.empty((len(blocks), left[0][0].size, right[0][0].size))
+            for z, (X, r, r2) in zip(Z, blocks):
+                z[...] = X(r[:, None], r2)
             P = np.stack([(Q.conj().T @ Y @ Q2).ravel()
                           for _, Y in terms for _, Q in left for _, Q2 in right])
-            # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
-            fro2 += float(np.sum((Z @ Z.T) * (P.conj() @ P.T)).real)
+            PP = P.conj() @ P.T
+            for k, (a, b) in enumerate(zip(ca, cb)):
+                Zn = Z[:, :a, :b].reshape(len(blocks), -1)
+                # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
+                fro2[k] += float(np.sum((Zn @ Zn.T) * PP).real)
     return fro2
 
 
@@ -166,6 +178,9 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     if suite is not None and (suite.shell.K < kmax or suite.m != m):
         raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
                          f"at m={suite.m}, not shell {kmax} at m={m}")
+    if suite is not None and suite.grid.describe() != grid.describe():
+        raise ValueError(f"precomputed Gram suite was built on the grid "
+                         f"{suite.grid.describe()}, not {grid.describe()}")
     top = enumerate_shell(kmax)
     if suite is None:
         suite = gram_suite(top, m, grid)
@@ -182,12 +197,10 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     uses the invariant basis built from the shell conjugation, realizing the
     basis whose terms all carry weight 1/2.
     """
-    frames = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
-    if basis_kind not in frames:
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
+    frame = _frame_builder(basis_kind)
     shells, ns, tail, top, suite = _prepare(shells, m, grid, suite)
-    frame, terms = frames[basis_kind](top), m_plus_terms(suite)
-    S = [n - _frame_fro2(frame, terms, n) for n in ns]
+    fro2 = _frame_fro2(frame(top), m_plus_terms(suite), ns)
+    S = [n - f for n, f in zip(ns, fro2)]
     return DivergenceSeries(shells, [4 * n for n in ns], S, basis_kind, float(m),
                             grid.describe(), tail)
 
@@ -208,33 +221,22 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
                             grid.describe(), tail)
 
 
-def mplus_diagonal(suite: GramMatrices, transform=None) -> np.ndarray:
-    """Diagonal of the honest (quadrature) M+ in the product basis or, given
-    a (dense or sparse) transform V, of V* M+ V.  For a conjugation-invariant
-    basis these entries sit at 1/2 up to the quadrature tolerance.
+def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray:
+    """Diagonal of the honest (quadrature) M+ in the basis `basis_kind`; for
+    "c_invariant" (columns in `c_invariant_transform` order) the entries sit
+    at 1/2 up to the quadrature tolerance.
 
-    Gathered per column: a column with stored entries v_x at spinor rows
-    x = (i_x, s_x) gives sum_t sum_xy conj(v_x) X_t[i_x, i_y] Y_t[s_x, s_y] v_y
-    over the Kronecker terms of M+, the quadrature identity part ("one",
-    I/2) followed by `m_plus_terms`, so no spinor matrix is formed.
+    Read off the frame: column (l, c) of a group sum_u R_u (x) Q_u gives
+    sum_t sum_uu' X_t[r_u[l], r_u'[l]] Re diag(Q_u* Y_t Q_u')[c] over the
+    Kronecker terms of M+, the quadrature identity part ("one", I/2) followed
+    by `m_plus_terms`, so no spinor matrix is formed.
     """
-    if transform is None:
-        transform = sparse.identity(4 * suite.shell.count, format="csc")
-    V = sparse.csc_matrix(transform)
-    counts = np.diff(V.indptr)
-    col = np.repeat(np.arange(V.shape[1]), counts)
-    pos = np.arange(V.nnz) - V.indptr[col]
-    rows = np.zeros((V.shape[1], counts.max(initial=0)), dtype=int)
-    vals = np.zeros(rows.shape, dtype=complex)  # zero padding adds nothing
-    rows[col, pos] = V.indices
-    vals[col, pos] = V.data
-    i, s = np.divmod(rows, 4)
-    out = np.zeros(V.shape[1])
-    identity = (lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4, dtype=complex))
-    for X, Y in [identity] + m_plus_terms(suite):
-        block = X(i[:, :, None], i[:, None, :]) * Y[s[:, :, None], s[:, None, :]]
-        out += np.einsum("ca,cab,cb->c", vals.conj(), block, vals).real
-    return out
+    frame = _frame_builder(basis_kind)(suite.shell)
+    terms = [(lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4))] + m_plus_terms(suite)
+    return np.concatenate([
+        sum(np.outer(X(r, r2), np.diagonal(Q.conj().T @ Y @ Q2).real)
+            for X, Y in terms for r, Q in group for r2, Q2 in group).ravel()
+        for group in frame])
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

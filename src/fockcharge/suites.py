@@ -503,7 +503,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     tail = c_inv.tail
     positivity = min(min(scalar.S), min(S_ci))
 
-    diag = divergence.mplus_diagonal(suite, divergence.c_invariant_transform(top))
+    diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
 
     # self-convergence: the requested order against its double (or, when the

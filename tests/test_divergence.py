@@ -81,22 +81,33 @@ def test_trace_series_matches_dense_oracle(K):
 
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_mplus_diagonal_matches_dense_oracle(K):
+    # the frame diagonal against diag(V* M+ V) on the dense M+, both bases
     shell = modes.enumerate_shell(K)
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
     M = quad.m_plus(suite)
-    V = dv.c_invariant_transform(shell)
-    Vd = V.toarray()
-    expected = np.diagonal(Vd.conj().T @ M @ Vd).real
-    assert np.max(np.abs(dv.mplus_diagonal(suite, V) - expected)) < 1e-14
-    assert np.max(np.abs(dv.mplus_diagonal(suite) - np.diagonal(M).real)) < 1e-14
+    V = dv.c_invariant_transform(shell).toarray()
+    for kind, dense in ((dv.PRODUCT, M), (dv.C_INVARIANT, V.conj().T @ M @ V)):
+        diag = dv.mplus_diagonal(suite, kind)
+        assert np.max(np.abs(diag - np.diagonal(dense).real)) < 1e-14
 
 
-def test_mplus_diagonal_dense_transform(rng):
-    suite = quad.gram_suite(modes.enumerate_shell(1), 1.0, SMALL_GRID)
-    M = quad.m_plus(suite)
-    V = random_unitary(rng, M.shape[0])
-    expected = np.diagonal(V.conj().T @ M @ V).real
-    assert np.max(np.abs(dv.mplus_diagonal(suite, V) - expected)) < 1e-14
+@pytest.mark.parametrize("kind", [dv.PRODUCT, dv.C_INVARIANT])
+def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
+    # every sub-shell reads the top shell's blocks: the series over all
+    # shells gathers as often as the top shell alone
+    calls = []
+    gather = quad.GramMatrices.gather
+
+    def counted(self, name, rows, cols):
+        calls.append(name)
+        return gather(self, name, rows, cols)
+
+    monkeypatch.setattr(quad.GramMatrices, "gather", counted)
+    dv.vacuum_series_trace([2], 1.0, SMALL_GRID, basis_kind=kind, suite=small_suite)
+    top_only = len(calls)
+    calls.clear()
+    dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, basis_kind=kind, suite=small_suite)
+    assert top_only > 0 and len(calls) == top_only
 
 
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):
@@ -188,9 +199,17 @@ def test_shell_and_grid_validation():
     with pytest.raises(ValueError, match="basis kind"):
         dv.vacuum_series_trace([0, 1, 2], 1.0, tiny, basis_kind="bogus")
     small = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
+    with pytest.raises(ValueError, match="basis kind"):
+        dv.mplus_diagonal(small, "bogus")
     with pytest.raises(ValueError, match="covers shell"):
         dv.vacuum_series_scalar([0, 1], 1.0, SMALL_GRID, suite=small)
     # both routes read the mass from the suite, so it must be the one asked for
     for route in (dv.vacuum_series_scalar, dv.vacuum_series_trace):
         with pytest.raises(ValueError, match="at m=1.0, not shell 0 at m=2.0"):
             route([0], 2.0, SMALL_GRID, suite=small)
+    # a suite from another grid would carry that grid's values under this
+    # grid's description and tail estimate
+    coarse = quad.gram_suite(modes.enumerate_shell(1), 1.0, quad.build_grid(3, 1, 2))
+    for route in (dv.vacuum_series_scalar, dv.vacuum_series_trace):
+        with pytest.raises(ValueError, match="built on the grid cutoff=3"):
+            route([0, 1], 1.0, quad.build_grid(10, 1, 4), suite=coarse)
