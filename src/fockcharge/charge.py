@@ -1,11 +1,13 @@
 """Charge operators on the toy Fock space.
 
-Builds the subspace charge Q_k = sum_j :Psi*(f_j) Psi(f_j): for an ONB
-(f_j) of a subspace k, its truncations, the number-operator variant
-Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)), the total charge, and the
-weighted (fuzzy-set) variant, together with the spectral / additivity /
-commutation checks and the four-sum decomposition of the truncated-charge
-sector norm.
+Builds the weighted (fuzzy-set) charge sum_j m_j :Psi*(f_j) Psi(f_j): for
+an ONB (f_j) of a subspace k; the subspace charge Q_k (all m_j = 1) and its
+truncations Q^J (m_j = 1 for j < J, else 0) are its special cases, so
+`q_weighted` is the one Wick-sum loop.  Also the number-operator variant
+Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)), the total charge, the toy
+vacuum norm |Q^J Omega|^2 by a Fock route and a trace route
+(`vacuum_norm`), the spectral / additivity / commutation checks and the
+four-sum decomposition of the truncated-charge sector norm.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ __all__ = [
     "aligned_subspace",
     "q_subspace",
     "truncated_q",
+    "vacuum_norm",
     "q_tilde",
     "q_total",
     "q_weighted",
@@ -105,18 +108,33 @@ def aligned_subspace(model: ToyModel, take_plus: int, take_minus: int) -> Subspa
 
 def q_subspace(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
     """Q_k = sum_j :Psi*(f_j) Psi(f_j): over the basis columns."""
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
-    for j in range(basis.dim):
-        out = out + fock.normal_ordered_density(model, basis.vectors[:, j])
-    return out.tocsr()
+    return q_weighted(model, basis, np.ones(basis.dim))
 
 
 def truncated_q(model: ToyModel, basis: SubspaceBasis, J: int) -> sparse.csr_matrix:
     """Partial sum of the first J terms of the charge series."""
+    _check_J(basis, J)
+    return q_weighted(model, basis, np.arange(basis.dim) < J)
+
+
+def _check_J(basis: SubspaceBasis, J: int) -> None:
     if not 0 <= J <= basis.dim:
         raise ValueError(f"J must lie in [0, {basis.dim}], got {J}")
-    head = SubspaceBasis.from_vectors(model, basis.vectors[:, :J])
-    return q_subspace(model, head)
+
+
+def vacuum_norm(model: ToyModel, basis: SubspaceBasis, J: int):
+    """|Q^J Omega|^2 by two routes, (fock, trace): the Fock route builds
+    Q^J Omega = sum_{i<J} b*(f_i) c*(f_i) Omega on the toy Fock space, the
+    trace route is tr(M) - tr(M^2) with M = F* P+ F, the exact toy M+ on the
+    first J basis vectors F."""
+    _check_J(basis, J)
+    omega = fock.vacuum(model)
+    F = basis.vectors[:, :J]
+    vec = np.sum([(fock.creator_b(model, f) @ fock.creator_c(model, f)) @ omega
+                  for f in F.T], axis=0) if J else np.zeros_like(omega)
+    M = F.conj().T @ model.p_plus @ F
+    return (float(np.vdot(vec, vec).real),
+            float((np.trace(M) - np.trace(M @ M)).real))
 
 
 def q_tilde(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
@@ -142,12 +160,13 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
     w = np.asarray(weights, dtype=float)
     if w.shape != (basis.dim,):
         raise ValueError("one weight per basis vector required")
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):  # also rejects NaN
         raise ValueError("weights must lie in [0, 1]")
     out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
     for j in range(basis.dim):
-        if w[j]:
-            out = out + w[j] * fock.normal_ordered_density(model, basis.vectors[:, j])
+        if w[j]:  # a unit weight adds the density itself, with no scaled copy
+            D = fock.normal_ordered_density(model, basis.vectors[:, j])
+            out = out + (D if w[j] == 1 else w[j] * D)
     return out.tocsr()
 
 
@@ -296,12 +315,8 @@ def sector_norm_decomposition(model: ToyModel, basis: SubspaceBasis, J: int,
 
     Mp_f = F.conj().T @ Pp @ F  # toy M+ restricted to the first J vectors
     Mm_f = F.conj().T @ Pm @ F
-    s1_kernel = float((np.trace(Mp_f) - np.trace(Mp_f @ Mp_f)).real) * norm2
-
-    omega = fock.vacuum(model)
-    qj_omega = np.sum([op @ omega for op in bc_psi_omega(model, basis, J)], axis=0) \
-        if J else np.zeros_like(omega)
-    s1_direct = float(np.vdot(qj_omega, qj_omega).real) * norm2
+    fock_norm, trace_norm = vacuum_norm(model, basis, J)
+    s1_direct, s1_kernel = fock_norm * norm2, trace_norm * norm2
 
     c_psi = [c_ops[i] @ psi0 for i in range(J)]
     b_psi = [b_ops[i] @ psi0 for i in range(J)]
@@ -366,11 +381,3 @@ def sector_norm_decomposition(model: ToyModel, basis: SubspaceBasis, J: int,
     res.residual_kernel = abs(sector_norm - res.combination(sums_kernel))
     return res
 
-
-def bc_psi_omega(model: ToyModel, basis: SubspaceBasis, J: int):
-    """The operators b*(f_i) c*(f_i) for i < J (helper for vacuum norms)."""
-    ops = []
-    for i in range(J):
-        f = basis.vectors[:, i]
-        ops.append(fock.creator_b(model, f) @ fock.creator_c(model, f))
-    return ops

@@ -156,6 +156,8 @@ def _run(parser, args) -> int:
     output = settings["output"]
     if output != "-" and not os.path.isdir(os.path.dirname(output) or "."):
         raise ValueError(f"output directory of {output!r} does not exist")
+    if output != "-" and os.path.isdir(output):
+        raise ValueError(f"output {output!r} is a directory")
     _apply_threads(settings["threads"])
 
     from .suites import ExperimentConfig, run_experiment  # after thread setup

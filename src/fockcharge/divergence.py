@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .charge import SubspaceBasis, bc_psi_omega
+from .charge import SubspaceBasis, vacuum_norm
 from .modes import Shell, enumerate_shell, shell_conjugation
 from .quadrature import QuadGrid, GramMatrices, gram_suite, m_plus_terms
 
@@ -281,11 +281,5 @@ def growth_diagnostics(series: DivergenceSeries) -> dict:
 def toy_oracle_equivalence(model: fock.ToyModel, basis: SubspaceBasis, J: int) -> float:
     """|Q^J Omega|^2 on the toy Fock space versus tr(M+) - tr(M+^2) with the
     exact toy Gram M+_ij = <f_i, P+ f_j>; returns the absolute deviation."""
-    omega = fock.vacuum(model)
-    ops = bc_psi_omega(model, basis, J)
-    vec = np.sum([op @ omega for op in ops], axis=0) if J else np.zeros_like(omega)
-    fock_value = float(np.vdot(vec, vec).real)
-    F = basis.vectors[:, :J]
-    Mt = F.conj().T @ model.p_plus @ F
-    trace_value = float((np.trace(Mt) - np.trace(Mt @ Mt)).real)
+    fock_value, trace_value = vacuum_norm(model, basis, J)
     return abs(fock_value - trace_value)

@@ -209,7 +209,6 @@ def run_additivity(cfg: ExperimentConfig) -> SuiteResult:
     for i in range(8):
         model = fock.random_model(6, rng)
         frame, _ = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
-        shared = charge.SubspaceBasis.from_vectors(model, frame[:, :1])
         k1 = charge.SubspaceBasis.from_vectors(model, frame[:, :2])  # A + B
         k2 = charge.SubspaceBasis.from_vectors(model, frame[:, [0, 2]])  # A + C
         rep = charge.q_additivity_and_commutation(model, k1, k2, require_orthogonal=False)
@@ -252,8 +251,9 @@ def run_cbasis(cfg: ExperimentConfig) -> SuiteResult:
         F = involution.c_invariant_onb(C)
         worst_fix = max(worst_fix, involution.c_fixed_deviation(C, F))
         worst_gram = max(worst_gram, involution.gram_deviation(F))
-        min_rank = min(min_rank, np.linalg.matrix_rank(F, tol=1e-8))
-        if np.linalg.matrix_rank(F, tol=1e-8) != dim:
+        rank = np.linalg.matrix_rank(F, tol=1e-8)
+        min_rank = min(min_rank, rank)
+        if rank != dim:
             break
 
     C8 = involution.make_involution(np.eye(8))
@@ -422,15 +422,9 @@ def run_aligned(cfg: ExperimentConfig) -> SuiteResult:
     basis = charge.aligned_subspace(model, 2, 1)
     q = charge.q_subspace(model, basis)
     eq = charge.max_abs(q - charge.q_tilde(model, basis))
-    lattice = float(np.max(np.abs(
-        np.linalg.eigvalsh(q.toarray())
-        - np.round(np.linalg.eigvalsh(q.toarray())))))
-    omega = fock.vacuum(model)
-    series_max = 0.0
-    for J in range(basis.dim + 1):
-        ops = charge.bc_psi_omega(model, basis, J)
-        vec = np.sum([op @ omega for op in ops], axis=0) if J else np.zeros_like(omega)
-        series_max = max(series_max, float(np.vdot(vec, vec).real))
+    eigs = np.linalg.eigvalsh(q.toarray())
+    lattice = float(np.max(np.abs(eigs - np.round(eigs))))
+    series_max = max(charge.vacuum_norm(model, basis, J)[0] for J in range(basis.dim + 1))
     checks = [
         Check.below("aligned/q-equals-number-difference", eq, 1e-11),
         Check.below("aligned/integer-spectrum", lattice, 1e-9),
@@ -484,6 +478,14 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
 def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     shells = list(range(cfg.shells + 1))
     grid = quadrature.build_grid(cfg.cutoff, cfg.panels, cfg.order)
+    # self-convergence reference: the requested order doubled or, when the
+    # doubled grid would break the node-count cap, halved
+    doubled = (2 * cfg.cutoff * cfg.panels * 2 * cfg.order) ** 3 <= quadrature.MAX_EFFECTIVE_NODES
+    ref_order = 2 * cfg.order if doubled else max(2, cfg.order // 2)
+    if ref_order == cfg.order:
+        raise ValueError(f"no reference grid for the self-convergence check: order "
+                         f"{cfg.order} can neither double within the node cap nor halve")
+    other = quadrature.build_grid(cfg.cutoff, cfg.panels, ref_order)
     top = modes.enumerate_shell(cfg.shells)
     suite = quadrature.gram_suite(top, cfg.m, grid)
 
@@ -506,12 +508,6 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
 
-    # self-convergence: the requested order against its double (or, when the
-    # doubled grid would break the node-count cap, against its half)
-    if (2 * cfg.cutoff * cfg.panels * 2 * cfg.order) ** 3 <= quadrature.MAX_EFFECTIVE_NODES:
-        other = quadrature.build_grid(cfg.cutoff, cfg.panels, 2 * cfg.order)
-    else:
-        other = quadrature.build_grid(cfg.cutoff, cfg.panels, max(2, cfg.order // 2))
     scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, other)
     conv = max(abs(a - b) / max(abs(a), 1e-300)
                for a, b in zip(scalar.S, scalar_other.S))

@@ -166,10 +166,9 @@ def test_q_weighted_subset_sum_spectrum(model6, rng):
 
 def test_q_weighted_rejects_out_of_range(model6, rng):
     basis = charge.random_subspace(model6, 2, rng)
-    with pytest.raises(ValueError):
-        charge.q_weighted(model6, basis, [0.5, 1.5])
-    with pytest.raises(ValueError):
-        charge.q_weighted(model6, basis, [-0.1, 0.5])
+    for weights in ([0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            charge.q_weighted(model6, basis, weights)
 
 
 def test_truncated_q(model6, rng):
@@ -177,14 +176,18 @@ def test_truncated_q(model6, rng):
     assert max_abs(charge.truncated_q(model6, basis, 0)) == 0.0
     assert max_abs(charge.truncated_q(model6, basis, 3)
                    - charge.q_subspace(model6, basis)) < 1e-13
-    with pytest.raises(ValueError):
-        charge.truncated_q(model6, basis, 4)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            charge.truncated_q(model6, basis, bad)
+        with pytest.raises(ValueError):
+            charge.vacuum_norm(model6, basis, bad)
 
 
 def test_truncated_vacuum_norm_gram_identity(model8, rng):
     # |Q^J Omega|^2 = tr(M+) - tr(M+^2) over the first J vectors
     basis = charge.random_subspace(model8, 5, rng)
     omega = fock.vacuum(model8)
+    assert charge.vacuum_norm(model8, basis, 0) == (0.0, 0.0)
     for J in (1, 3, 5):
         QJ = charge.truncated_q(model8, basis, J)
         val = float(np.vdot(QJ @ omega, QJ @ omega).real)
@@ -192,6 +195,9 @@ def test_truncated_vacuum_norm_gram_identity(model8, rng):
         Mt = F.conj().T @ model8.p_plus @ F
         ref = float((np.trace(Mt) - np.trace(Mt @ Mt)).real)
         assert abs(val - ref) < 1e-12
+        fock_value, trace_value = charge.vacuum_norm(model8, basis, J)
+        assert abs(fock_value - val) < 1e-12 and abs(trace_value - ref) < 1e-12
+        assert abs(fock_value - trace_value) < 1e-12
 
 
 def test_eigenvector_witnesses(model6, rng):

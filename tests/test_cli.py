@@ -56,7 +56,12 @@ def _out_of_memory(*args, **kwargs):
     (["weighted", "--output", "{tmp}/missing/w.csv"], 2, "does not exist"),
     (["weighted", "--config", "{tmp}/xml.cfg"], 2, "format must be one of"),
     (["vacuum-divergence"] + FAST_ARGS, 2, "Unable to allocate 13.7 GiB"),
-], ids=["missing-output-directory", "config-format-xml", "gram-suite-out-of-memory"])
+    # 1280^3 doubled nodes break the cap, and order 2 cannot halve
+    (["vacuum-divergence", "--shells", "1", "--cutoff", "80", "--panels", "2",
+      "--order", "2"], 2, "no reference grid"),
+    (["weighted", "--output", "{tmp}"], 2, "is a directory"),
+], ids=["missing-output-directory", "config-format-xml", "gram-suite-out-of-memory",
+        "no-reference-grid", "output-is-directory"])
 def test_unusable_settings_exit_code(argv, code, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "xml.cfg").write_text("format = xml\n")
     # only vacuum-divergence builds a Gram suite; here it cannot be allocated
@@ -97,11 +102,11 @@ def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
     # the K=4 run below peaks near 26 MB of traced allocations.  One dense
-    # K=4 spinor matrix adds 136 MB (complex) or 68 MB (real) to it, so an
-    # 80 MB bound catches either however it is built; a dense K=3 one
-    # (30 MB) stays below it, and the test above refuses the dense oracles
-    # by name at any K.  The small run first loads what the run imports
-    # lazily, so the bound counts the run alone.
+    # K=4 spinor matrix adds 136 MB (complex) or 68 MB (real) to it, and a
+    # dense complex K=3 one 30 MB, so a 50 MB bound catches each of them
+    # however it is built; the test above refuses the dense oracles by name
+    # at any K.  The small run first loads what the run imports lazily, so
+    # the bound counts the run alone.
     run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
     tracemalloc.start()
     try:
@@ -111,7 +116,7 @@ def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and "FAIL" not in out
-    assert peak < 80 * 2 ** 20
+    assert peak < 50 * 2 ** 20
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):
