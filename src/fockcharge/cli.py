@@ -10,15 +10,17 @@ oracle-equivalence.
 One summary line per check goes to stdout (name, value, tolerance,
 PASS/FAIL); the per-instance records are written as CSV or JSON to --output
 (stdout by default).  With a fixed seed the output is byte-identical across
-runs once the timestamp header is suppressed.  Exit code 0 means every
-check passed, 1 a contract failure, 2 an unusable invocation.
+runs once the timestamp header is suppressed.  Only the settings given
+(flags over a --config file) reach `suites.ExperimentConfig`, which holds
+their defaults and checks every setting before any numerics.  Exit code 0
+means every check passed, 1 a contract failure, 2 an unusable invocation.
 
 --threads (or the FOCKCHARGE_THREADS environment variable) caps the linear
 algebra thread pools by setting their environment variables, which act only
-if numpy is not yet imported in the process; that is why the heavy modules
-are loaded inside main().  It therefore takes effect for the `fockcharge`
-console script, but not when main() is called in a process that has already
-imported numpy (tests, benchmark harnesses).
+if numpy is not yet imported in the process; that is why `suites`, and
+with it numpy, is loaded inside main().  It therefore takes effect for the
+`fockcharge` console script, but not when main() is called in a process that
+has already imported numpy (tests, benchmark harnesses).
 """
 
 import argparse
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 EXPERIMENT_NAMES = [
@@ -136,43 +139,36 @@ def main(argv=None) -> int:
 
 
 def _run(parser, args) -> int:
-    settings = {"m": 1.0, "shells": 3, "cutoff": 40, "panels": 2, "order": 6,
-                "seed": 0, "output": "-", "format": "csv",
-                "no_timestamp": False, "threads": None, "experiment": None}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    for key in settings:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    # the settings given, flags over the config file; ExperimentConfig has the defaults
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update((key, flag) for key, flag in vars(args).items() if flag is not None)
     if args.experiment_pos and args.experiment and args.experiment_pos != args.experiment:
         raise ValueError("conflicting experiment names given")
-    name = args.experiment or args.experiment_pos or settings["experiment"]
+    name = args.experiment_pos or settings.get("experiment")
     if not name:
         parser.print_usage(sys.stderr)
         raise ValueError("no experiment selected")
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}")
-    output = settings["output"]
+    output = settings.get("output", "-")
     if output != "-" and not os.path.isdir(os.path.dirname(output) or "."):
         raise ValueError(f"output directory of {output!r} does not exist")
     if output != "-" and os.path.isdir(output):
         raise ValueError(f"output {output!r} is a directory")
-    _apply_threads(settings["threads"])
+    _apply_threads(settings.get("threads"))
 
     from .suites import ExperimentConfig, run_experiment  # after thread setup
 
-    cfg = ExperimentConfig(m=settings["m"], shells=settings["shells"],
-                           cutoff=settings["cutoff"], panels=settings["panels"],
-                           order=settings["order"], seed=settings["seed"])
+    cfg = ExperimentConfig(**{f.name: settings[f.name] for f in fields(ExperimentConfig)
+                              if f.name in settings})
     result = run_experiment(name, cfg)
 
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name:48s} value={c.value:.6e} tol={c.tolerance:.3e}")
 
-    if settings["format"] == "csv":
-        payload = render_csv(result, timestamp=not settings["no_timestamp"])
+    if settings.get("format", "csv") == "csv":
+        payload = render_csv(result, timestamp=not settings.get("no_timestamp"))
     else:
         payload = render_json(result)
     if output == "-":

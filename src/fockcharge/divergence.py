@@ -50,6 +50,7 @@ __all__ = [
     "DivergenceSeries",
     "vacuum_series_trace",
     "vacuum_series_scalar",
+    "checked_tail",
     "growth_diagnostics",
     "toy_oracle_equivalence",
     "c_invariant_transform",
@@ -158,6 +159,15 @@ def _frame_fro2(frame, terms, ns) -> list:
     return fro2
 
 
+def checked_tail(grid: QuadGrid, kmax: int) -> float:
+    """Tail estimate of `grid` at shell kmax, rejected above MAX_TAIL."""
+    tail = grid.tail_estimate(kmax)
+    if tail > MAX_TAIL:
+        raise ValueError(
+            f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
+    return tail
+
+
 def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     """Validate the shell radii, the grid and a precomputed suite.
 
@@ -171,10 +181,7 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     if sorted(set(shells)) != shells:
         raise ValueError("shell radii must be strictly ascending")
     kmax = shells[-1]
-    tail = grid.tail_estimate(kmax)
-    if tail > MAX_TAIL:
-        raise ValueError(
-            f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
+    tail = checked_tail(grid, kmax)
     if suite is not None and (suite.shell.K < kmax or suite.m != m):
         raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
                          f"at m={suite.m}, not shell {kmax} at m={m}")
@@ -240,42 +247,19 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:
-    """Increment table, Cauchy verdict, and descriptive growth fits.
+    """Increment table and Cauchy verdict.
 
     The verdict is "no Cauchy convergence" when the last shell still adds at
     least half the median increment; an (almost) vanishing last increment
-    means the series has stalled and is reported as "converged".  The fits
-    regress S on log J and on J^(2/3) (boundary-surface scaling); they are
-    descriptive only.
+    means the series has stalled and is reported as "converged".
     """
     if len(series.S) < 3:
         raise ValueError("need at least 3 shells for diagnostics")
-    S = np.asarray(series.S, dtype=float)
-    J = np.asarray(series.mode_counts, dtype=float)
     inc = np.asarray(series.increments(), dtype=float)
-    med = float(np.median(inc))
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if abs(inc[-1]) <= 1e-12 * scale:
-        verdict = "converged"
-    elif inc[-1] >= 0.5 * med:
-        verdict = "no Cauchy convergence"
-    else:
-        verdict = "converged"
-
-    def fit(design):
-        A = np.column_stack([np.ones_like(design), design])
-        coef, *_ = np.linalg.lstsq(A, S, rcond=None)
-        rms = float(np.sqrt(np.mean((A @ coef - S) ** 2)))
-        return {"intercept": float(coef[0]), "slope": float(coef[1]), "rms": rms}
-
-    return {
-        "increments": inc.tolist(),
-        "median_increment": med,
-        "last_increment": float(inc[-1]),
-        "verdict": verdict,
-        "fit_log": fit(np.log(J)),
-        "fit_surface": fit(J ** (2.0 / 3.0)),
-    }
+    scale = max(1.0, float(np.max(np.abs(series.S))))
+    growing = abs(inc[-1]) > 1e-12 * scale and inc[-1] >= 0.5 * float(np.median(inc))
+    return {"increments": inc.tolist(),
+            "verdict": "no Cauchy convergence" if growing else "converged"}
 
 
 def toy_oracle_equivalence(model: fock.ToyModel, basis: SubspaceBasis, J: int) -> float:

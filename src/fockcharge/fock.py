@@ -42,8 +42,6 @@ __all__ = [
     "sector_mask",
 ]
 
-MODEL_TOL = 1e-12
-
 
 @lru_cache(maxsize=64)
 def _jw_pattern(nmodes: int, raised: tuple, lowered: tuple):

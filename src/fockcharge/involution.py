@@ -58,9 +58,6 @@ class AntiUnitary:
         """C v = U conj(v); also applies columnwise to a matrix of vectors."""
         return self.U @ np.conj(v)
 
-    def __call__(self, v):
-        return self.apply(v)
-
 
 def make_involution(U) -> AntiUnitary:
     """Validate U and wrap it as an anti-unitary involution."""

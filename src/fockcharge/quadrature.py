@@ -43,6 +43,8 @@ from .spinor import gamma_matrices
 __all__ = [
     "QuadGrid",
     "build_grid",
+    "fits_node_cap",
+    "mass_squared",
     "GramMatrices",
     "gram_suite",
     "m_plus_terms",
@@ -93,11 +95,10 @@ def build_grid(cutoff: int, panels_per_unit: int = 2, gauss_order: int = 6) -> Q
         raise ValueError("cutoff must be a positive integer")
     if panels_per_unit < 1 or int(panels_per_unit) != panels_per_unit:
         raise ValueError("panels_per_unit must be a positive integer")
-    if gauss_order < 2:
-        raise ValueError("gauss_order must be >= 2")
-    per_axis = 2 * cutoff * panels_per_unit * gauss_order
-    if float(per_axis) ** 3 > MAX_EFFECTIVE_NODES:
-        raise ValueError(f"grid of {per_axis}^3 effective nodes rejected")
+    if gauss_order < 2 or int(gauss_order) != gauss_order:
+        raise ValueError("gauss_order must be an integer >= 2")
+    if not fits_node_cap(cutoff, panels_per_unit, gauss_order):
+        raise ValueError(f"grid of more than {MAX_EFFECTIVE_NODES:.0e} effective nodes rejected")
     xi, wi = np.polynomial.legendre.leggauss(int(gauss_order))
     width = 1.0 / panels_per_unit
     starts = np.arange(-cutoff * panels_per_unit, cutoff * panels_per_unit) * width
@@ -106,6 +107,19 @@ def build_grid(cutoff: int, panels_per_unit: int = 2, gauss_order: int = 6) -> Q
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadGrid(int(cutoff), int(panels_per_unit), int(gauss_order), nodes, weights)
+
+
+def fits_node_cap(cutoff: int, panels_per_unit: int, gauss_order: int) -> bool:
+    """Whether the grid's effective node count is within MAX_EFFECTIVE_NODES."""
+    return float(2 * cutoff * panels_per_unit * gauss_order) ** 3 <= MAX_EFFECTIVE_NODES
+
+
+def mass_squared(m: float) -> float:
+    """m^2, for a non-negative mass whose square is finite."""
+    m2 = float(m) * float(m)
+    if not (m >= 0 and np.isfinite(m2)):
+        raise ValueError("mass must be finite and non-negative, with a finite square")
+    return m2
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +216,8 @@ class GramMatrices:
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     """Assemble all weighted Gram matrices of a shell in one quadrature pass."""
-    m2 = float(m) * float(m)
-    if not (m >= 0 and np.isfinite(m2)):
-        raise ValueError("mass must be finite and non-negative, with a finite square")
-    if grid.cutoff <= shell.K:
-        raise ValueError("cutoff must exceed the shell radius")
+    m2 = mass_squared(m)
+    grid.tail_estimate(shell.K)  # rejects a cutoff that does not cover the shell
     E, Ox, xp, PI, reps, cls = _axis_tables(shell.K, grid)
     Er = E[reps]
     Nh = xp.size

@@ -20,14 +20,39 @@ __all__ = ["ExperimentConfig", "Check", "SuiteResult", "EXPERIMENTS", "run_exper
 QTILDE_WITNESS_SEED = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one experiment run and the one place of their defaults.
+
+    Building it checks every setting before any numerics (the rules of
+    `quadrature.mass_squared`, `build_grid`, `divergence.checked_tail`) and
+    raises ValueError on an unusable one.  It keeps vacuum-divergence's grid
+    and reference grid: the order doubled or, past the node cap, halved."""
+
     m: float = 1.0
     shells: int = 3
     cutoff: int = 40
     panels: int = 2
     order: int = 6
     seed: int = 0
+    grid: quadrature.QuadGrid = field(init=False, repr=False)
+    reference_grid: quadrature.QuadGrid = field(init=False, repr=False)
+
+    def __post_init__(self):
+        quadrature.mass_squared(self.m)
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (self.shells, self.seed)):
+            raise ValueError(f"shells and seed must be integers >= 0, got "
+                             f"shells={self.shells!r}, seed={self.seed!r}")
+        grid = quadrature.build_grid(self.cutoff, self.panels, self.order)
+        divergence.checked_tail(grid, self.shells)
+        doubled = quadrature.fits_node_cap(self.cutoff, self.panels, 2 * self.order)
+        ref_order = 2 * self.order if doubled else max(2, self.order // 2)
+        if ref_order == self.order:
+            raise ValueError(f"no reference grid for the self-convergence check: order "
+                             f"{self.order} can neither double within the node cap nor halve")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "reference_grid",
+                           quadrature.build_grid(self.cutoff, self.panels, ref_order))
 
 
 @dataclass
@@ -477,22 +502,13 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
 
 def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     shells = list(range(cfg.shells + 1))
-    grid = quadrature.build_grid(cfg.cutoff, cfg.panels, cfg.order)
-    # self-convergence reference: the requested order doubled or, when the
-    # doubled grid would break the node-count cap, halved
-    doubled = (2 * cfg.cutoff * cfg.panels * 2 * cfg.order) ** 3 <= quadrature.MAX_EFFECTIVE_NODES
-    ref_order = 2 * cfg.order if doubled else max(2, cfg.order // 2)
-    if ref_order == cfg.order:
-        raise ValueError(f"no reference grid for the self-convergence check: order "
-                         f"{cfg.order} can neither double within the node cap nor halve")
-    other = quadrature.build_grid(cfg.cutoff, cfg.panels, ref_order)
     top = modes.enumerate_shell(cfg.shells)
-    suite = quadrature.gram_suite(top, cfg.m, grid)
+    suite = quadrature.gram_suite(top, cfg.m, cfg.grid)
 
-    scalar = divergence.vacuum_series_scalar(shells, cfg.m, grid, suite=suite)
-    product = divergence.vacuum_series_trace(shells, cfg.m, grid,
+    scalar = divergence.vacuum_series_scalar(shells, cfg.m, cfg.grid, suite=suite)
+    product = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid,
                                              basis_kind=divergence.PRODUCT, suite=suite)
-    c_inv = divergence.vacuum_series_trace(shells, cfg.m, grid,
+    c_inv = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid,
                                            basis_kind=divergence.C_INVARIANT, suite=suite)
     S_ci = c_inv.S
 
@@ -508,7 +524,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
 
-    scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, other)
+    scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, cfg.reference_grid)
     conv = max(abs(a - b) / max(abs(a), 1e-300)
                for a, b in zip(scalar.S, scalar_other.S))
 
@@ -541,7 +557,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
         "J": product.mode_counts[idx],
         "S": S_ci[idx],
         "deltaS": delta,
-        "tail_estimate": grid.tail_estimate(K),
+        "tail_estimate": cfg.grid.tail_estimate(K),
     } for idx, (K, delta) in enumerate(zip(shells, c_inv.increments()))]
     return SuiteResult("vacuum-divergence",
                        ["shell", "K", "J", "S", "deltaS", "tail_estimate"],
@@ -627,6 +643,4 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, cfg: ExperimentConfig) -> SuiteResult:
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}")
     return EXPERIMENTS[name](cfg)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -60,8 +64,18 @@ def _out_of_memory(*args, **kwargs):
     (["vacuum-divergence", "--shells", "1", "--cutoff", "80", "--panels", "2",
       "--order", "2"], 2, "no reference grid"),
     (["weighted", "--output", "{tmp}"], 2, "is a directory"),
+    # every setting is checked before any numerics, so the tail rule fires
+    # before the (here out-of-memory) Gram suite is built
+    (["vacuum-divergence", "--shells", "8", "--cutoff", "9", "--panels", "2",
+      "--order", "6"], 2, "grid too small"),
+    # the toy experiments check the settings they do not use as well
+    (["weighted", "--m", "nan"], 2, "finite"),
+    (["spectrum", "--shells", "-1"], 2, "shells"),
+    (["car-check", "--cutoff", "0"], 2, "cutoff"),
+    (["weighted", "--seed", "-1"], 2, "seed"),
 ], ids=["missing-output-directory", "config-format-xml", "gram-suite-out-of-memory",
-        "no-reference-grid", "output-is-directory"])
+        "no-reference-grid", "output-is-directory", "tail-before-gram-suite",
+        "toy-nan-mass", "toy-negative-shells", "toy-zero-cutoff", "toy-negative-seed"])
 def test_unusable_settings_exit_code(argv, code, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "xml.cfg").write_text("format = xml\n")
     # only vacuum-divergence builds a Gram suite; here it cannot be allocated
@@ -71,6 +85,24 @@ def test_unusable_settings_exit_code(argv, code, message, tmp_path, monkeypatch,
     assert got == code
     assert "error: " in err and message in err and out == ""
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("setting", ["shells", "seed"])
+def test_experiment_config_rejects_non_integers(setting):
+    from fockcharge.suites import ExperimentConfig
+    with pytest.raises(ValueError, match=setting):
+        ExperimentConfig(**{setting: 1.5})
+
+
+def test_argument_parsing_leaves_numpy_unloaded():
+    # --threads acts only if numpy is loaded after the thread setup in main()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; import fockcharge.cli as cli; "
+            "cli.build_parser().parse_args(['weighted']); print('numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_shells_zero_skips_growth_checks(capsys):

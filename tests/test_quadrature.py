@@ -36,7 +36,7 @@ def test_build_grid_rejects_absurd_sizes():
 
 
 def test_build_grid_validation():
-    for bad in [(0, 1, 4), (4, 0, 4), (4, 1, 1)]:
+    for bad in [(0, 1, 4), (4, 0, 4), (4, 1, 1), (4, 1, 4.5)]:
         with pytest.raises(ValueError):
             quad.build_grid(*bad)
 
