@@ -5,26 +5,22 @@ The integrals behind the region-charge series are 3d integrals of
     conj(phi_k^(p)) phi_k'^(p) g(p),    g in {1, 1/lambda, p_s/lambda},
 
 over the cube modes of a shell.  The mode transforms factor per axis and the
-grid is a tensor product of identical 1d panels, so a Gram matrix is a
-three-stage contraction of per-axis factor tables against the non-separable
-weight g(p).  Four structural savings make the big shells cheap:
+grid is a tensor product of identical 1d panels.  Two savings make the big
+shells cheap:
 
-* per axis the two modes enter through the symmetric product
-  D(a - p) D(a' - p), so only pairs a <= a' are contracted;
-* the node set is symmetric under p -> -p and every weight is even or odd
-  in each coordinate, so each axis is folded onto its positive nodes;
-* 1/lambda is symmetric under permuting the axes, so G1 and G2 are G3 with
-  its axes relabelled, and each plane of nodes only needs E W E^T;
-* D is even, so the pairs (a, a') and (-a', -a) share their folded even
-  row, and a plane is contracted over one pair of each such class.
-
-The plane loop writes the weights and both products into buffers allocated
-once before it, so it allocates nothing per plane.
+* pair folding: per axis the two modes enter through the symmetric product
+  D(a - p) D(a' - p), so only pairs a <= a' are tabulated, and every weight
+  is even or odd in each coordinate, so each axis folds onto its positive nodes;
+* a separable weight: 1/lambda = sum_r c_r exp(-a_r m^2) prod_s exp(-a_r p_s^2),
+  an exponential sum (Beylkin and Monzon, ACHA 28, 2010), so the Gram
+  accumulators are rank-R sums of outer products of per-axis tables and
+  1/lambda is never evaluated on the 3d node set.  G1 and G2 are G3 with its
+  axes relabelled, since 1/lambda is symmetric under permuting the axes.
 
 Panels are aligned to the integers because the integrand oscillates with
 unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
-then converges fast.  Accumulation order is fixed by the node ordering, so
-results are reproducible run to run.
+then converges fast.  Accumulation order is fixed by the node and term
+ordering, so results are reproducible run to run.
 
 The Grams stay pair-compressed (`GramMatrices`) and reach the spinor level
 through `m_plus_terms`, the Kronecker terms of R = M+ - I/2.  The series
@@ -53,6 +49,7 @@ __all__ = [
 ]
 
 MAX_EFFECTIVE_NODES = 1e9
+_BLOCK_BYTES = 2 ** 21  # bound on gram_suite's per-block temporary
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,10 @@ def _pair_index(M: int):
 def _axis_tables(K: int, grid: QuadGrid):
     """Even/odd folded pair tables over the positive half-axis.
 
-    Returns (E, Ox, xp, PI, reps, cls) where for the pair r = (a, a')
+    Returns (E, Ox, xp, PI) where for the pair r = (a, a')
       E[r, i]  = B(a, x_i) B(a', x_i) + B(a, -x_i) B(a', -x_i)
       Ox[r, i] = x_i * (B(a, x_i) B(a', x_i) - B(a, -x_i) B(a', -x_i))
-    with B(a, x) = sqrt(w) D(a - x) / (2 pi).  Since D is even,
-    B(a, -x) = B(-a, x), so the pairs (a, a') and (-a', -a) share their E row
-    and have opposite Ox rows.  `reps` lists one pair of each such class and
-    `cls` gives every pair the position of its class in `reps`.
+    with B(a, x) = sqrt(w) D(a - x) / (2 pi).
     """
     N = grid.nodes_per_axis
     xp = grid.nodes[N // 2:]
@@ -152,16 +146,24 @@ def _axis_tables(K: int, grid: QuadGrid):
     sq = np.sqrt(wp)
     Bp = sq[None, :] * axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
     Bm = sq[None, :] * axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
-    M = offsets.size
-    PI, a, b = _pair_index(M)
+    PI, a, b = _pair_index(offsets.size)
     prod_p = Bp[a] * Bp[b]
     prod_m = Bm[a] * Bm[b]
-    E = prod_p + prod_m
-    Ox = xp[None, :] * (prod_p - prod_m)
-    mirror = PI[M - 1 - b, M - 1 - a]
-    reps, cls = np.unique(np.minimum(np.arange(a.size), mirror),
-                          return_inverse=True)
-    return E, Ox, xp, PI, reps, cls
+    return prod_p + prod_m, xp[None, :] * (prod_p - prod_m), xp, PI
+
+
+def _inverse_sqrt_terms(x_min: float, x_max: float):
+    """(a_r, c_r) with sum_r c_r exp(-a_r x) = 1/sqrt(x) to a relative error
+    below 1e-13 for x in [x_min, x_max]: the trapezoid rule, step h = 0.12,
+    for (2/sqrt(pi)) int exp(-e^{2s} x + s) ds over s from -ln(x_max)/2 - 37
+    to ln(40/x_min)/2, so a_r = e^{2 s_r}, c_r = (2/sqrt(pi)) h e^{s_r}.  The
+    step aliases below 1e-17 and the cut ends lose below e^{-37}; the rest is
+    rounding, measured at 6.7e-16 on the headline grid for m <= 10 and at
+    4.0e-15 for the largest mass whose square is finite."""
+    h = 0.12
+    lo, hi = -0.5 * np.log(x_max) - 37.0, 0.5 * np.log(40.0 / x_min)
+    s = lo + h * np.arange(int(np.ceil((hi - lo) / h)) + 1)
+    return np.exp(2.0 * s), (2.0 / np.sqrt(np.pi)) * h * np.exp(s)
 
 
 @dataclass
@@ -215,32 +217,29 @@ class GramMatrices:
 
 
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
-    """Assemble all weighted Gram matrices of a shell in one quadrature pass."""
+    """Assemble all weighted Gram matrices of a shell in one quadrature pass:
+    acc0 = sum_r c_r e^{-a_r m^2} g_r (x) g_r (x) g_r and acc3 the same with
+    h_r last, where g_r = E phi_r, h_r = Ox phi_r, phi_r = exp(-a_r xp^2),
+    built in blocks of the first pair index of at most _BLOCK_BYTES."""
     m2 = mass_squared(m)
     grid.tail_estimate(shell.K)  # rejects a cutoff that does not cover the shell
-    E, Ox, xp, PI, reps, cls = _axis_tables(shell.K, grid)
-    Er = E[reps]
-    Nh = xp.size
-
-    # W = 1/lambda on the plane of the i3-th node, evaluated in place
+    E, Ox, xp, PI = _axis_tables(shell.K, grid)
     x2 = xp ** 2
-    plane = x2[:, None] + x2[None, :] + m2
-    W = np.empty_like(plane)
-    EW = np.empty((reps.size, Nh))
-    Yr = np.empty((Nh, reps.size, reps.size))
-    for i3 in range(Nh):
-        np.add(plane, x2[i3], out=W)
-        np.sqrt(W, out=W)
-        np.divide(1.0, W, out=W)
-        np.matmul(Er, W, out=EW)
-        np.matmul(EW, Er.T, out=Yr[i3])
-    Y = Yr[:, cls[:, None], cls[None, :]]
+    a, c = _inverse_sqrt_terms(3.0 * x2.min() + m2, 3.0 * x2.max() + m2)
+    phi = np.exp(-x2[:, None] * a[None, :])
+    g, h = E @ phi, Ox @ phi  # (npair, R)
+    cg = g * (c * np.exp(-a * m2))
+    npair = g.shape[0]
+    acc0 = np.empty((npair,) * 3)
+    acc3 = np.empty((npair,) * 3)
+    rows = max(1, _BLOCK_BYTES // (8 * npair * a.size))
+    for p in range(0, npair, rows):
+        U = (cg[p:p + rows, None, :] * g[None, :, :]).reshape(-1, a.size)
+        np.matmul(U, g.T, out=acc0[p:p + rows].reshape(-1, npair))
+        np.matmul(U, h.T, out=acc3[p:p + rows].reshape(-1, npair))
 
-    return GramMatrices(
-        shell=shell, m=float(m), grid=grid, pair_index=PI, g1d=E.sum(axis=1),
-        acc0=np.tensordot(Y, E, axes=([0], [1])),
-        acc3=np.tensordot(Y, Ox, axes=([0], [1])),
-    )
+    return GramMatrices(shell=shell, m=float(m), grid=grid, pair_index=PI,
+                        g1d=E.sum(axis=1), acc0=acc0, acc3=acc3)
 
 
 def m_plus_terms(suite: GramMatrices):

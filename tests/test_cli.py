@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcharge import cli, quadrature
+from fockcharge import cli, quadrature, suites
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -103,6 +105,20 @@ def test_argument_parsing_leaves_numpy_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def test_help_text_defaults_match_experiment_config():
+    # the parser restates the defaults without reading the dataclass, which
+    # would load numpy before the thread setup
+    helps = {a.dest: a for a in cli.build_parser()._actions}
+    for f in dataclasses.fields(suites.ExperimentConfig):
+        if not f.init:
+            continue
+        action = helps[f.name]
+        stated = re.search(r"\(default ([^)]+)\)", action.help)
+        assert stated, f.name
+        assert action.type(stated.group(1)) == f.default, f.name
+        assert type(action.type(stated.group(1))) is type(f.default), f.name
 
 
 def test_shells_zero_skips_growth_checks(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,72 @@ def test_folded_assembly_matches_naive_reference():
             for name, ref in zip(GS, gs):
                 assert np.max(np.abs(dense_gram(suite, name) - ref)) < 1e-13
             assert np.max(np.abs(dense_gram(suite, "one") - g_one)) < 1e-13
+
+
+def plane_loop_accumulators(K, m, grid):
+    """acc0 and acc3 by the direct plane loop: 1/lambda evaluated on every
+    plane of positive 3d nodes, contracted with the folded pair tables.
+    Since D is even, the pairs (a, a') and (-a', -a) share their E row, so
+    each plane is contracted over one pair of each such class (`reps`) and
+    `cls` gives every pair the position of its class in `reps`."""
+    E, Ox, xp, PI = quad._axis_tables(K, grid)
+    M = PI.shape[0]
+    a, b = np.triu_indices(M)
+    mirror = PI[M - 1 - b, M - 1 - a]
+    reps, cls = np.unique(np.minimum(np.arange(a.size), mirror), return_inverse=True)
+    Er = E[reps]
+    x2 = xp ** 2
+    plane = x2[:, None] + x2[None, :] + m * m
+    Yr = np.stack([Er @ (1.0 / np.sqrt(plane + x2_3)) @ Er.T for x2_3 in x2])
+    Y = Yr[:, cls[:, None], cls[None, :]]
+    return np.tensordot(Y, E, axes=([0], [1])), np.tensordot(Y, Ox, axes=([0], [1]))
+
+
+HEADLINE_GRID = (40, 2, 6)
+MASSES = (0.0, 0.1, 1.0, 10.0, 1.3407807929942596e154)  # the last: largest m with finite m^2
+
+
+@pytest.mark.parametrize("K, grid_args, masses", [
+    (2, (3, 1, 4), MASSES),
+    (4, (6, 2, 6), MASSES),
+    (4, (5, 1, 12), MASSES),
+    (4, HEADLINE_GRID, (1.0,)),
+])
+def test_exponential_sum_matches_plane_loop(K, grid_args, masses):
+    shell = modes.enumerate_shell(K)
+    grid = quad.build_grid(*grid_args)
+    for m in masses:
+        suite = quad.gram_suite(shell, m, grid)
+        for acc, ref in zip((suite.acc0, suite.acc3), plane_loop_accumulators(K, m, grid)):
+            assert np.max(np.abs(acc - ref)) < 1e-13 * np.max(np.abs(ref)), m
+
+
+@pytest.mark.parametrize("m", MASSES)
+def test_inverse_sqrt_sum_error_bound(m):
+    # over the |p|^2 + m^2 range of the headline grid: a log-spaced sweep
+    # and a sample of actual 3d node values
+    x2 = quad.build_grid(*HEADLINE_GRID).nodes ** 2
+    m2 = m * m
+    x_min, x_max = 3 * x2.min() + m2, 3 * x2.max() + m2
+    a, c = quad._inverse_sqrt_terms(x_min, x_max)
+    triples = np.random.default_rng(0).integers(0, x2.size, size=(2000, 3))
+    sweep = x_min * (x_max / x_min) ** np.linspace(0.0, 1.0, 2000)
+    x = np.concatenate([sweep, x2[triples].sum(axis=1) + m2])
+    approx = c @ np.exp(-a[:, None] * x[None, :])
+    assert np.max(np.abs(approx * np.sqrt(x) - 1.0)) < 1e-13
+
+
+def test_gram_suite_memory_stays_near_its_accumulators():
+    # the rank-R sums are built in blocks, never as an (R, npair^2) array
+    shell = modes.enumerate_shell(8)
+    grid = quad.build_grid(*HEADLINE_GRID)
+    tracemalloc.start()
+    try:
+        suite = quad.gram_suite(shell, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < suite.acc0.nbytes + suite.acc3.nbytes + 16 * 2 ** 20
 
 
 def shell_permutation(shell):
