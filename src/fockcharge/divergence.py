@@ -12,28 +12,35 @@ Grams: X_t in {m G0, G1, G2, G3} (weights 1/lambda and p_s/lambda), Y_t in
 with n = J/4 scalar modes, and both evaluation routes compute this one
 quantity; they differ only in how they reduce |R_J|_F^2:
 
-* trace route: for the product basis (V = 1) or the conjugation-invariant
-  basis, V is a frame of column groups sum_u R_u (x) Q_u (R_u selects
-  scalar modes, Q_u is a fixed spin matrix).  Every block of R_J is then
-  sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius norm follows
-  from inner products of scalar blocks together with the spin cross-Gram
-  <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not assumed.  The
-  scalar blocks of the top shell are gathered from the suite once, and each
-  sub-shell reads their leading corner; no spinor matrix is formed;
+* trace route: the product basis and the conjugation-invariant basis are
+  both frames of column groups sum_u R_u (x) Q_u (R_u selects scalar modes,
+  Q_u is a fixed spin matrix) on one skeleton, [(fixed, T0)],
+  [(L, A), (pi L, B)], with pi the mode map k -> -k, the zero mode fixed
+  and L the modes i < pi(i) (`FRAMES`, `_shell_frame`).  Every block of
+  R_J is then sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius
+  norm follows from inner products of scalar blocks together with the spin
+  cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not
+  assumed.  The mirror symmetry X_t(pi r, pi r') = eps_t X_t(r, r') (eps
+  +1 for G0, -1 for Gs) folds the blocks read through pi L onto those of
+  L, so only (fixed, fixed), (fixed, L), (L, L) and (L, pi L) are
+  gathered, once for the top shell and both bases, L's rows in blocks of
+  _ROW_BLOCK; every sub-shell sums its tiles of those row blocks, and no
+  spinor matrix and no n x n array is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, summed over pair triples of the suite (`GramMatrices.fro2`).
 
 Both routes read the same quadrature Grams, so their agreement
 (`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2, the place
-where the mass enters `m_plus_terms` and the basis algebra, not the
-quadrature.  The honest quadrature M+, weight-one Gram included, enters
-only `mplus_diagonal`, which reads its diagonal off the same frames
-(`FRAMES`); `c_invariant_transform` assembles the invariant frame as a sparse
-matrix and, like the dense M+ (`quadrature.m_plus`), serves as an oracle for
-the tests.  On complete shells the sums are basis independent (trace
-invariance); the basis matters for partial shells, which is exactly why the
-series itself is basis sensitive.
+where the mass enters `m_plus_terms`, the mirror symmetry the trace route
+folds by and the basis algebra, not the quadrature.  The honest quadrature
+M+, weight-one Gram included, enters only `mplus_diagonal`, which reads its
+diagonal off the same frames; `c_invariant_transform` assembles the
+invariant frame as a sparse matrix and, like the dense M+
+(`quadrature.m_plus`), serves as an oracle for the tests.  On complete
+shells the sums are basis independent (trace invariance); the basis matters
+for partial shells, which is exactly why the series itself is basis
+sensitive.
 """
 
 from dataclasses import dataclass
@@ -43,8 +50,9 @@ from scipy import sparse
 
 from . import fock
 from .charge import SubspaceBasis, vacuum_norm
-from .modes import Shell, enumerate_shell, shell_conjugation
+from .modes import Shell, enumerate_shell
 from .quadrature import QuadGrid, GramMatrices, gram_suite, m_plus_terms
+from .spinor import conjugation_matrix
 
 __all__ = [
     "DivergenceSeries",
@@ -60,6 +68,7 @@ __all__ = [
 PRODUCT = "product"
 C_INVARIANT = "c_invariant"
 MAX_TAIL = 0.10
+_ROW_BLOCK = 256  # rows of the top shell the trace route gathers at a time
 
 
 @dataclass
@@ -78,42 +87,54 @@ class DivergenceSeries:
         return [self.S[0]] + [b - a for a, b in zip(self.S, self.S[1:])]
 
 
-def _product_frame(shell: Shell):
-    return [[(np.arange(shell.count), np.eye(4))]]
+def _spin_frames():
+    """The spin matrices (T0, A, B) of each basis on the shared skeleton
+    [(fixed, T0)], [(L, A), (pi L, B)] of `_shell_frame`.
 
-
-def _invariant_frame(shell: Shell):
-    """The conjugation-invariant basis as column groups sum_u R_u (x) Q_u,
-    each term given as (rows, Q) with R_u the selection of `rows`.
-
-    Read off the shell conjugation U = P_pi (x) C, C = i gamma2: the zero
-    mode is its own partner and gives the group (0, T0), T0 pairing the
-    spins s < s' with C e_s = c e_s'; every other pair of modes i < pi(i)
-    gives eight columns, collected into the group (L, [I, iI]/sqrt(2)) +
-    (pi(L), [C, -iC]/sqrt(2)) over L = {i : pi(i) > i} in ascending order
-    (columns interleaved per spin, (e_s, i e_s) and (C e_s, -i C e_s)).
+    The product basis takes the zero mode's four spins and, per l in L, the
+    spins of L[l] and of pi L[l]: (I4, [I|0], [0|I]).  The invariant basis
+    is read off the shell conjugation U = P_pi (x) C, C = i gamma2: each pair
+    of modes i < pi(i) gives the columns (e_s, i e_s)/sqrt(2) on i and
+    (C e_s, -i C e_s)/sqrt(2) on pi(i), interleaved per spin, and the zero
+    mode keeps the sums of the two for the spins s < s' with C e_s = c e_s'.
     """
-    U = shell_conjugation(shell).U.tocsc()
-    n = shell.count
-    partner = U.indices[::4] // 4
-    C = U[4 * partner[0]:4 * partner[0] + 4, :4].toarray()
+    C = conjugation_matrix()
     A = np.sqrt(0.5) * np.kron(np.eye(4), [1.0, 1j])
     B = np.sqrt(0.5) * np.kron(C, [1.0, -1j])
-    fixed = np.flatnonzero(partner == np.arange(n))
-    # a self-partner mode keeps the columns of the spins s < s'
     lo = np.flatnonzero(np.abs(C).argmax(axis=0) > np.arange(4))
     T0 = (A + B).reshape(4, 4, 2)[:, lo].reshape(4, -1)
-    L = np.flatnonzero(partner > np.arange(n))
-    return [[(fixed, T0)], [(L, A), (partner[L], B)]]
+    return {PRODUCT: (np.eye(4), np.eye(4, 8), np.eye(4, 8, 4)),
+            C_INVARIANT: (T0, A, B)}
 
 
-FRAMES = {PRODUCT: _product_frame, C_INVARIANT: _invariant_frame}
+FRAMES = _spin_frames()
 
 
-def _frame_builder(basis_kind: str):
+def _shell_frame(K: int):
+    """(fixed, L, pi L) of the shell of radius K in canonical order.
+
+    pi, the mode map k -> -k, reverses each layer |k|_inf = k of the shell
+    order, since negation reverses the lexicographic order:
+    pi(i) = start_k + end_k - 1 - i.  Only the zero mode is its own partner.
+    L = {i : pi(i) > i} is the first half of every layer k >= 1, so
+    sub-shell k holds the first ((2k+1)^3 - 1)/2 entries of L and of pi L.
+    """
+    ends = (2 * np.arange(K + 1) + 1) ** 3
+    starts = np.concatenate([[0], ends[:-1]])
+    partner = np.concatenate([np.arange(e - 1, s - 1, -1) for s, e in zip(starts, ends)])
+    idx = np.arange(ends[-1])
+    L = np.flatnonzero(partner > idx)
+    return np.flatnonzero(partner == idx), L, partner[L]
+
+
+def _frame(K: int, basis_kind: str):
+    """Column groups sum_u R_u (x) Q_u of a basis on the shell of radius K,
+    each term given as (rows, Q) with R_u the selection of `rows`."""
     if basis_kind not in FRAMES:
         raise ValueError(f"unknown basis kind {basis_kind!r}")
-    return FRAMES[basis_kind]
+    T0, A, B = FRAMES[basis_kind]
+    fixed, L, pL = _shell_frame(K)
+    return [[(fixed, T0)], [(L, A), (pL, B)]]
 
 
 def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
@@ -131,31 +152,82 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     eye = sparse.identity(shell.count, format="csc")
     groups = [sum(sparse.kron(eye[:, rows], Q, format="csc")
                   for rows, Q in group)
-              for group in _invariant_frame(shell)]
+              for group in _frame(shell.K, C_INVARIANT)]
     return sparse.hstack(groups, format="csc")
 
 
-def _frame_fro2(frame, terms, ns) -> list:
-    """|R_n|_F^2 of R_n = V_n* (sum_t X_t (x) Y_t) V_n for each n in ns, where
-    V_n holds the frame's columns on the first n scalar modes."""
-    # each group's leading rows are ascending and a sub-shell's come first
-    counts = [[np.count_nonzero(group[0][0] < n) for n in ns] for group in frame]
-    fro2 = [0.0] * len(ns)
-    for left, ca in zip(frame, counts):
-        for right, cb in zip(frame, counts):
-            # the top sub-shell's blocks, gathered once; sub-shell n reads the
-            # leading ca[n] x cb[n] corner of each
-            blocks = [(X, r, r2) for X, _ in terms for r, _ in left for r2, _ in right]
-            Z = np.empty((len(blocks), left[0][0].size, right[0][0].size))
-            for z, (X, r, r2) in zip(Z, blocks):
-                z[...] = X(r[:, None], r2)
-            P = np.stack([(Q.conj().T @ Y @ Q2).ravel()
-                          for _, Y in terms for _, Q in left for _, Q2 in right])
-            PP = P.conj() @ P.T
-            for k, (a, b) in enumerate(zip(ca, cb)):
-                Zn = Z[:, :a, :b].reshape(len(blocks), -1)
-                # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
-                fro2[k] += float(np.sum((Zn @ Zn.T) * PP).real)
+def _block_grams(blocks, rows, row_counts, col_counts) -> np.ndarray:
+    """D[k] = <Z_a, Z_b> of the scalar blocks Z_a = X_a(rows, cols_a) cut to
+    sub-shell k, i.e. to their first row_counts[k] rows and col_counts[k]
+    columns, for every sub-shell k.
+
+    `blocks` lists (X_a, cols_a) with column sets of one size.  The rows of
+    each layer (sub-shell k less sub-shell k-1) are gathered _ROW_BLOCK at a
+    time, read transposed (the Grams are symmetric), so each column
+    sub-shell is a leading slice of the block.  A tile of row layer kr and
+    column layer kc adds into D[max(kr, kc)], and the cumulative sum over
+    sub-shells gives every corner.
+    """
+    T, ncol = len(blocks), blocks[0][1].size
+    D = np.zeros((len(row_counts), T, T))
+    buf = np.empty(T * ncol * min(_ROW_BLOCK, rows.size))
+    row_edges = [0] + list(row_counts)
+    for kr in range(len(row_counts)):
+        # the columns of sub-shell kr, then each later column layer
+        col_edges = [0] + list(col_counts[kr:])
+        for p0 in range(row_edges[kr], row_edges[kr + 1], _ROW_BLOCK):
+            rb = rows[p0:min(p0 + _ROW_BLOCK, row_edges[kr + 1])]
+            Z = buf[:T * ncol * rb.size].reshape(T, ncol, rb.size)
+            for z, (X, cols) in zip(Z, blocks):
+                z[...] = X(cols[:, None], rb)
+            for k, (c0, c1) in enumerate(zip(col_edges, col_edges[1:]), start=kr):
+                seg = Z[:, c0:c1].reshape(T, -1)
+                D[k] += seg @ seg.T
+    return np.cumsum(D, axis=0)
+
+
+def _cross_gram(spins) -> np.ndarray:
+    P = np.stack([Q.ravel() for Q in spins])
+    return P.conj() @ P.T
+
+
+def _folded_spins(T0, A, B, Y, e):
+    """Spin factors of one term (Y, e) on the folded blocks (fixed, fixed),
+    (fixed, L), (L, fixed), (L, L) and (L, pi L), the mirrored blocks added
+    with their parity e."""
+    AB = A + e * B
+    return (T0.conj().T @ Y @ T0, T0.conj().T @ Y @ AB, AB.conj().T @ Y @ T0,
+            A.conj().T @ Y @ A + e * (B.conj().T @ Y @ B),
+            A.conj().T @ Y @ B + e * (B.conj().T @ Y @ A))
+
+
+def _frame_fro2(terms, K: int) -> dict:
+    """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k per basis in FRAMES,
+    for every sub-shell k = 0..K, V_k the frame's columns on sub-shell k.
+
+    On the skeleton [(fixed, T0)], [(L, A), (pi L, B)] the mirror symmetry
+    X_t(pi r, pi r') = eps_t X_t(r, r') and pi(fixed) = fixed fold every
+    block onto (fixed, fixed), (fixed, L), its transpose (L, fixed), (L, L)
+    and (L, pi L).  The scalar-block Grams do not depend on the basis: they
+    are gathered once, and each basis contracts them with its own spin
+    cross-Gram.
+    """
+    fixed, L, pL = _shell_frame(K)
+    ones = [1] * (K + 1)
+    half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
+    Xs = [X for X, _, _ in terms]
+    grams = [_block_grams([(X, fixed) for X in Xs], fixed, ones, ones),
+             _block_grams([(X, L) for X in Xs], fixed, ones, half),
+             _block_grams([(X, c) for c in (L, pL) for X in Xs], L, half, half)]
+    fro2 = {}
+    for kind, frame in FRAMES.items():
+        ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for _, Y, e in terms))
+        # (L, fixed) shares the Gram of its transpose (fixed, L)
+        spin_grams = [_cross_gram(ff), _cross_gram(fl) + _cross_gram(lf),
+                      _cross_gram(ll + lm)]
+        # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
+        fro2[kind] = sum(np.einsum("kab,ab->k", D, PP).real
+                         for D, PP in zip(grams, spin_grams))
     return fro2
 
 
@@ -172,8 +244,8 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     """Validate the shell radii, the grid and a precomputed suite.
 
     Returns the radii, their scalar mode counts n = (2K+1)^3, the tail
-    estimate at the top shell, the top shell and its Gram suite, built when
-    none is given.
+    estimate at the top shell and the Gram suite, built for the top shell
+    when none is given.
     """
     shells = [int(k) for k in shells]
     if not shells or any(k < 0 for k in shells):
@@ -188,28 +260,27 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
     if suite is not None and suite.grid.describe() != grid.describe():
         raise ValueError(f"precomputed Gram suite was built on the grid "
                          f"{suite.grid.describe()}, not {grid.describe()}")
-    top = enumerate_shell(kmax)
     if suite is None:
-        suite = gram_suite(top, m, grid)
-    return shells, [(2 * K + 1) ** 3 for K in shells], tail, top, suite
+        suite = gram_suite(enumerate_shell(kmax), m, grid)
+    return shells, [(2 * K + 1) ** 3 for K in shells], tail, suite
 
 
 def vacuum_series_trace(shells, m: float, grid: QuadGrid,
-                        basis_kind: str = PRODUCT,
-                        suite: GramMatrices = None) -> DivergenceSeries:
+                        suite: GramMatrices = None) -> tuple:
     """S_J per shell as n - |R_J|_F^2, R_J = V_J* M+ V_J - I/2, with |R_J|_F^2
     reduced through the Dirac cross-Gram of the frame; no spinor matrix.
 
-    basis_kind "product" uses the plane-wave spinor modes; "c_invariant"
-    uses the invariant basis built from the shell conjugation, realizing the
-    basis whose terms all carry weight 1/2.
+    Returns one series per basis in FRAMES: the plane-wave spinor modes
+    ("product") and the invariant basis of the shell conjugation
+    ("c_invariant"), the basis whose terms all carry weight 1/2.  Both read
+    one gather of the top shell's scalar blocks.
     """
-    frame = _frame_builder(basis_kind)
-    shells, ns, tail, top, suite = _prepare(shells, m, grid, suite)
-    fro2 = _frame_fro2(frame(top), m_plus_terms(suite), ns)
-    S = [n - f for n, f in zip(ns, fro2)]
-    return DivergenceSeries(shells, [4 * n for n in ns], S, basis_kind, float(m),
-                            grid.describe(), tail)
+    shells, ns, tail, suite = _prepare(shells, m, grid, suite)
+    fro2 = _frame_fro2(m_plus_terms(suite), shells[-1])
+    return tuple(DivergenceSeries(shells, [4 * n for n in ns],
+                                  [n - f[K] for n, K in zip(ns, shells)], kind,
+                                  float(m), grid.describe(), tail)
+                 for kind, f in fro2.items())
 
 
 def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
@@ -220,29 +291,31 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
         S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
 
     by `GramMatrices.fro2`.  The mass enters there, not through
-    `m_plus_terms`, so the trace route's agreement checks where it enters.
+    `m_plus_terms`, and no mirror symmetry is used, so the trace route's
+    agreement checks both.
     """
-    shells, ns, tail, _, suite = _prepare(shells, m, grid, suite)
+    shells, ns, tail, suite = _prepare(shells, m, grid, suite)
     S = [n - suite.fro2(K) for n, K in zip(ns, shells)]
     return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, float(m),
                             grid.describe(), tail)
 
 
 def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray:
-    """Diagonal of the honest (quadrature) M+ in the basis `basis_kind`; for
-    "c_invariant" (columns in `c_invariant_transform` order) the entries sit
-    at 1/2 up to the quadrature tolerance.
+    """Diagonal of the honest (quadrature) M+ in the basis `basis_kind`, in
+    frame order (`c_invariant_transform` order for "c_invariant"); for
+    "c_invariant" the entries sit at 1/2 up to the quadrature tolerance.
 
     Read off the frame: column (l, c) of a group sum_u R_u (x) Q_u gives
     sum_t sum_uu' X_t[r_u[l], r_u'[l]] Re diag(Q_u* Y_t Q_u')[c] over the
     Kronecker terms of M+, the quadrature identity part ("one", I/2) followed
     by `m_plus_terms`, so no spinor matrix is formed.
     """
-    frame = _frame_builder(basis_kind)(suite.shell)
-    terms = [(lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4))] + m_plus_terms(suite)
+    frame = _frame(suite.shell.K, basis_kind)
+    terms = ([(lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4), 1.0)]
+             + m_plus_terms(suite))
     return np.concatenate([
         sum(np.outer(X(r, r2), np.diagonal(Q.conj().T @ Y @ Q2).real)
-            for X, Y in terms for r, Q in group for r2, Q2 in group).ravel()
+            for X, Y, _ in terms for r, Q in group for r2, Q2 in group).ravel()
         for group in frame])
 
 

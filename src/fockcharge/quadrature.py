@@ -243,26 +243,30 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
 
 
 def m_plus_terms(suite: GramMatrices):
-    """Kronecker terms (X_t, Y_t) of R = M+ - I/2, the spinor-level Gram of
-    the positive spectral projector less its identity part, with spin as
-    the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
+    """Kronecker terms (X_t, Y_t, eps_t) of R = M+ - I/2, the spinor-level
+    Gram of the positive spectral projector less its identity part, with
+    spin as the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
 
-    Each X_t is a function (rows, cols) -> entries gathered from the suite.
-    The mass sits in the scalar block, so both factors stay of order one up
-    to the largest mass whose square is finite.  The identity part is exact
-    on the orthonormal modes; `divergence.mplus_diagonal`, which needs the
-    quadrature M+, adds the weight-one Gram ("one", I/2) itself.
+    Each X_t is a function (rows, cols) -> entries gathered from the suite,
+    and eps_t its parity under the mirror k -> -k of both modes,
+    X_t(-k, -k') = eps_t X_t(k, k'): the shell modes satisfy
+    phi_{-k}^(p) = phi_k^(-p) on the symmetric grid, 1/lambda is even in p
+    and p_s/lambda odd.  The mass sits in the scalar block, so both factors
+    stay of order one up to the largest mass whose square is finite.  The
+    identity part is exact on the orthonormal modes;
+    `divergence.mplus_diagonal`, which needs the quadrature M+, adds the
+    weight-one Gram ("one", I/2, +1) itself.
     """
     g = gamma_matrices()
-    return ([(lambda rows, cols: suite.m * suite.gather("g0", rows, cols), 0.5 * g.beta)]
-            + [(partial(suite.gather, name), 0.5 * a)
+    return ([(lambda rows, cols: suite.m * suite.gather("g0", rows, cols), 0.5 * g.beta, 1.0)]
+            + [(partial(suite.gather, name), 0.5 * a, -1.0)
                for name, a in zip(("g1", "g2", "g3"), g.alpha)])
 
 
 def _dense_m_plus(suite: GramMatrices, identity) -> np.ndarray:
     idx = np.arange(suite.shell.count)
-    terms = [(identity, 0.5 * np.eye(4, dtype=complex))] + m_plus_terms(suite)
-    return sum(np.kron(X(idx[:, None], idx), Y) for X, Y in terms)
+    terms = [(identity, 0.5 * np.eye(4, dtype=complex), 1.0)] + m_plus_terms(suite)
+    return sum(np.kron(X(idx[:, None], idx), Y) for X, Y, _ in terms)
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:

@@ -506,14 +506,12 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     suite = quadrature.gram_suite(top, cfg.m, cfg.grid)
 
     scalar = divergence.vacuum_series_scalar(shells, cfg.m, cfg.grid, suite=suite)
-    product = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid,
-                                             basis_kind=divergence.PRODUCT, suite=suite)
-    c_inv = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid,
-                                           basis_kind=divergence.C_INVARIANT, suite=suite)
+    product, c_inv = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid, suite=suite)
     S_ci = c_inv.S
 
     # both routes read the same Gram suite: this checks the four-spin
-    # reduction of the trace, not the quadrature
+    # reduction of the trace and the mirror symmetry the trace route folds
+    # its blocks by, not the quadrature
     route_dev = max(abs(a - b) / max(abs(b), 1e-300)
                     for a, b in zip(product.S, scalar.S))
     basis_dev = max(abs(a - b) / max(abs(b), 1e-300)

@@ -149,9 +149,10 @@ def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
 
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
-    # the K=4 run below peaks near 26 MB of traced allocations.  One dense
-    # K=4 spinor matrix adds 136 MB (complex) or 68 MB (real) to it, and a
-    # dense complex K=3 one 30 MB, so a 50 MB bound catches each of them
+    # the K=4 run below peaks near 8.4 MB of traced allocations, most of it
+    # one row block of the trace route.  One dense K=4 spinor matrix adds
+    # 136 MB (complex) or 68 MB (real) to it, and a dense K=3 one 30 MB
+    # (complex) or 15 MB (real), so a 20 MB bound catches each of them
     # however it is built; the test above refuses the dense oracles by name
     # at any K.  The small run first loads what the run imports lazily, so
     # the bound counts the run alone.
@@ -164,7 +165,7 @@ def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and "FAIL" not in out
-    assert peak < 50 * 2 ** 20
+    assert peak < 20 * 2 ** 20
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import dense_gram, random_unitary
-from fockcharge import charge, divergence as dv, modes, quadrature as quad
+from fockcharge import charge, divergence as dv, modes, quadrature as quad, spinor
 
 SMALL_GRID = quad.build_grid(10, 1, 5)
 SHELLS = [0, 1, 2]
@@ -14,7 +17,7 @@ def small_suite():
 
 
 def test_routes_agree_on_product_basis(small_suite):
-    tr = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    tr, _ = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
     sc = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
     for a, b in zip(tr.S, sc.S):
         assert abs(a - b) / abs(b) < 1e-6
@@ -49,9 +52,8 @@ def test_single_c_invariant_mode_quarter():
 
 
 def test_c_invariant_route_matches_at_shell_boundaries(small_suite):
-    prod = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
-    ci = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID,
-                                basis_kind=dv.C_INVARIANT, suite=small_suite)
+    prod, ci = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    assert (prod.basis_kind, ci.basis_kind) == (dv.PRODUCT, dv.C_INVARIANT)
     for a, b in zip(prod.S, ci.S):
         assert abs(a - b) / abs(b) < 1e-8
 
@@ -65,18 +67,44 @@ def _dense_series(M, shells):
     return out
 
 
+def _dense_both(suite, shells):
+    # tr(W_K) - |W_K|_F^2 on the dense M+ in the product and invariant bases
+    M = quad.ideal_m_plus(suite)
+    V = dv.c_invariant_transform(suite.shell).toarray()
+    return [_dense_series(M, shells), _dense_series(V.conj().T @ M @ V, shells)]
+
+
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_trace_series_matches_dense_oracle(K):
     # the Kronecker-frame route against tr(W_K) - |W_K|_F^2 on the dense M+
-    shell = modes.enumerate_shell(K)
-    suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     shells = list(range(K + 1))
-    M = quad.ideal_m_plus(suite)
-    V = dv.c_invariant_transform(shell).toarray()
-    for kind, dense in ((dv.PRODUCT, M), (dv.C_INVARIANT, V.conj().T @ M @ V)):
-        series = dv.vacuum_series_trace(shells, 1.0, SMALL_GRID, basis_kind=kind, suite=suite)
-        for a, b in zip(series.S, _dense_series(dense, shells)):
+    both = dv.vacuum_series_trace(shells, 1.0, SMALL_GRID, suite=suite)
+    for series, dense in zip(both, _dense_both(suite, shells)):
+        for a, b in zip(series.S, dense):
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("block", [1, 5, 7])
+def test_small_row_blocks_match_default_and_dense_oracle(block, small_suite, monkeypatch):
+    # the row blocks restart at each layer; layers 1 and 2 hold 13 and 49
+    # rows of L, so 5 and 7 rows leave a short block at the end of each and
+    # 1 row makes every row its own block
+    default = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    monkeypatch.setattr(dv, "_ROW_BLOCK", block)
+    both = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    for series, ref, dense in zip(both, default, _dense_both(small_suite, SHELLS)):
+        for a, b, c in zip(series.S, ref.S, dense):
+            assert abs(a - b) <= 1e-13 * abs(b)
+            assert abs(a - c) <= 1e-12 * abs(c)
+
+
+def _product_frame_order(K):
+    # the product frame's columns: the zero mode's four spins, then per mode
+    # of L the spins of L[l] and of pi L[l]
+    fixed, L, pL = dv._shell_frame(K)
+    modes_ = np.concatenate([fixed, np.stack([L, pL], axis=1).ravel()])
+    return (4 * modes_[:, None] + np.arange(4)).ravel()
 
 
 @pytest.mark.parametrize("K", [0, 1, 2])
@@ -86,15 +114,72 @@ def test_mplus_diagonal_matches_dense_oracle(K):
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
     M = quad.m_plus(suite)
     V = dv.c_invariant_transform(shell).toarray()
-    for kind, dense in ((dv.PRODUCT, M), (dv.C_INVARIANT, V.conj().T @ M @ V)):
+    order = _product_frame_order(K)
+    assert np.array_equal(np.sort(order), np.arange(4 * shell.count))
+    for kind, dense in ((dv.PRODUCT, M[np.ix_(order, order)]),
+                        (dv.C_INVARIANT, V.conj().T @ M @ V)):
         diag = dv.mplus_diagonal(suite, kind)
         assert np.max(np.abs(diag - np.diagonal(dense).real)) < 1e-14
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_shell_frame_matches_shell_conjugation(K):
+    # the layer reversal and conjugation_matrix() rebuild U = P_pi (x) C
+    fixed, L, pL = dv._shell_frame(K)
+    n = (2 * K + 1) ** 3
+    partner = np.arange(n)
+    partner[L], partner[pL] = pL, L
+    U = modes.shell_conjugation(modes.enumerate_shell(K)).U
+    P = sparse.csr_matrix((np.ones(n), (partner, np.arange(n))), shape=(n, n))
+    assert (U != sparse.kron(P, spinor.conjugation_matrix())).nnz == 0
+    assert np.array_equal(fixed, [0])
+    assert np.all(pL > L) and np.all(np.diff(L) > 0)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_folded_blocks_reproduce_frame_blocks(K):
+    # the norm |R|_F^2 cannot see the parities the fold adds with (A B* = 0
+    # and T0 is unitary), so compare each folded block with V_g* R V_g'
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    R = quad.ideal_m_plus(suite) - 0.5 * np.eye(4 * suite.shell.count)
+    terms = quad.m_plus_terms(suite)
+    eye = np.eye(suite.shell.count)
+    for kind in dv.FRAMES:
+        (fixed, T0), (L, A), (pL, B) = [t for group in dv._frame(K, kind) for t in group]
+        Vf = np.kron(eye[:, fixed], T0)
+        V2 = np.kron(eye[:, L], A) + np.kron(eye[:, pL], B)
+        spins = [dv._folded_spins(T0, A, B, Y, e) for _, Y, e in terms]
+        folded = [(Vf, Vf, [(fixed, fixed, 0)]), (Vf, V2, [(fixed, L, 1)]),
+                  (V2, Vf, [(L, fixed, 2)]), (V2, V2, [(L, L, 3), (L, pL, 4)])]
+        for Vl, Vr, blocks in folded:
+            built = sum(np.kron(X(r[:, None], c), P[j])
+                        for (X, _, _), P in zip(terms, spins) for r, c, j in blocks)
+            assert np.max(np.abs(built - Vl.conj().T @ R @ Vr)) < 1e-14
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("m", [0.0, 1.0, 1.3407807929942596e154])
+def test_gathered_blocks_mirror_symmetric(K, m):
+    # X_t(pi r, pi r') = eps_t X_t(r, r'): one and g0 even, g1..g3 odd
+    fixed, L, pL = dv._shell_frame(K)
+    idx = np.arange((2 * K + 1) ** 3)
+    pi = idx.copy()
+    pi[L], pi[pL] = pL, L
+    parity = {"one": 1.0, "g0": 1.0, "g1": -1.0, "g2": -1.0, "g3": -1.0}
+    for grid in (SMALL_GRID, quad.build_grid(9, 2, 4)):
+        suite = quad.gram_suite(modes.enumerate_shell(K), m, grid)
+        assert [e for _, _, e in quad.m_plus_terms(suite)] == [1.0, -1.0, -1.0, -1.0]
+        for name, eps in parity.items():
+            X = suite.gather(name, idx[:, None], idx)
+            mirrored = suite.gather(name, pi[:, None], pi)
+            assert np.max(np.abs(mirrored - eps * X)) <= 1e-15 * np.max(np.abs(X))
+
+
 @pytest.mark.parametrize("kind", [dv.PRODUCT, dv.C_INVARIANT])
 def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
-    # every sub-shell reads the top shell's blocks: the series over all
-    # shells gathers as often as the top shell alone
+    # every sub-shell reads the top shell's row blocks, which do not depend
+    # on the shells asked for: the series over all shells gathers as often
+    # as the top shell alone, and gives it the same value in both bases
     calls = []
     gather = quad.GramMatrices.gather
 
@@ -103,11 +188,28 @@ def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
         return gather(self, name, rows, cols)
 
     monkeypatch.setattr(quad.GramMatrices, "gather", counted)
-    dv.vacuum_series_trace([2], 1.0, SMALL_GRID, basis_kind=kind, suite=small_suite)
+    top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], 1.0, SMALL_GRID,
+                                                           suite=small_suite)}
     top_only = len(calls)
     calls.clear()
-    dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, basis_kind=kind, suite=small_suite)
+    every = {s.basis_kind: s for s in dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID,
+                                                             suite=small_suite)}
     assert top_only > 0 and len(calls) == top_only
+    assert every[kind].S[-1] == top[kind].S[0]
+
+
+def test_trace_route_memory_below_one_dense_gram():
+    # the row blocks bound the trace route's memory: at K=6 it stays below
+    # one dense n x n float64 of the top shell (38.6 MB)
+    K = 6
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    tracemalloc.start()
+    try:
+        dv.vacuum_series_trace(list(range(K + 1)), 1.0, SMALL_GRID, suite=suite)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * suite.shell.count ** 2
 
 
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):
@@ -190,11 +292,6 @@ def test_shell_and_grid_validation():
     tiny = quad.build_grid(3, 1, 3)
     with pytest.raises(ValueError, match="tail"):
         dv.vacuum_series_scalar([0, 1, 2], 1.0, tiny)
-    with pytest.raises(ValueError, match="basis kind"):
-        dv.vacuum_series_trace([0], 1.0, SMALL_GRID, basis_kind="bogus")
-    # the basis kind is rejected before the shells or the grid are looked at
-    with pytest.raises(ValueError, match="basis kind"):
-        dv.vacuum_series_trace([0, 1, 2], 1.0, tiny, basis_kind="bogus")
     small = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
     with pytest.raises(ValueError, match="basis kind"):
         dv.mplus_diagonal(small, "bogus")
