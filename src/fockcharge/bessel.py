@@ -13,6 +13,8 @@ int_0^inf cos(z t) / sqrt(t^2 + 1) dt, which is also evaluated directly
 (lobe summation plus averaging acceleration) at moderate accuracy.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -148,13 +150,23 @@ def k1(z):
     return _eval(z, 1)
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(order: int):
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and read-only, since every caller shares them."""
+    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi.flags.writeable = False
+    wi.flags.writeable = False
+    return xi, wi
+
+
 def _damped_integral(z, nu, panels=16, order=40):
     """K_nu(z) by composite Gauss-Legendre on exp(-z cosh t) cosh(nu t); the
     upper limit is where the integrand underflows."""
     if z <= 0:
         raise ValueError("argument must be positive")
     tmax = float(np.arccosh(745.0 / z)) if z < 700.0 else 1.0
-    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi, wi = _gauss_legendre(order)
     edges = np.linspace(0.0, tmax, panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -185,7 +197,7 @@ def k0_cosine_representation(z, lobes=80, order=20):
     """
     if z <= 0:
         raise ValueError("argument must be positive")
-    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi, wi = _gauss_legendre(order)
     zeros = (np.arange(lobes + 1) + 0.5) * np.pi / z
     edges = np.concatenate([[0.0], zeros])
     pieces = []

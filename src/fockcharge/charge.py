@@ -3,11 +3,15 @@
 Builds the weighted (fuzzy-set) charge sum_j m_j :Psi*(f_j) Psi(f_j): for
 an ONB (f_j) of a subspace k; the subspace charge Q_k (all m_j = 1) and its
 truncations Q^J (m_j = 1 for j < J, else 0) are its special cases, so
-`q_weighted` is the one Wick-sum loop.  Also the number-operator variant
-Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)), the total charge, the toy
-vacuum norm |Q^J Omega|^2 by a Fock route and a trace route
-(`vacuum_norm`), the spectral / additivity / commutation checks and the
-four-sum decomposition of the truncated-charge sector norm.
+`q_weighted` is the one Wick-sum loop.  It adds the densities up in j
+order as value arrays on the one cached union pattern of `fock` (each
+density a gather, no sparse product or sparse add) and builds a single
+CSR matrix at the end; the series of scipy sparse products and adds it
+reproduces bit for bit is the oracle in the tests.  Also the
+number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)), the
+total charge, the toy vacuum norm |Q^J Omega|^2 by a Fock route and a
+trace route (`vacuum_norm`), the spectral / additivity / commutation
+checks and the four-sum decomposition of the truncated-charge sector norm.
 """
 
 from dataclasses import dataclass
@@ -162,12 +166,12 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
         raise ValueError("one weight per basis vector required")
     if not np.all((w >= 0) & (w <= 1)):  # also rejects NaN
         raise ValueError("weights must lie in [0, 1]")
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+    acc = fock._density_zeros(model)
     for j in range(basis.dim):
         if w[j]:  # a unit weight adds the density itself, with no scaled copy
-            D = fock.normal_ordered_density(model, basis.vectors[:, j])
-            out = out + (D if w[j] == 1 else w[j] * D)
-    return out.tocsr()
+            D = fock._density_values(model, basis.vectors[:, j])
+            acc += D if w[j] == 1 else w[j] * D
+    return fock._density_matrix(model, acc)
 
 
 def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitary) -> float:

@@ -15,8 +15,12 @@ constructor call: the sparsity pattern of sum_k x_k a*_k + sum_l y_l a_l
 (row pointers, column indices, which coefficient each stored entry takes and
 its Jordan-Wigner sign) is cached per mode count and mode sets, and the
 field operators use one merged pattern for their two disjoint blocks.  The
-Kronecker-product, sum-of-adds construction is kept in the tests as the
-exact oracle.
+Wick-ordered density :Psi*(f) Psi(f): is a gather on one cached union
+pattern too: every stored entry of Psi* Psi - shift I lists the pairs of
+field-pattern entries that feed it, in the order scipy's sparse product
+adds them, so the values come out bit for bit as by that product.  The
+cached arrays are read-only.  The Kronecker-product, sum-of-adds builders
+and the sparse-product density are kept in the tests as the exact oracles.
 """
 
 from dataclasses import dataclass, field
@@ -73,8 +77,53 @@ def _jw_pattern(nmodes: int, raised: tuple, lowered: tuple):
     order = np.lexsort((cols, rows))
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return (indptr, cols[order].astype(np.int32),
-            np.concatenate(pos)[order], np.concatenate(sign)[order])
+    return _read_only(indptr, cols[order].astype(np.int32),
+                      np.concatenate(pos)[order], np.concatenate(sign)[order])
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, marked non-writeable: a cached pattern is shared by every
+    later operator of its mode count, so an in-place write must fail."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _density_pattern(nmodes: int, raised: tuple, lowered: tuple):
+    """CSR structure of Psi* Psi - shift I for Psi with the `_jw_pattern`
+    of (nmodes, raised, lowered), and how each stored entry is summed.
+
+    Entry (r, c) of Psi* Psi is sum_k Psi[k, c] conj(Psi[k, r]) over the
+    states k whose field-pattern row holds both columns; scipy's sparse
+    product adds these products in ascending k.  The pairs of field-pattern
+    entries (a at (k, c), b at (k, r)) are sorted into layers by their rank
+    in that order, so layer t holds the t-th term of every entry that has
+    one, and each layer is one vectorised update.  Every diagonal entry is
+    stored, for the shift.  Returns ``(indptr, indices, diag, a, b, sel,
+    bounds)``: pair i feeds stored entry ``sel[i]``, and layer t is the pair
+    slice ``bounds[t]:bounds[t + 1]``.
+    """
+    dim = 2 ** nmodes
+    indptr, indices = _jw_pattern(nmodes, raised, lowered)[:2]
+    k = np.repeat(np.arange(dim), np.diff(indptr))   # row of each field entry
+    per = np.diff(indptr)[k]                         # entries in that row
+    a = np.repeat(np.arange(k.size), per)            # entry (k, c), once per entry of row k
+    b = np.repeat(indptr[k] - (np.cumsum(per) - per), per) + np.arange(a.size)  # entry (k, r)
+    keys = indices[b].astype(np.int64) * dim + indices[a]
+    diag_keys = np.arange(dim) * (dim + 1)
+    stored = np.union1d(keys, diag_keys)             # sorted: CSR order
+    sel = np.searchsorted(stored, keys)
+    order = np.lexsort((k[a], sel))                  # by entry, then ascending k
+    sel, a, b = sel[order], a[order], b[order]
+    rank = np.arange(sel.size) - np.searchsorted(sel, sel)
+    layered = np.argsort(rank, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))])
+    out_ptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(stored // dim, minlength=dim), out=out_ptr[1:])
+    return _read_only(out_ptr, (stored % dim).astype(np.int32),
+                      np.searchsorted(stored, diag_keys),
+                      a[layered], b[layered], sel[layered], bounds)
 
 
 @dataclass
@@ -210,10 +259,15 @@ def annihilator_c(model: ToyModel, f) -> sparse.csr_matrix:
     return _jw_operator(model, (), _antiparticle_modes(model), _c_coeffs(model, f).conj())
 
 
+def _field_coeffs(model: ToyModel, f) -> np.ndarray:
+    """Coefficients of Psi(f) = b(f) + c*(f) on the field pattern's terms."""
+    return np.concatenate([_c_coeffs(model, f), _b_coeffs(model, f).conj()])
+
+
 def field_op(model: ToyModel, f) -> sparse.csr_matrix:
     """Field operator Psi(f) = b(f) + c*(f)."""
-    coeffs = np.concatenate([_c_coeffs(model, f), _b_coeffs(model, f).conj()])
-    return _jw_operator(model, _antiparticle_modes(model), _particle_modes(model), coeffs)
+    return _jw_operator(model, _antiparticle_modes(model), _particle_modes(model),
+                        _field_coeffs(model, f))
 
 
 def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
@@ -222,16 +276,58 @@ def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
     return _jw_operator(model, _particle_modes(model), _antiparticle_modes(model), coeffs)
 
 
-def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:
-    """Wick-ordered density :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2
-    for a normalized one-particle vector f."""
+def _density_modes(model: ToyModel) -> tuple:
+    """Key of the model's `_density_pattern`."""
+    return model.n, _antiparticle_modes(model), _particle_modes(model)
+
+
+def _density_zeros(model: ToyModel) -> np.ndarray:
+    """A zero value for every stored entry of the model's density pattern."""
+    indptr = _density_pattern(*_density_modes(model))[0]
+    return np.zeros(indptr[-1], dtype=complex)
+
+
+def _density_values(model: ToyModel, f) -> np.ndarray:
+    """Stored values of :Psi*(f) Psi(f): on `_density_pattern`, explicit
+    zeros included, equal bit for bit to scipy's Psi*(f) Psi(f) - shift I
+    up to the sign of exact zeros.  Each product is written in real
+    arithmetic: numpy's complex multiply may fuse a multiply-add and leave
+    a rounding residue where scipy's gives an exact zero."""
     f = _check_f(model, f)
     nrm = np.linalg.norm(f)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"f must be normalized, |f| = {nrm}")
-    psi = field_op(model, f)
+    key = _density_modes(model)
+    _, _, pos, sign = _jw_pattern(*key)
+    _, _, diag, a, b, sel, bounds = _density_pattern(*key)
+    psi = _field_coeffs(model, f)[pos] * sign
     shift = float(np.linalg.norm(model.p_minus @ f) ** 2)
-    return (psi.conj().T @ psi - shift * sparse.identity(model.fock_dim, format="csr")).tocsr()
+    br, bi, ar, ai = psi.real[a], psi.imag[a], psi.real[b], psi.imag[b]
+    prod_re = br * ar + bi * ai   # Psi[k, c] conj(Psi[k, r])
+    prod_im = bi * ar - br * ai
+    out = _density_zeros(model)
+    re, im = out.real, out.imag
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        re[sel[lo:hi]] += prod_re[lo:hi]
+        im[sel[lo:hi]] += prod_im[lo:hi]
+    re[diag] -= shift
+    return out
+
+
+def _density_matrix(model: ToyModel, values) -> sparse.csr_matrix:
+    """CSR matrix of values on the model's density pattern, without explicit
+    zeros; it owns its index arrays."""
+    indptr, indices = _density_pattern(*_density_modes(model))[:2]
+    op = sparse.csr_matrix((values, indices.copy(), indptr.copy()),
+                           shape=(model.fock_dim, model.fock_dim))
+    op.eliminate_zeros()
+    return op
+
+
+def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:
+    """Wick-ordered density :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2
+    for a normalized one-particle vector f."""
+    return _density_matrix(model, _density_values(model, f))
 
 
 def sector_labels(model: ToyModel):

@@ -521,6 +521,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
 
     diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
+    del suite  # the series hold no reference: free it before the reference grid's suite
 
     scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, cfg.reference_grid)
     conv = max(abs(a - b) / max(abs(a), 1e-300)

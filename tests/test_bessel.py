@@ -91,3 +91,19 @@ def test_array_evaluation():
     v = bessel.k0(zs)
     assert v.shape == zs.shape
     assert np.allclose(v, [bessel.k0(z) for z in zs], rtol=1e-14)
+
+
+def test_gauss_legendre_rule_cached_once_per_order_and_read_only():
+    bessel._gauss_legendre.cache_clear()
+    for order in (20, 40):
+        xi, wi = bessel._gauss_legendre(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(xi, ref_x) and np.array_equal(wi, ref_w)
+        for arr in (xi, wi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    bessel.k0_integral(1.0)
+    bessel.k1_integral(2.0)
+    bessel.k0_cosine_representation(1.0)
+    info = bessel._gauss_legendre.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)

@@ -146,6 +146,81 @@ def test_q_total(model6, rng):
     assert max_abs(Q - np.diag(Q.diagonal())) < 1e-12
 
 
+def oracle_density(model, f):
+    """:Psi*(f) Psi(f): as scipy's sparse product Psi*(f) Psi(f) minus
+    |P- f|^2 times a sparse identity."""
+    psi = fock.field_op(model, f)
+    shift = float(np.linalg.norm(model.p_minus @ f) ** 2)
+    return (psi.conj().T @ psi - shift * sparse.identity(model.fock_dim, format="csr")).tocsr()
+
+
+def oracle_q_weighted(model, basis, weights):
+    """sum_j m_j :Psi*(f_j) Psi(f_j): as a series of scipy sparse adds."""
+    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+    for j, w in enumerate(weights):
+        if w:
+            D = oracle_density(model, basis.vectors[:, j])
+            out = out + (D if w == 1 else w * D)
+    return out.tocsr()
+
+
+def assert_bitwise_csr(A, B):
+    """Same CSR structure and the same bits in every stored value, except
+    that an exact zero may carry either sign."""
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    a, b = A.data.view(np.float64), B.data.view(np.float64)
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    assert np.all((a[differ] == 0) & (b[differ] == 0))
+
+
+def bitwise_cases():
+    """(model, basis) over n = 2..8 with random, aligned (exact-zero
+    coefficients) and C-invariant bases."""
+    for n in (2, 4, 6, 8):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2):
+            model = fock.random_model(n, rng)
+            d = n // 2
+            yield model, charge.random_subspace(model, d + 1, rng)
+            yield model, charge.aligned_subspace(model, d, d // 2 + 1)
+            yield model, charge.c_invariant_subspace(model, d, rng)
+
+
+def test_wick_gather_matches_sparse_product_oracle_bitwise():
+    rng = np.random.default_rng(5)
+    for model, basis in bitwise_cases():
+        for j in range(basis.dim):
+            f = basis.vectors[:, j]
+            assert_bitwise_csr(fock.normal_ordered_density(model, f),
+                               oracle_density(model, f))
+        fractional = rng.uniform(size=basis.dim)
+        for weights in (np.zeros(basis.dim), fractional, np.ones(basis.dim),
+                        np.where(np.arange(basis.dim) % 2, 1.0, fractional),
+                        np.where(np.arange(basis.dim) % 2, 0.0, 1.0)):
+            assert_bitwise_csr(charge.q_weighted(model, basis, weights),
+                               oracle_q_weighted(model, basis, weights))
+
+
+def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
+    """No density matrix, sparse product or sparse add on the Wick sum, and
+    the density pattern is built once per model shape."""
+    basis = charge.random_subspace(model6, 3, rng)
+    expected = oracle_q_weighted(model6, basis, [1.0, 0.5, 1.0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("q_weighted must not build sparse products or sums")
+
+    monkeypatch.setattr(fock, "normal_ordered_density", forbidden)
+    monkeypatch.setattr(sparse.csr_matrix, "_matmul_sparse", forbidden)
+    monkeypatch.setattr(sparse.csr_matrix, "_binopt", forbidden)
+    fock._density_pattern.cache_clear()
+    for _ in range(2):
+        assert_bitwise_csr(charge.q_weighted(model6, basis, [1.0, 0.5, 1.0]), expected)
+    assert fock._density_pattern.cache_info().misses == 1
+
+
 def test_q_weighted_limits(model6, rng):
     basis = charge.random_subspace(model6, 2, rng)
     assert max_abs(charge.q_weighted(model6, basis, [0, 0])) == 0.0

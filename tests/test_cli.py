@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
-from fockcharge import cli, quadrature, suites
+from fockcharge import cli, divergence, quadrature, suites
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -146,6 +147,27 @@ def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
     monkeypatch.setattr(quadrature, "ideal_m_plus", refuse)
     code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
     assert code == 0 and "FAIL" not in out
+
+
+def test_vacuum_divergence_frees_its_suite_before_the_reference_grid(monkeypatch, capsys):
+    built = []
+    gram_suite, series_scalar = quadrature.gram_suite, divergence.vacuum_series_scalar
+
+    def tracked(*args, **kwargs):
+        suite = gram_suite(*args, **kwargs)
+        built.append(weakref.ref(suite))
+        return suite
+
+    def scalar(shells, m, grid, suite=None):
+        if suite is None:  # the reference-grid probe, which builds a suite of its own
+            assert built and all(ref() is None for ref in built)
+        return series_scalar(shells, m, grid, suite=suite)
+
+    monkeypatch.setattr(quadrature, "gram_suite", tracked)
+    monkeypatch.setattr(divergence, "vacuum_series_scalar", scalar)
+    code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
+    assert code == 0 and "FAIL" not in out
+    assert len(built) == 1
 
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):

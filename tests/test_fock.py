@@ -93,6 +93,24 @@ def test_in_place_changes_do_not_reach_the_pattern_cache(model6, rng):
         assert_same_csr(getattr(fock, name)(model6, f), expected[name])
 
 
+def test_cached_patterns_are_read_only(model6, rng):
+    """A matrix that shares a cached pattern's arrays cannot rewrite them in
+    place, so the later operators of that mode count stay intact."""
+    key = fock._density_modes(model6)
+    for indptr, indices, *rest in (fock._jw_pattern(*key), fock._density_pattern(*key)):
+        for arr in (indptr, indices, *rest):
+            assert not arr.flags.writeable
+        shared = sparse.csr_matrix((np.zeros(indices.size), indices, indptr),
+                                   shape=(model6.fock_dim, model6.fock_dim))
+        with pytest.raises(ValueError, match="read-only"):
+            shared.eliminate_zeros()
+        shared.has_sorted_indices = False
+        with pytest.raises(ValueError, match="read-only"):
+            shared.sort_indices()
+    f = rng.normal(size=6) + 1j * rng.normal(size=6)
+    assert_same_csr(fock.field_op(model6, f), oracle_operators(model6, f)["field_op"])
+
+
 def test_vacuum_is_normalized_and_annihilated(model6, rng):
     omega = fock.vacuum(model6)
     assert np.linalg.norm(omega) == 1.0

@@ -1,0 +1,102 @@
+"""Golden output digests of the toy experiments.
+
+With a fixed seed the CLI output is meant to stay byte-identical as the
+code changes.  The determinism tests compare two runs of the same code;
+these digests pin the bytes themselves: SHA-256 of the check lines on
+stdout followed by the CSV written with --no-timestamp, default settings,
+for every toy experiment except car-check (left out for run time).  They
+were recorded with the numpy and scipy versions below; other versions may
+round differently, so the test is skipped there.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+import scipy
+
+from fockcharge import cli
+
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+SEEDS = (0, 1, 2, 2024)
+
+DIGESTS = {
+    "spectrum": (
+        "9f107eab1fc0d14eae6a1537c5db36a629bfb4bc798e924b96e271687bd13039",  # seed 0
+        "4a7096c058c5a8ec5198cd811bc14cb2fb068f37d543c1586e8465af70d232c5",  # seed 1
+        "8a6497ac29584e740be5ad7df09623b35a02f685069bce75b662f671f8ea0774",  # seed 2
+        "8a03c6842f822e9032bc9d376549f60d15bebf1a3dd213c840c2f81c986555cc",  # seed 2024
+    ),
+    "additivity": (
+        "95e7ae516c3b9c9dfe1c0632f7dda6a60afccc48102a8a4d108b3c8acce0b9f3",  # seed 0
+        "5536052b7bf6206159da27f6322b2bd565df01833d5fda1d05470ea12b74768c",  # seed 1
+        "7486256ff47f36cb4151d6708214072a94d637cdc2952da81d736784aa80bc91",  # seed 2
+        "80466a2b161df2df8aa741b7557d1a73aceeacffba86dfe73e9737fb369e6061",  # seed 2024
+    ),
+    "cbasis": (
+        "873271a48c7780a2be0265d7401cd49f2b46a8cf6a813b195c8cf46a81bca0d7",  # seed 0
+        "37b5a88d2a7386975f06a8dbb96436b4bc447fd2f5e76481e14f8e455e12e347",  # seed 1
+        "ccbf0939840ef18908966a4d2e1458f1be5a8f86a8cccd8bf5ba2a0996010c70",  # seed 2
+        "1db7febf2fdcb3a1928111cddc6526bc83ded8f606ad4ca96e170db1183e8f55",  # seed 2024
+    ),
+    "qtilde": (
+        "8fe38837ff35454f62c85dfcbd37e022f0b9aef6f39fd9a7aab939788a3dc456",  # seed 0
+        "1799cf40f3ed9f816fdfc1b3eac172d69be6dbbec625a19f9ba55e5d946e1c36",  # seed 1
+        "0c14817d07f888629af70929f3ef826ae18105b8cba50a3cfdcda2318917e355",  # seed 2
+        "d34d2a370ceee1f51f9d2c18c6620389b346c88d95c95b24ab8caccb1942d907",  # seed 2024
+    ),
+    "weighted": (
+        "63d8d8d24ef9931258ed473c070598f657184a2952752fde0e45aff5e3537104",  # seed 0
+        "f8a193e59fddb16cf0cd6a4080e6362b838a6238928341f4ad6b69f751d58396",  # seed 1
+        "918061834553304dd387630c0b95277fba8bbc1c8ef9d7836bd0dfea58380d84",  # seed 2
+        "938ecfccf7e3cf4fbbdb3f3e23bac5ed804ce3ef3d1ad89deb44e1e42be3f124",  # seed 2024
+    ),
+    "total-charge": (
+        "9a39fbf46ccc81021df1aa634a462fcecabfb81fcd3985ec13449baa9f6991f1",  # seed 0
+        "095677ed57b76b0d4850a74f0fb3049b8c31b3243b68b322ecbb755d00049ecd",  # seed 1
+        "f7c043630dcd16327335e35e8384e5a386e8f525b34d14c3374b93bc1726bb1d",  # seed 2
+        "22e0bb04877e00362dcb2e76778504afc3894211de7ba81e7dfff03fc562647a",  # seed 2024
+    ),
+    "aligned": (
+        "88dd86fb2de1ae0fa72fce6f856d9ed104a7ebb9344baddf49619fb7d8b214b0",  # seed 0
+        "d21e7e9a803f1f1a55a6071aba179d09931b19f7af6b2a967d58fc2e1e813b75",  # seed 1
+        "8545767091c6d1d6e4d33650f56341a2763084000623850806a28534627d9651",  # seed 2
+        "0a1351424271aa7eec07dc68853fe0ec9bd25b66a4f2d0aec46e7d8ae580d704",  # seed 2024
+    ),
+    "bessel-check": (
+        "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 0
+        "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 1
+        "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 2
+        "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 2024
+    ),
+    "decomposition": (
+        "cc84fd535f9964f57114fb330bdbf91cbe23b7080257ecb5bdf28f290d708a20",  # seed 0
+        "489b7dc45984a9b66d3c1d507d45b4aca6aa397c10542a8d98fbb43acb8f6ba4",  # seed 1
+        "352f8e319ec81fd9cfa84b41ca53fceffb2a6892e25dc31aca1979f6e3412ee3",  # seed 2
+        "bc45b0e93251fd0133ffa6f210635800f176c5292c53559031f8f95e85404024",  # seed 2024
+    ),
+    "oracle-equivalence": (
+        "ea4c6d51b85631e60fb99cb252b8f42ebfe959015c530ed0bb3620cb98a84aec",  # seed 0
+        "8cb851fb7cb19d56eee51fe933ce7c22030c8581b459854ff209e6bc18193034",  # seed 1
+        "f9e1f2fba9f814f91247223311052c2d0d5680f420501c1a105f129c1ee3c377",  # seed 2
+        "e17c233c8633491d3c355b15484ae1dfec966724efe2c7dd641e255055b1fc4e",  # seed 2024
+    ),
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),
+    reason=f"digests recorded with numpy {RECORDED_WITH['numpy']} and scipy "
+           f"{RECORDED_WITH['scipy']}; floating-point bytes may differ under "
+           f"numpy {np.__version__} / scipy {scipy.__version__}")
+@pytest.mark.parametrize("experiment", sorted(DIGESTS))
+def test_toy_output_bytes_match_golden_digests(experiment, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    for seed, expected in zip(SEEDS, DIGESTS[experiment]):
+        code = cli.main([experiment, "--seed", str(seed), "--no-timestamp",
+                         "--output", str(path)])
+        stdout = capsys.readouterr().out
+        assert code == 0
+        digest = hashlib.sha256(stdout.encode() + path.read_bytes()).hexdigest()
+        assert digest == expected, f"{experiment} at seed {seed}"
