@@ -2,8 +2,9 @@
 finite-mode Fock spaces, spectral projectors, conjugation-invariant bases,
 and the truncated region-charge series on a cube.
 
-Submodules are imported lazily so that the command-line entry point can cap
-the linear-algebra thread pools before any numerics load.
+Submodules are imported lazily, on first attribute access: `import
+fockcharge` loads only what a caller uses, and `python -m fockcharge.cli`
+runs without runpy finding the module already imported.
 """
 
 import importlib

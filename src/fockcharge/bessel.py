@@ -29,6 +29,13 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
+# the independent checks' resolution: the damped integral's panels and
+# Gauss-Legendre nodes per panel, the cosine form's lobes and nodes per lobe,
+# and the central finite-difference step of verify_kernel_identity
+INTEGRAL_PANELS, INTEGRAL_ORDER = 16, 40
+COSINE_LOBES, COSINE_ORDER = 80, 20
+KERNEL_FD_STEP = 1e-5
+
 # Chebyshev coefficients of sqrt(z) e^z K_nu(z) in T_k(4/z - 1), z >= 2.
 _K0_CHEB = np.array([
     1.22015154103297773780e+00,
@@ -160,14 +167,14 @@ def _gauss_legendre(order: int):
     return xi, wi
 
 
-def _damped_integral(z, nu, panels=16, order=40):
+def _damped_integral(z, nu):
     """K_nu(z) by composite Gauss-Legendre on exp(-z cosh t) cosh(nu t); the
     upper limit is where the integrand underflows."""
     if z <= 0:
         raise ValueError("argument must be positive")
     tmax = float(np.arccosh(745.0 / z)) if z < 700.0 else 1.0
-    xi, wi = _gauss_legendre(order)
-    edges = np.linspace(0.0, tmax, panels + 1)
+    xi, wi = _gauss_legendre(INTEGRAL_ORDER)
+    edges = np.linspace(0.0, tmax, INTEGRAL_PANELS + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         t = 0.5 * (b - a) * xi + 0.5 * (a + b)
@@ -178,17 +185,17 @@ def _damped_integral(z, nu, panels=16, order=40):
     return total
 
 
-def k0_integral(z, panels=16, order=40):
+def k0_integral(z):
     """Independent quadrature oracle for K0."""
-    return _damped_integral(z, 0, panels, order)
+    return _damped_integral(z, 0)
 
 
-def k1_integral(z, panels=16, order=40):
+def k1_integral(z):
     """Independent quadrature oracle for K1."""
-    return _damped_integral(z, 1, panels, order)
+    return _damped_integral(z, 1)
 
 
-def k0_cosine_representation(z, lobes=80, order=20):
+def k0_cosine_representation(z):
     """K0(z) from int_0^inf cos(z t)/sqrt(1 + t^2) dt.
 
     The integral converges only conditionally; it is summed lobe by lobe
@@ -197,8 +204,8 @@ def k0_cosine_representation(z, lobes=80, order=20):
     """
     if z <= 0:
         raise ValueError("argument must be positive")
-    xi, wi = _gauss_legendre(order)
-    zeros = (np.arange(lobes + 1) + 0.5) * np.pi / z
+    xi, wi = _gauss_legendre(COSINE_ORDER)
+    zeros = (np.arange(COSINE_LOBES + 1) + 0.5) * np.pi / z
     edges = np.concatenate([[0.0], zeros])
     pieces = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -220,14 +227,14 @@ def inverse_energy_kernel(m: float, r):
     return 4.0 * np.pi * m * _eval(m * r, 1) / r
 
 
-def verify_kernel_identity(m: float, r_samples, h: float = 1e-5) -> float:
+def verify_kernel_identity(m: float, r_samples) -> float:
     """Max relative deviation between the kernel 4 pi m K1(m r)/r and the
     derivative form -(4 pi / r) d/dr K0(m r), the latter taken by central
     finite differences of the integral representation of K0."""
     if m <= 0:
         raise ValueError("mass must be positive")
     r_samples = np.atleast_1d(np.asarray(r_samples, dtype=float))
-    worst = 0.0
+    h, worst = KERNEL_FD_STEP, 0.0
     for r in r_samples:
         derivative = (k0_integral(m * (r + h)) - k0_integral(m * (r - h))) / (2.0 * h)
         lhs = -(4.0 * np.pi / r) * derivative

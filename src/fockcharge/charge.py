@@ -213,12 +213,12 @@ def predicted_spectrum(basis: SubspaceBasis) -> np.ndarray:
     return -basis.dminus + np.arange(basis.dim + 1, dtype=float)
 
 
-def cluster_eigenvalues(values, gap: float = CLUSTER_GAP) -> np.ndarray:
-    """Collapse near-duplicate eigenvalues (means of gap-separated clusters)."""
+def cluster_eigenvalues(values) -> np.ndarray:
+    """Collapse near-duplicate eigenvalues (means of CLUSTER_GAP-separated clusters)."""
     values = np.sort(np.asarray(values, dtype=float))
     if values.size == 0:
         return values
-    splits = np.nonzero(np.diff(values) > gap)[0] + 1
+    splits = np.nonzero(np.diff(values) > CLUSTER_GAP)[0] + 1
     return np.array([c.mean() for c in np.split(values, splits)])
 
 

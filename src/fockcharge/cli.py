@@ -3,24 +3,17 @@
     fockcharge <experiment> [options]
     fockcharge --experiment <name> [options]
 
-Experiments: car-check, spectrum, additivity, cbasis, qtilde, weighted,
-total-charge, aligned, bessel-check, vacuum-divergence, decomposition,
-oracle-equivalence.
+The experiments are the keys of `suites.EXPERIMENTS`.  One summary line per
+check goes to stdout (name, value, tolerance, PASS/FAIL); the per-instance
+records are written as CSV or JSON to --output (stdout by default).  With a
+fixed seed the output is byte-identical across runs once the timestamp
+header is suppressed.
 
-One summary line per check goes to stdout (name, value, tolerance,
-PASS/FAIL); the per-instance records are written as CSV or JSON to --output
-(stdout by default).  With a fixed seed the output is byte-identical across
-runs once the timestamp header is suppressed.  Only the settings given
-(flags over a --config file) reach `suites.ExperimentConfig`, which holds
-their defaults and checks every setting before any numerics.  Exit code 0
+The numerical settings are the fields of `suites.ExperimentConfig`, which
+holds their types and defaults and checks every setting before any numerics;
+their flags, help defaults and config-file conversions are read off it.
+Only the settings given (flags over a --config file) reach it.  Exit code 0
 means every check passed, 1 a contract failure, 2 an unusable invocation.
-
---threads (or the FOCKCHARGE_THREADS environment variable) caps the linear
-algebra thread pools by setting their environment variables, which act only
-if numpy is not yet imported in the process; that is why `suites`, and
-with it numpy, is loaded inside main().  It therefore takes effect for the
-`fockcharge` console script, but not when main() is called in a process that
-has already imported numpy (tests, benchmark harnesses).
 """
 
 import argparse
@@ -32,17 +25,33 @@ import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 
-EXPERIMENT_NAMES = [
-    "car-check", "spectrum", "additivity", "cbasis", "qtilde", "weighted",
-    "total-charge", "aligned", "bessel-check", "vacuum-divergence",
-    "decomposition", "oracle-equivalence",
-]
+from .suites import EXPERIMENTS, ExperimentConfig, run_experiment
 
+EXPERIMENT_NAMES = list(EXPERIMENTS)
 FORMATS = ("csv", "json")
-_NUMERIC_KEYS = {"m": float, "shells": int, "cutoff": int, "panels": int,
-                 "order": int, "seed": int, "threads": int}
-_STRING_KEYS = {"experiment", "output", "format"}
-_BOOL_KEYS = {"no_timestamp"}
+_SETTINGS = [f for f in fields(ExperimentConfig) if f.init]
+# the one-line help of each setting; its type and default come from the dataclass
+_SETTING_HELP = {
+    "m": "fermion mass",
+    "shells": "largest shell radius K",
+    "cutoff": "momentum cutoff per axis",
+    "panels": "quadrature panels per unit length",
+    "order": "Gauss order per panel",
+    "seed": "seed fixing all randomness",
+}
+
+
+def _flag_value(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+
+
+_CONVERTERS = {f.name: f.type for f in _SETTINGS}
+_CONVERTERS.update(experiment=str, output=str, format=str, no_timestamp=_flag_value)
 
 
 def parse_config_file(path: str) -> dict:
@@ -57,16 +66,14 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key in _NUMERIC_KEYS:
-                values[key] = _NUMERIC_KEYS[key](value)
-            elif key in _BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key == "format" and value not in FORMATS:
-                raise ValueError(f"{path}:{lineno}: format must be one of {FORMATS}")
-            elif key in _STRING_KEYS:
-                values[key] = value
-            else:
+            if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key == "format" and value not in FORMATS:
+                raise ValueError(f"{path}:{lineno}: format must be one of {FORMATS}")
+            try:
+                values[key] = _CONVERTERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -78,32 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(EXPERIMENT_NAMES))
     p.add_argument("--experiment", help="experiment name (alternative to the positional)")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--m", type=float, help="fermion mass (default 1.0)")
-    p.add_argument("--shells", type=int, help="largest shell radius K (default 3)")
-    p.add_argument("--cutoff", type=int, help="momentum cutoff per axis (default 40)")
-    p.add_argument("--panels", type=int, help="quadrature panels per unit length (default 2)")
-    p.add_argument("--order", type=int, help="Gauss order per panel (default 6)")
-    p.add_argument("--seed", type=int, help="seed fixing all randomness (default 0)")
+    for f in _SETTINGS:
+        p.add_argument(f"--{f.name}", type=f.type,
+                       help=f"{_SETTING_HELP[f.name]} (default {f.default})")
     p.add_argument("--output", help="output file for the records ('-' = stdout, the default)")
     p.add_argument("--format", choices=FORMATS, help="record format (default csv)")
     p.add_argument("--no-timestamp", action="store_true", default=None,
                    help="suppress the timestamp header line in CSV output")
-    p.add_argument("--threads", type=int,
-                   help="thread cap for the linear algebra pools "
-                        "(fallback: FOCKCHARGE_THREADS)")
     return p
-
-
-def _apply_threads(threads):
-    if threads is None:
-        env = os.environ.get("FOCKCHARGE_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 def _fmt(value) -> str:
@@ -155,12 +144,7 @@ def _run(parser, args) -> int:
         raise ValueError(f"output directory of {output!r} does not exist")
     if output != "-" and os.path.isdir(output):
         raise ValueError(f"output {output!r} is a directory")
-    _apply_threads(settings.get("threads"))
-
-    from .suites import ExperimentConfig, run_experiment  # after thread setup
-
-    cfg = ExperimentConfig(**{f.name: settings[f.name] for f in fields(ExperimentConfig)
-                              if f.name in settings})
+    cfg = ExperimentConfig(**{f.name: settings[f.name] for f in _SETTINGS if f.name in settings})
     result = run_experiment(name, cfg)
 
     for c in result.checks:

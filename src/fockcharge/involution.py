@@ -64,7 +64,7 @@ def make_involution(U) -> AntiUnitary:
     return AntiUnitary(U)
 
 
-def classify(g, C: AntiUnitary, tol: float = CLASSIFY_TOL) -> str:
+def classify(g, C: AntiUnitary) -> str:
     """Trichotomy for a nonzero vector g: Cg parallel to g, orthogonal to g,
     or neither (generic)."""
     g = np.asarray(g, dtype=complex)
@@ -73,9 +73,9 @@ def classify(g, C: AntiUnitary, tol: float = CLASSIFY_TOL) -> str:
         raise ValueError("cannot classify the zero vector")
     cg = C.apply(g)
     overlap = np.vdot(g, cg)
-    if np.linalg.norm(cg - (overlap / norm2) * g) < tol * np.sqrt(norm2):
+    if np.linalg.norm(cg - (overlap / norm2) * g) < CLASSIFY_TOL * np.sqrt(norm2):
         return PARALLEL
-    if abs(overlap) < tol * norm2:
+    if abs(overlap) < CLASSIFY_TOL * norm2:
         return ORTHOGONAL
     return GENERIC
 

@@ -85,7 +85,7 @@ class QuadGrid:
                 f"gauss_order={self.gauss_order}")
 
 
-def build_grid(cutoff: int, panels_per_unit: int = 2, gauss_order: int = 6) -> QuadGrid:
+def build_grid(cutoff: int, panels_per_unit: int, gauss_order: int) -> QuadGrid:
     """Panelized Gauss-Legendre grid; per axis 2*cutoff*panels_per_unit
     panels of `gauss_order` nodes each."""
     if cutoff < 1 or int(cutoff) != cutoff:

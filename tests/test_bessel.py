@@ -33,6 +33,12 @@ def test_cosine_representation_at_unit_argument():
     assert abs(got - bessel.k0(1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("z", [0.0, -1.0])
+def test_cosine_representation_rejects_non_positive_argument(z):
+    with pytest.raises(ValueError, match="positive"):
+        bessel.k0_cosine_representation(z)
+
+
 def test_finite_difference_of_k0_is_minus_k1():
     h = 1e-5
     fd = (bessel.k0_integral(1.0 + h) - bessel.k0_integral(1.0 - h)) / (2 * h)

@@ -246,6 +246,27 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
             charge.q_weighted(model6, basis, weights)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda model, basis: charge.SubspaceBasis.from_vectors(model, np.eye(4)), "expected shape"),
+    (lambda model, basis: charge.q_weighted(model, basis, [0.5]), "one weight per basis vector"),
+    (lambda model, basis: charge.q_basis_independence_check(model, basis, 2 * np.eye(2)),
+     "unitary"),
+    (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
+    (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),
+    # a spectrum with a different number of clusters is infinitely far off
+    (lambda model, basis: charge.spectrum_deviation(np.diag([0.0, 1.0]), [0.0, 1.0, 2.0]),
+     None),
+], ids=["basis-shape", "weight-count", "non-unitary-rotation", "witness-j-above",
+        "witness-j-below", "spectrum-count-mismatch"])
+def test_unusable_inputs_rejected(call, message, model6, rng):
+    basis = charge.random_subspace(model6, 2, rng)
+    if message is None:
+        assert call(model6, basis) == float("inf")
+    else:
+        with pytest.raises(ValueError, match=message):
+            call(model6, basis)
+
+
 def test_truncated_q(model6, rng):
     basis = charge.random_subspace(model6, 3, rng)
     assert max_abs(charge.truncated_q(model6, basis, 0)) == 0.0

@@ -1,12 +1,8 @@
 import dataclasses
 import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -76,11 +72,19 @@ def _out_of_memory(*args, **kwargs):
     (["spectrum", "--shells", "-1"], 2, "shells"),
     (["car-check", "--cutoff", "0"], 2, "cutoff"),
     (["weighted", "--seed", "-1"], 2, "seed"),
+    # config-file values name their file, line and key when they do not convert
+    (["weighted", "--config", "{tmp}/float-seed.cfg"], 2, "float-seed.cfg:2: seed: "),
+    (["weighted", "--config", "{tmp}/typo-flag.cfg"], 2, "typo-flag.cfg:1: no_timestamp: "),
+    (["weighted", "--config", "{tmp}/no-equals.cfg"], 2, "no-equals.cfg:1: expected 'key = value'"),
 ], ids=["missing-output-directory", "config-format-xml", "gram-suite-out-of-memory",
         "no-reference-grid", "output-is-directory", "tail-before-gram-suite",
-        "toy-nan-mass", "toy-negative-shells", "toy-zero-cutoff", "toy-negative-seed"])
+        "toy-nan-mass", "toy-negative-shells", "toy-zero-cutoff", "toy-negative-seed",
+        "config-float-seed", "config-misspelt-bool", "config-line-without-equals"])
 def test_unusable_settings_exit_code(argv, code, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "xml.cfg").write_text("format = xml\n")
+    (tmp_path / "float-seed.cfg").write_text("# a seed must be an integer\nseed = 4.0\n")
+    (tmp_path / "typo-flag.cfg").write_text("no_timestamp = ture\n")
+    (tmp_path / "no-equals.cfg").write_text("seed 4\n")
     # only vacuum-divergence builds a Gram suite; here it cannot be allocated
     monkeypatch.setattr(quadrature, "gram_suite", _out_of_memory)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -97,20 +101,9 @@ def test_experiment_config_rejects_non_integers(setting):
         ExperimentConfig(**{setting: 1.5})
 
 
-def test_argument_parsing_leaves_numpy_unloaded():
-    # --threads acts only if numpy is loaded after the thread setup in main()
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; import fockcharge.cli as cli; "
-            "cli.build_parser().parse_args(['weighted']); print('numpy' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "False"
-
-
 def test_help_text_defaults_match_experiment_config():
-    # the parser restates the defaults without reading the dataclass, which
-    # would load numpy before the thread setup
+    # the help texts are derived from the dataclass: each states its field's
+    # default, and the flag's type parses it back to the same value and type
     helps = {a.dest: a for a in cli.build_parser()._actions}
     for f in dataclasses.fields(suites.ExperimentConfig):
         if not f.init:
@@ -238,28 +231,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out_file.read_text().startswith("check,")  # flag overrode json
 
 
+def test_config_file_settings_parse_to_experiment_config_types(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("m = 2\nshells = 1\ncutoff = 8\npanels = 1\norder = 4\nseed = 7\n"
+                   "no_timestamp = OFF\n")
+    values = cli.parse_config_file(str(cfg))
+    settings = [f for f in dataclasses.fields(suites.ExperimentConfig) if f.init]
+    assert len(settings) == 6
+    for f in settings:
+        assert type(values[f.name]) is type(f.default), f.name
+    assert values["no_timestamp"] is False
+    config = suites.ExperimentConfig(**{f.name: values[f.name] for f in settings})
+    assert (config.m, config.shells, config.seed) == (2.0, 1, 7)
+
+
 def test_config_file_bad_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
     code, _, err = run_cli(["weighted", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown key" in err
-
-
-def test_threads_validation(capsys):
-    code, _, err = run_cli(["weighted", "--threads", "0"], capsys)
-    assert code == 2
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FOCKCHARGE_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    out = tmp_path / "w.csv"
-    code, _, _ = run_cli(["weighted", "--seed", "1", "--no-timestamp",
-                          "--output", str(out)], capsys)
-    assert code == 0
-    import os
-    assert os.environ.get("OMP_NUM_THREADS") == "1"
 
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)

@@ -4,6 +4,7 @@ from scipy import sparse
 
 from fockcharge import fock
 from fockcharge.charge import max_abs
+from fockcharge.involution import AntiUnitary
 
 
 BUILDERS = ("creator_b", "annihilator_b", "creator_c", "annihilator_c",
@@ -222,6 +223,20 @@ def test_model_validation_rejects_bad_projector(rng):
     with pytest.raises(ValueError, match="projector"):
         fock.ToyModel(n=4, p_plus=np.eye(4) * 0.5, conj=model.conj,
                       basis_plus=model.basis_plus, basis_antip=model.basis_antip)
+
+
+@pytest.mark.parametrize("replace, message", [
+    # the plain conjugation does not map ran(P-) onto ran(P+)
+    (lambda model: {"conj": AntiUnitary(np.eye(6))}, "exchange"),
+    (lambda model: {"basis_antip": model.basis_antip[:, :1]}, "mode count"),
+], ids=["conjugation-not-exchanging", "mode-count"])
+def test_model_validation_rejects_inconsistent_parts(replace, message, rng):
+    model = fock.random_model(6, rng)
+    parts = {"n": 6, "p_plus": model.p_plus, "conj": model.conj,
+             "basis_plus": model.basis_plus, "basis_antip": model.basis_antip}
+    parts.update(replace(model))
+    with pytest.raises(ValueError, match=message):
+        fock.ToyModel(**parts)
 
 
 def test_model_requires_even_mode_count(rng):

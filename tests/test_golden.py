@@ -1,12 +1,14 @@
-"""Golden output digests of the toy experiments.
+"""Golden output digests of the toy experiments and of the headline run.
 
 With a fixed seed the CLI output is meant to stay byte-identical as the
 code changes.  The determinism tests compare two runs of the same code;
 these digests pin the bytes themselves: SHA-256 of the check lines on
-stdout followed by the CSV written with --no-timestamp, default settings,
-for every toy experiment except car-check (left out for run time).  They
-were recorded with the numpy and scipy versions below; other versions may
-round differently, so the test is skipped there.
+stdout followed by the CSV written with --no-timestamp.  The toy digests
+use default settings, for every toy experiment except car-check (left out
+for run time); the headline digest is vacuum-divergence at K=4 on the
+cutoff-40, 2-panel, order-6 grid.  They were recorded with the numpy and
+scipy versions below; other versions may round differently, so the tests
+are skipped there.
 """
 
 import hashlib
@@ -85,18 +87,34 @@ DIGESTS = {
 }
 
 
-@pytest.mark.skipif(
+HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "40",
+                 "--panels", "2", "--order", "6", "--no-timestamp"]
+HEADLINE_DIGEST = "4efcbe1db3a4eb52c87fa7590d7830440fd0433cfc51494d5b9e55fe52519a0b"
+
+recorded_versions_only = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),
     reason=f"digests recorded with numpy {RECORDED_WITH['numpy']} and scipy "
            f"{RECORDED_WITH['scipy']}; floating-point bytes may differ under "
            f"numpy {np.__version__} / scipy {scipy.__version__}")
+
+
+def output_digest(argv, path, capsys):
+    """SHA-256 of the check lines and the CSV of one successful run."""
+    code = cli.main(argv + ["--output", str(path)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(stdout.encode() + path.read_bytes()).hexdigest()
+
+
+@recorded_versions_only
 @pytest.mark.parametrize("experiment", sorted(DIGESTS))
 def test_toy_output_bytes_match_golden_digests(experiment, tmp_path, capsys):
-    path = tmp_path / "out.csv"
     for seed, expected in zip(SEEDS, DIGESTS[experiment]):
-        code = cli.main([experiment, "--seed", str(seed), "--no-timestamp",
-                         "--output", str(path)])
-        stdout = capsys.readouterr().out
-        assert code == 0
-        digest = hashlib.sha256(stdout.encode() + path.read_bytes()).hexdigest()
+        digest = output_digest([experiment, "--seed", str(seed), "--no-timestamp"],
+                               tmp_path / "out.csv", capsys)
         assert digest == expected, f"{experiment} at seed {seed}"
+
+
+@recorded_versions_only
+def test_headline_output_bytes_match_golden_digest(tmp_path, capsys):
+    assert output_digest(HEADLINE_ARGV, tmp_path / "headline.csv", capsys) == HEADLINE_DIGEST

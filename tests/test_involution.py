@@ -137,3 +137,10 @@ def test_non_orthonormal_seed_rejected(rng):
     C = inv.make_involution(np.eye(3))
     with pytest.raises(ValueError, match="orthonormal"):
         inv.c_invariant_onb(C, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1), (4, 2)])
+def test_seed_basis_of_wrong_shape_rejected(shape):
+    C = inv.make_involution(np.eye(2))
+    with pytest.raises(ValueError, match="seed basis must be 2x2"):
+        inv.c_invariant_onb(C, np.eye(*shape))
