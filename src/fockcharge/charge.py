@@ -4,14 +4,15 @@ Builds the weighted (fuzzy-set) charge sum_j m_j :Psi*(f_j) Psi(f_j): for
 an ONB (f_j) of a subspace k; the subspace charge Q_k (all m_j = 1) and its
 truncations Q^J (m_j = 1 for j < J, else 0) are its special cases, so
 `q_weighted` is the one Wick-sum loop.  It adds the densities up in j
-order as value arrays on the one cached union pattern of `fock` (each
-density a gather, no sparse product or sparse add) and builds a single
-CSR matrix at the end; the series of scipy sparse products and adds it
-reproduces bit for bit is the oracle in the tests.  Also the
-number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)), the
-total charge, the toy vacuum norm |Q^J Omega|^2 by a Fock route and a
-trace route (`vacuum_norm`), the spectral / additivity / commutation
-checks and the four-sum decomposition of the truncated-charge sector norm.
+order as class values of `fock`'s cached product table (each density a
+handful of class sums, no sparse product or sparse add) and gathers them
+onto the table's pattern once; the series of scipy sparse products and adds
+it reproduces bit for bit is the oracle in the tests.  Also the
+number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)),
+summed the same way, the total charge, the toy vacuum norm |Q^J Omega|^2
+by a Fock route and a trace route (`vacuum_norm`), the spectral /
+additivity / commutation checks and the four-sum decomposition of the
+truncated-charge sector norm.
 """
 
 from dataclasses import dataclass
@@ -142,14 +143,16 @@ def vacuum_norm(model: ToyModel, basis: SubspaceBasis, J: int):
 
 
 def q_tilde(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
-    """Number-operator variant sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j))."""
-    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+    """Number-operator variant sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)).
+
+    Each stored value equals, bit for bit, the one of the series of scipy
+    products and adds; the indices are sorted in each row, where scipy's
+    sums leave them in its own order."""
+    acc = fock._class_zeros(model.n)
     for j in range(basis.dim):
-        f = basis.vectors[:, j]
-        bs = fock.creator_b(model, f)
-        cs = fock.creator_c(model, f)
-        out = out + bs @ bs.conj().T - cs @ cs.conj().T
-    return out.tocsr()
+        bs, b, cs, c = fock._ladder_coeffs(model, basis.vectors[:, j])
+        acc = acc + fock._product_values(model.n, bs, b) - fock._product_values(model.n, cs, c)
+    return fock._table_matrix(model.n, acc)
 
 
 def q_total(model: ToyModel) -> sparse.csr_matrix:
@@ -166,12 +169,12 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
         raise ValueError("one weight per basis vector required")
     if not np.all((w >= 0) & (w <= 1)):  # also rejects NaN
         raise ValueError("weights must lie in [0, 1]")
-    acc = fock._density_zeros(model)
+    acc = fock._class_zeros(model.n)
     for j in range(basis.dim):
         if w[j]:  # a unit weight adds the density itself, with no scaled copy
             D = fock._density_values(model, basis.vectors[:, j])
             acc += D if w[j] == 1 else w[j] * D
-    return fock._density_matrix(model, acc)
+    return fock._table_matrix(model.n, acc)
 
 
 def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitary) -> float:

@@ -14,17 +14,25 @@ All operators are returned as scipy CSR matrices, for the mode counts
 constructor call: the sparsity pattern of sum_k x_k a*_k + sum_l y_l a_l
 (row pointers, column indices, which coefficient each stored entry takes and
 its Jordan-Wigner sign) is cached per mode count and mode sets, and the
-field operators use one merged pattern for their two disjoint blocks.  The
-Wick-ordered density :Psi*(f) Psi(f): is a gather on one cached union
-pattern too: every stored entry of Psi* Psi - shift I lists the pairs of
-field-pattern entries that feed it, in the order scipy's sparse product
-adds them, so the values come out bit for bit as by that product.  The
-cached arrays are read-only.  The Kronecker-product, sum-of-adds builders
-and the sparse-product density are kept in the tests as the exact oracles.
+field operators use one merged pattern for their two disjoint blocks.
+
+Products of these operators go through one cached table per mode count.
+Every builder's operator is G, the pattern with every mode both raised and
+lowered, with zero coefficients on its absent terms, and each stored entry
+of G.G is a fixed ordered sum of coefficient products, in the order
+scipy's sparse product adds them.  The entries fall into few classes of
+equal sums, so the Wick-ordered density :Psi*(f) Psi(f):, the products of
+the number-operator charge and the anticommutators of the CAR check are
+class sums on the 2n x 2n table of coefficient products, gathered onto the
+pattern once where a matrix is needed; they come out bit for bit as by
+scipy's products.  The cached arrays are read-only.  The Kronecker-product,
+sum-of-adds builders and the sparse products are kept in the tests as the
+exact oracles.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -89,41 +97,149 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-@lru_cache(maxsize=64)
-def _density_pattern(nmodes: int, raised: tuple, lowered: tuple):
-    """CSR structure of Psi* Psi - shift I for Psi with the `_jw_pattern`
-    of (nmodes, raised, lowered), and how each stored entry is summed.
+class _ProductTable(NamedTuple):
+    """The stored entries of G.G, for G = `_jw_pattern(n, modes, modes)`,
+    sorted into classes of equal sums.
 
-    Entry (r, c) of Psi* Psi is sum_k Psi[k, c] conj(Psi[k, r]) over the
-    states k whose field-pattern row holds both columns; scipy's sparse
-    product adds these products in ascending k.  The pairs of field-pattern
-    entries (a at (k, c), b at (k, r)) are sorted into layers by their rank
-    in that order, so layer t holds the t-th term of every entry that has
-    one, and each layer is one vectorised update.  Every diagonal entry is
-    stored, for the shift.  Returns ``(indptr, indices, diag, a, b, sel,
-    bounds)``: pair i feeds stored entry ``sel[i]``, and layer t is the pair
-    slice ``bounds[t]:bounds[t + 1]``.
+    Every operator the toy suites multiply is G with zero coefficients on its
+    absent terms, so an entry (r, c) of a product A B sums the same terms
+    A[r, k] B[k, c] = +-x[p] y[q] whatever the coefficients x of A and y of
+    B: one per state k next to both r and c, added in ascending k as scipy's
+    sparse product adds them.  Off G.G's diagonal r and c differ in two
+    modes and there are two terms; entries with the same two terms, in the
+    same order and with the same signs, form a class.  A diagonal entry has
+    n terms, one per mode, all with sign +1, and is a class of its own.
+
+    indptr, indices : the CSR pattern of G.G, indices sorted in each row
+    cls : class of each stored entry; the off-diagonal classes come first,
+        the diagonal entry of row r is class ``pq.shape[1] + r``
+    pq, sign : the two terms of each off-diagonal class as flat indices into
+        the 2n x 2n table of products x[p] y[q] (`_products`) and their signs
+    diag_pq : the n terms of each diagonal entry (one column per row)
     """
-    dim = 2 ** nmodes
-    indptr, indices = _jw_pattern(nmodes, raised, lowered)[:2]
-    k = np.repeat(np.arange(dim), np.diff(indptr))   # row of each field entry
-    per = np.diff(indptr)[k]                         # entries in that row
-    a = np.repeat(np.arange(k.size), per)            # entry (k, c), once per entry of row k
-    b = np.repeat(indptr[k] - (np.cumsum(per) - per), per) + np.arange(a.size)  # entry (k, r)
-    keys = indices[b].astype(np.int64) * dim + indices[a]
-    diag_keys = np.arange(dim) * (dim + 1)
-    stored = np.union1d(keys, diag_keys)             # sorted: CSR order
-    sel = np.searchsorted(stored, keys)
-    order = np.lexsort((k[a], sel))                  # by entry, then ascending k
-    sel, a, b = sel[order], a[order], b[order]
-    rank = np.arange(sel.size) - np.searchsorted(sel, sel)
-    layered = np.argsort(rank, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))])
-    out_ptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(stored // dim, minlength=dim), out=out_ptr[1:])
-    return _read_only(out_ptr, (stored % dim).astype(np.int32),
-                      np.searchsorted(stored, diag_keys),
-                      a[layered], b[layered], sel[layered], bounds)
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    cls: np.ndarray
+    pq: np.ndarray
+    sign: np.ndarray
+    diag_pq: np.ndarray
+
+
+# rows of G whose products are expanded at once; bounds the builder's
+# temporaries (the n = 12 table expands 590k products in all)
+_TABLE_BLOCK = 128
+
+
+@lru_cache(maxsize=16)
+def _product_table(nmodes: int) -> _ProductTable:
+    """The read-only class table of G.G for mode count nmodes."""
+    modes = tuple(range(nmodes))
+    _, cols, pos, sign = _jw_pattern(nmodes, modes, modes)
+    dim, width = 2 ** nmodes, 2 * nmodes
+    per_row = 1 + nmodes * (nmodes - 1) // 2          # stored entries per row of G.G
+    indices = np.empty(dim * per_row, dtype=np.int32)
+    cls = np.empty(dim * per_row, dtype=np.int32)      # each entry's term key, then class
+    diag_pq = np.empty((nmodes, dim), dtype=np.intp)
+    found = np.empty(0, dtype=np.int64)
+    for lo in range(0, dim, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, dim)
+        # every row of G holds n entries, so row k is the slice k*n .. k*n + n
+        a = np.repeat(np.arange(lo * nmodes, hi * nmodes), nmodes)             # entry (r, k)
+        b = cols[a] * nmodes + np.tile(np.arange(nmodes), (hi - lo) * nmodes)  # entry (k, c)
+        rc = a // nmodes * dim + cols[b]
+        order = np.argsort(rc, kind="stable")          # keeps each entry's terms in ascending k
+        a, b, rc = a[order], b[order], rc[order]
+        pq = pos[a] * width + pos[b]
+        neg = sign[a] != sign[b]
+        on_diag = rc % (dim + 1) == 0                  # r * dim + c with c == r
+        diag_pq[:, lo:hi] = pq[on_diag].reshape(hi - lo, nmodes).T
+        pq2, neg2 = pq[~on_diag].reshape(-1, 2), neg[~on_diag].reshape(-1, 2)
+        key = ((pq2[:, 0] * 2 + neg2[:, 0]) * width ** 2 + pq2[:, 1]) * 2 + neg2[:, 1]
+        found = np.union1d(found, key)
+        rc = rc[np.flatnonzero(np.diff(rc, prepend=-1))]   # the block's entries, in CSR order
+        block = cls[lo * per_row:hi * per_row]
+        indices[lo * per_row:hi * per_row] = rc % dim
+        entry_diag = rc % (dim + 1) == 0
+        block[~entry_diag] = key
+        block[entry_diag] = -1 - rc[entry_diag] // dim    # row r's diagonal
+    for lo in range(0, cls.size, _TABLE_BLOCK * per_row):
+        seg = cls[lo:lo + _TABLE_BLOCK * per_row]
+        off = seg >= 0
+        seg[off] = np.searchsorted(found, seg[off])
+        seg[~off] = found.size - 1 - seg[~off]             # diagonal of row r -> class ncls + r
+    indptr = np.arange(0, dim * per_row + 1, per_row, dtype=np.int32)
+    cells = width ** 2
+    pq = np.stack([found // (4 * cells), found // 2 % cells])
+    table_sign = 1.0 - 2.0 * np.stack([found // (2 * cells) % 2, found % 2])
+    return _ProductTable(*_read_only(
+        indptr, indices, cls, pq.astype(np.intp),
+        table_sign, diag_pq))
+
+
+def _products(x, y) -> np.ndarray:
+    """The 2n x 2n table x[p] y[q], each product written in real arithmetic
+    as scipy's complex multiply: numpy's complex multiply may fuse a
+    multiply-add and leave a rounding residue where scipy gives an exact
+    zero.  Returned flat, as `_ProductTable` indexes it."""
+    P = np.empty((x.size, y.size), dtype=complex)
+    P.real = np.multiply.outer(x.real, y.real) - np.multiply.outer(x.imag, y.imag)
+    P.imag = np.multiply.outer(x.real, y.imag) + np.multiply.outer(x.imag, y.real)
+    return P.ravel()
+
+
+def _off_diagonal_sums(table: _ProductTable, P) -> np.ndarray:
+    """A B on the off-diagonal classes, for P = `_products(x, y)`."""
+    return table.sign[0] * P[table.pq[0]] + table.sign[1] * P[table.pq[1]]
+
+
+def _diagonal_sums(table: _ProductTable, P) -> np.ndarray:
+    """The diagonal of A B, each entry's n terms added in ascending k."""
+    out = P[table.diag_pq[0]]
+    for pq in table.diag_pq[1:]:
+        out += P[pq]
+    return out
+
+
+def _product_values(nmodes: int, x, y) -> np.ndarray:
+    """Class values of A B for A, B with coefficients x, y on G's terms:
+    equal bit for bit, up to the sign of exact zeros, to every stored
+    value of scipy's A @ B; an entry scipy leaves out is an exact zero."""
+    table = _product_table(nmodes)
+    P = _products(x, y)
+    return np.concatenate([_off_diagonal_sums(table, P), _diagonal_sums(table, P)])
+
+
+def _class_zeros(nmodes: int) -> np.ndarray:
+    """A zero value for every class of the mode count's product table."""
+    return np.zeros(_product_table(nmodes).pq.shape[1] + 2 ** nmodes, dtype=complex)
+
+
+def _table_matrix(nmodes: int, values) -> sparse.csr_matrix:
+    """CSR matrix of class values gathered onto the pattern of G.G, without
+    explicit zeros; it owns its index arrays."""
+    table = _product_table(nmodes)
+    op = sparse.csr_matrix((values[table.cls], table.indices.copy(), table.indptr.copy()),
+                           shape=(2 ** nmodes, 2 ** nmodes))
+    op.eliminate_zeros()
+    return op
+
+
+def _anticommutator(nmodes: int, x, y, shift):
+    """{A, B} - shift I on the classes, as scipy's A @ B + B @ A - shift * I:
+    the off-diagonal class values and the diagonal, each bit for bit up to
+    the sign of exact zeros."""
+    table = _product_table(nmodes)
+    pxy, pyx = _products(x, y), _products(y, x)
+    off = _off_diagonal_sums(table, pxy) + _off_diagonal_sums(table, pyx)
+    return off, (_diagonal_sums(table, pxy) + _diagonal_sums(table, pyx)) - shift
+
+
+def _anticommutator_deviation(nmodes: int, x, y, shift) -> float:
+    """Largest |entry| of {A, B} - shift I, equal to `charge.max_abs` of
+    scipy's A @ B + B @ A - shift * I."""
+    off, diag = _anticommutator(nmodes, x, y, shift)
+    return float(max(np.max(np.abs(off), initial=0.0), np.max(np.abs(diag))))
 
 
 @dataclass
@@ -276,58 +392,36 @@ def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
     return _jw_operator(model, _particle_modes(model), _antiparticle_modes(model), coeffs)
 
 
-def _density_modes(model: ToyModel) -> tuple:
-    """Key of the model's `_density_pattern`."""
-    return model.n, _antiparticle_modes(model), _particle_modes(model)
-
-
-def _density_zeros(model: ToyModel) -> np.ndarray:
-    """A zero value for every stored entry of the model's density pattern."""
-    indptr = _density_pattern(*_density_modes(model))[0]
-    return np.zeros(indptr[-1], dtype=complex)
+def _ladder_coeffs(model: ToyModel, f) -> np.ndarray:
+    """Rows b*(f), b(f), c*(f), c(f): each operator's coefficients on the
+    terms of G = `_jw_pattern(n, modes, modes)` (raising mode k is term k,
+    lowering it term n + k), with zeros on the terms it lacks."""
+    n, d = model.n, model.d_plus
+    b, c = _b_coeffs(model, f), _c_coeffs(model, f)
+    out = np.zeros((4, 2 * n), dtype=complex)
+    out[0, :d], out[1, n:n + d] = b, b.conj()
+    out[2, d:n], out[3, n + d:] = c, c.conj()
+    return out
 
 
 def _density_values(model: ToyModel, f) -> np.ndarray:
-    """Stored values of :Psi*(f) Psi(f): on `_density_pattern`, explicit
-    zeros included, equal bit for bit to scipy's Psi*(f) Psi(f) - shift I
-    up to the sign of exact zeros.  Each product is written in real
-    arithmetic: numpy's complex multiply may fuse a multiply-add and leave
-    a rounding residue where scipy's gives an exact zero."""
+    """Class values of :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2, equal
+    bit for bit to scipy's product less the shifted identity, up to the sign
+    of exact zeros."""
     f = _check_f(model, f)
     nrm = np.linalg.norm(f)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"f must be normalized, |f| = {nrm}")
-    key = _density_modes(model)
-    _, _, pos, sign = _jw_pattern(*key)
-    _, _, diag, a, b, sel, bounds = _density_pattern(*key)
-    psi = _field_coeffs(model, f)[pos] * sign
-    shift = float(np.linalg.norm(model.p_minus @ f) ** 2)
-    br, bi, ar, ai = psi.real[a], psi.imag[a], psi.real[b], psi.imag[b]
-    prod_re = br * ar + bi * ai   # Psi[k, c] conj(Psi[k, r])
-    prod_im = bi * ar - br * ai
-    out = _density_zeros(model)
-    re, im = out.real, out.imag
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        re[sel[lo:hi]] += prod_re[lo:hi]
-        im[sel[lo:hi]] += prod_im[lo:hi]
-    re[diag] -= shift
+    bs, b, cs, c = _ladder_coeffs(model, f)
+    out = _product_values(model.n, bs + c, b + cs)
+    out.real[-model.fock_dim:] -= float(np.linalg.norm(model.p_minus @ f) ** 2)
     return out
-
-
-def _density_matrix(model: ToyModel, values) -> sparse.csr_matrix:
-    """CSR matrix of values on the model's density pattern, without explicit
-    zeros; it owns its index arrays."""
-    indptr, indices = _density_pattern(*_density_modes(model))[:2]
-    op = sparse.csr_matrix((values, indices.copy(), indptr.copy()),
-                           shape=(model.fock_dim, model.fock_dim))
-    op.eliminate_zeros()
-    return op
 
 
 def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:
     """Wick-ordered density :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2
     for a normalized one-particle vector f."""
-    return _density_matrix(model, _density_values(model, f))
+    return _table_matrix(model.n, _density_values(model, f))
 
 
 def sector_labels(model: ToyModel):

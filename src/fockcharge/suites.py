@@ -108,47 +108,36 @@ def _random_unitary(rng, d):
 # car-check
 
 
-def _anti(A, B):
-    return A @ B + B @ A
-
-
 def run_car_check(cfg: ExperimentConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed)
     plan = [(6, 40), (8, 40), (12, 20)]  # 100 (f, g) pairs total
     names = ["bb", "b*b*", "b*b-car", "cc", "c*c*", "c*c-car",
              "bc", "bc*", "b*c", "b*c*", "PsiPsi", "Psi*Psi-car", "adjoint"]
     worst = dict.fromkeys(names, 0.0)
-    anti = _anti
-    dev = charge.max_abs
     for n, pairs in plan:
         model = fock.random_model(n, rng)
-        I = sparse.identity(model.fock_dim, format="csr")
         for _ in range(pairs):
             f = _random_vec(rng, n)
             g = _random_vec(rng, n)
-            b_f, bs_f = fock.annihilator_b(model, f), fock.creator_b(model, f)
-            b_g, bs_g = fock.annihilator_b(model, g), fock.creator_b(model, g)
-            c_f, cs_f = fock.annihilator_c(model, f), fock.creator_c(model, f)
-            c_g, cs_g = fock.annihilator_c(model, g), fock.creator_c(model, g)
-            worst["bb"] = max(worst["bb"], dev(anti(b_f, b_g)))
-            worst["b*b*"] = max(worst["b*b*"], dev(anti(bs_f, bs_g)))
-            worst["b*b-car"] = max(worst["b*b-car"],
-                                   dev(anti(bs_f, b_g) - np.vdot(g, model.p_plus @ f) * I))
-            worst["cc"] = max(worst["cc"], dev(anti(c_f, c_g)))
-            worst["c*c*"] = max(worst["c*c*"], dev(anti(cs_f, cs_g)))
-            worst["c*c-car"] = max(worst["c*c-car"],
-                                   dev(anti(cs_f, c_g) - np.conj(np.vdot(g, model.p_minus @ f)) * I))
-            worst["bc"] = max(worst["bc"], dev(anti(b_f, c_g)))
-            worst["bc*"] = max(worst["bc*"], dev(anti(b_f, cs_g)))
-            worst["b*c"] = max(worst["b*c"], dev(anti(bs_f, c_g)))
-            worst["b*c*"] = max(worst["b*c*"], dev(anti(bs_f, cs_g)))
-            psi_f = b_f + cs_f
-            psi_g = b_g + cs_g
-            psis_f = bs_f + c_f
-            worst["PsiPsi"] = max(worst["PsiPsi"], dev(anti(psi_f, psi_g)))
-            worst["Psi*Psi-car"] = max(worst["Psi*Psi-car"],
-                                       dev(anti(psis_f, psi_g) - np.vdot(g, f) * I))
-            worst["adjoint"] = max(worst["adjoint"], dev(psis_f - psi_f.conj().T.tocsr()))
+            bs_f, b_f, cs_f, c_f = fock._ladder_coeffs(model, f)
+            bs_g, b_g, cs_g, c_g = fock._ladder_coeffs(model, g)
+            # {A, B} - shift I for the operators with these coefficients
+            for name, x, y, shift in [
+                    ("bb", b_f, b_g, 0.0),
+                    ("b*b*", bs_f, bs_g, 0.0),
+                    ("b*b-car", bs_f, b_g, np.vdot(g, model.p_plus @ f)),
+                    ("cc", c_f, c_g, 0.0),
+                    ("c*c*", cs_f, cs_g, 0.0),
+                    ("c*c-car", cs_f, c_g, np.conj(np.vdot(g, model.p_minus @ f))),
+                    ("bc", b_f, c_g, 0.0),
+                    ("bc*", b_f, cs_g, 0.0),
+                    ("b*c", bs_f, c_g, 0.0),
+                    ("b*c*", bs_f, cs_g, 0.0),
+                    ("PsiPsi", b_f + cs_f, b_g + cs_g, 0.0),
+                    ("Psi*Psi-car", bs_f + c_f, b_g + cs_g, np.vdot(g, f))]:
+                worst[name] = max(worst[name], fock._anticommutator_deviation(n, x, y, shift))
+            adjoint = fock.field_adjoint(model, f) - fock.field_op(model, f).conj().T.tocsr()
+            worst["adjoint"] = max(worst["adjoint"], charge.max_abs(adjoint))
     checks = [Check.below(f"car/{k}", v, 1e-12) for k, v in worst.items()]
     return _check_result("car-check", checks)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fockcharge import fock
 
@@ -34,3 +35,23 @@ def dense_gram(suite, name):
     """The full n x n Gram `name` ("one", "g0".."g3") of a suite, gathered."""
     idx = np.arange(suite.shell.count)
     return suite.gather(name, idx[:, None], idx[None, :])
+
+
+def assert_bitwise_csr(A, B):
+    """Same CSR structure and the same bits in every stored value, except
+    that an exact zero may carry either sign."""
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    a, b = A.data.view(np.float64), B.data.view(np.float64)
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    assert np.all((a[differ] == 0) & (b[differ] == 0))
+
+
+def sorted_csr(M):
+    """A CSR copy of M with the indices sorted in each row: scipy's sparse
+    products and sums of such products leave them in its own order."""
+    M = sparse.csr_matrix(M, copy=True)
+    M.has_sorted_indices = False
+    M.sort_indices()
+    return M

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import random_unitary
-from fockcharge import charge, fock
+from conftest import assert_bitwise_csr, random_unitary, sorted_csr
+from fockcharge import charge, fock, suites
 from fockcharge.charge import max_abs
 
 
@@ -164,15 +164,14 @@ def oracle_q_weighted(model, basis, weights):
     return out.tocsr()
 
 
-def assert_bitwise_csr(A, B):
-    """Same CSR structure and the same bits in every stored value, except
-    that an exact zero may carry either sign."""
-    assert A.format == B.format == "csr" and A.shape == B.shape
-    assert np.array_equal(A.indptr, B.indptr)
-    assert np.array_equal(A.indices, B.indices)
-    a, b = A.data.view(np.float64), B.data.view(np.float64)
-    differ = a.view(np.uint64) != b.view(np.uint64)
-    assert np.all((a[differ] == 0) & (b[differ] == 0))
+def oracle_q_tilde(model, basis):
+    """sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)) as a series of scipy sparse
+    products and adds."""
+    out = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+    for f in basis.vectors.T:
+        bs, cs = fock.creator_b(model, f), fock.creator_c(model, f)
+        out = out + bs @ bs.conj().T - cs @ cs.conj().T
+    return out.tocsr()
 
 
 def bitwise_cases():
@@ -201,24 +200,32 @@ def test_wick_gather_matches_sparse_product_oracle_bitwise():
                         np.where(np.arange(basis.dim) % 2, 0.0, 1.0)):
             assert_bitwise_csr(charge.q_weighted(model, basis, weights),
                                oracle_q_weighted(model, basis, weights))
+        assert_bitwise_csr(charge.q_tilde(model, basis),
+                           sorted_csr(oracle_q_tilde(model, basis)))
 
 
 def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
-    """No density matrix, sparse product or sparse add on the Wick sum, and
-    the density pattern is built once per model shape."""
+    """No density matrix, sparse product or sparse add in the Wick sum or in
+    Q~, and one product table per mode count, which the car-check shares."""
     basis = charge.random_subspace(model6, 3, rng)
     expected = oracle_q_weighted(model6, basis, [1.0, 0.5, 1.0])
+    expected_tilde = sorted_csr(oracle_q_tilde(model6, basis))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("q_weighted must not build sparse products or sums")
+        raise AssertionError("no sparse products or sums on the product-table route")
 
     monkeypatch.setattr(fock, "normal_ordered_density", forbidden)
     monkeypatch.setattr(sparse.csr_matrix, "_matmul_sparse", forbidden)
-    monkeypatch.setattr(sparse.csr_matrix, "_binopt", forbidden)
-    fock._density_pattern.cache_clear()
-    for _ in range(2):
-        assert_bitwise_csr(charge.q_weighted(model6, basis, [1.0, 0.5, 1.0]), expected)
-    assert fock._density_pattern.cache_info().misses == 1
+    fock._product_table.cache_clear()
+    with monkeypatch.context() as no_sums:
+        no_sums.setattr(sparse.csr_matrix, "_binopt", forbidden)
+        for _ in range(2):
+            assert_bitwise_csr(charge.q_weighted(model6, basis, [1.0, 0.5, 1.0]), expected)
+            assert_bitwise_csr(charge.q_tilde(model6, basis), expected_tilde)
+    assert fock._product_table.cache_info().misses == 1
+    # mode counts 6, 8 and 12; its adjoint check subtracts sparse matrices
+    assert suites.run_car_check(suites.ExperimentConfig()).ok
+    assert fock._product_table.cache_info().misses == 3
 
 
 def test_q_weighted_limits(model6, rng):

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from conftest import dense_gram, random_unitary
-from fockcharge import charge, divergence as dv, modes, quadrature as quad, spinor
+from fockcharge import charge, divergence as dv, fock, modes, quadrature as quad, spinor, suites
 
 SMALL_GRID = quad.build_grid(10, 1, 5)
 SHELLS = [0, 1, 2]
@@ -210,6 +210,31 @@ def test_trace_route_memory_below_one_dense_gram():
     finally:
         tracemalloc.stop()
     assert peak < 8 * suite.shell.count ** 2
+
+
+def traced_peak(run):
+    """Peak traced bytes of run(), from cold Fock pattern caches."""
+    fock._jw_pattern.cache_clear()
+    fock._product_table.cache_clear()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_product_table_build_memory():
+    # the builder expands G.G in row blocks; at once, the n = 12 table's
+    # 590k products would take 44.7 MB
+    assert traced_peak(lambda: fock._product_table(12)) < 8e6
+
+
+def test_car_check_memory():
+    # 15.5 MB with sparse products of freshly built operators
+    config = suites.ExperimentConfig(seed=1)
+    assert traced_peak(lambda: suites.run_car_check(config)) < 15.5e6
 
 
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):

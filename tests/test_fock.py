@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import assert_bitwise_csr, sorted_csr
 from fockcharge import fock
 from fockcharge.charge import max_abs
 from fockcharge.involution import AntiUnitary
@@ -13,6 +14,42 @@ BUILDERS = ("creator_b", "annihilator_b", "creator_c", "annihilator_c",
 
 def anti(A, B):
     return A @ B + B @ A
+
+
+def oracle_anticommutator(A, B, shift=0.0):
+    """{A, B} - shift I by scipy's sparse products and adds: the values
+    `fock._anticommutator` reproduces bit for bit."""
+    out = anti(A, B)
+    if shift:
+        out = out - shift * sparse.identity(A.shape[0], format="csr")
+    return out
+
+
+# the car-check's twelve anticommutators {A(f), B(g)} - shift I
+CAR_CHECKS = [
+    ("bb", "b", "b", None),
+    ("b*b*", "b*", "b*", None),
+    ("b*b-car", "b*", "b", lambda model, f, g: np.vdot(g, model.p_plus @ f)),
+    ("cc", "c", "c", None),
+    ("c*c*", "c*", "c*", None),
+    ("c*c-car", "c*", "c", lambda model, f, g: np.conj(np.vdot(g, model.p_minus @ f))),
+    ("bc", "b", "c", None),
+    ("bc*", "b", "c*", None),
+    ("b*c", "b*", "c", None),
+    ("b*c*", "b*", "c*", None),
+    ("PsiPsi", "Psi", "Psi", None),
+    ("Psi*Psi-car", "Psi*", "Psi", lambda model, f, g: np.vdot(g, f)),
+]
+
+
+def operators(model, f):
+    """Each operator of f as (sparse builder, coefficient row on the terms
+    of the full pattern)."""
+    bs, b, cs, c = fock._ladder_coeffs(model, f)
+    return {"b*": (fock.creator_b(model, f), bs), "b": (fock.annihilator_b(model, f), b),
+            "c*": (fock.creator_c(model, f), cs), "c": (fock.annihilator_c(model, f), c),
+            "Psi": (fock.field_op(model, f), b + cs),
+            "Psi*": (fock.field_adjoint(model, f), bs + c)}
 
 
 def kron_creators(nmodes):
@@ -97,10 +134,13 @@ def test_in_place_changes_do_not_reach_the_pattern_cache(model6, rng):
 def test_cached_patterns_are_read_only(model6, rng):
     """A matrix that shares a cached pattern's arrays cannot rewrite them in
     place, so the later operators of that mode count stay intact."""
-    key = fock._density_modes(model6)
-    for indptr, indices, *rest in (fock._jw_pattern(*key), fock._density_pattern(*key)):
-        for arr in (indptr, indices, *rest):
-            assert not arr.flags.writeable
+    modes = tuple(range(6))
+    field = fock._jw_pattern(6, modes[3:], modes[:3])
+    full = fock._jw_pattern(6, modes, modes)
+    table = fock._product_table(6)
+    for arr in (*field, *full, *table):
+        assert not arr.flags.writeable
+    for indptr, indices, *_ in (field, full, table):
         shared = sparse.csr_matrix((np.zeros(indices.size), indices, indptr),
                                    shape=(model6.fock_dim, model6.fock_dim))
         with pytest.raises(ValueError, match="read-only"):
@@ -110,6 +150,52 @@ def test_cached_patterns_are_read_only(model6, rng):
             shared.sort_indices()
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     assert_same_csr(fock.field_op(model6, f), oracle_operators(model6, f)["field_op"])
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 12])  # car-check runs at n = 6, 8, 12
+def test_builders_are_the_full_pattern_restricted_to_their_terms(n):
+    """Every builder is G = `_jw_pattern(n, modes, modes)` with zeros on its
+    absent terms: the coefficient rows the product table multiplies."""
+    rng = np.random.default_rng(n)
+    model = fock.random_model(n, rng)
+    modes = tuple(range(n))
+    for f in (rng.normal(size=n) + 1j * rng.normal(size=n), model.basis_plus[:, 0]):
+        for op, coeffs in operators(model, f).values():
+            assert_same_csr(op, fock._jw_operator(model, modes, modes, coeffs))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_anticommutator_table_matches_sparse_oracle_bitwise(n):
+    """The car-check's deviations equal max_abs of the sparse route bit for
+    bit, and so does every value of {A, B} - shift I.  Each case runs once
+    more with a shift of the other kind: the CAR cases with none, whose
+    diagonal products are not zero, and the others with one."""
+    rng = np.random.default_rng(40 + n)
+    model = fock.random_model(n, rng)
+    for _ in range(3):
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        of, og = operators(model, f), operators(model, g)
+        for name, a, b, shift_of in CAR_CHECKS:
+            (A, x), (B, y) = of[a], og[b]
+            for shift in [shift_of(model, f, g), 0.0] if shift_of else [0.0, 0.25 - 0.5j]:
+                expected = oracle_anticommutator(A, B, shift)
+                assert fock._anticommutator_deviation(n, x, y, shift) == max_abs(expected), name
+                values = np.concatenate(fock._anticommutator(n, x, y, shift))
+                assert_bitwise_csr(fock._table_matrix(n, values), sorted_csr(expected))
+
+
+@pytest.mark.parametrize("n, classes", [(2, 4), (6, 100), (8, 196), (12, 484)])
+def test_product_table_shape(n, classes):
+    """Two terms per off-diagonal class, n per diagonal entry, and one
+    stored entry of G.G per pair of states that differ in no mode or in
+    two; every class is used."""
+    table = fock._product_table(n)
+    assert table.pq.shape == table.sign.shape == (2, classes)
+    assert table.diag_pq.shape == (n, 2 ** n)
+    assert np.array_equal(np.diff(table.indptr), np.full(2 ** n, 1 + n * (n - 1) // 2))
+    uses = np.bincount(table.cls)
+    assert np.all(uses[:classes] > 0) and np.array_equal(uses[classes:], np.ones(2 ** n))
 
 
 def test_vacuum_is_normalized_and_annihilated(model6, rng):

@@ -4,11 +4,12 @@ With a fixed seed the CLI output is meant to stay byte-identical as the
 code changes.  The determinism tests compare two runs of the same code;
 these digests pin the bytes themselves: SHA-256 of the check lines on
 stdout followed by the CSV written with --no-timestamp.  The toy digests
-use default settings, for every toy experiment except car-check (left out
-for run time); the headline digest is vacuum-divergence at K=4 on the
-cutoff-40, 2-panel, order-6 grid.  They were recorded with the numpy and
-scipy versions below; other versions may round differently, so the tests
-are skipped there.
+use default settings, for every toy experiment; the headline digest is
+vacuum-divergence at K=4 on the cutoff-40, 2-panel, order-6 grid.  They
+were recorded with the numpy and scipy versions below; other versions may
+round differently, so the tests are skipped there.  A failing assertion
+names the digest it got, ready to be copied in after a deliberate
+re-record.
 """
 
 import hashlib
@@ -24,6 +25,12 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 SEEDS = (0, 1, 2, 2024)
 
 DIGESTS = {
+    "car-check": (
+        "fd7c7cc9542d444039552f7147dccb131ef6c18c104f465c6833ccc8699e5a45",  # seed 0
+        "e5439db0b156adec0faaac67d1b83c96303d3c440d93b8f0e7a91069b9e900ea",  # seed 1
+        "bd91299eaa4485182c2ed43e42d8703b729e3cc9fe4c05c9dca1b63d50229d11",  # seed 2
+        "f3214e49babaa4d59a738ac15ea957fbb1adfd5303db9f0d16e7a21cb1516eb6",  # seed 2024
+    ),
     "spectrum": (
         "9f107eab1fc0d14eae6a1537c5db36a629bfb4bc798e924b96e271687bd13039",  # seed 0
         "4a7096c058c5a8ec5198cd811bc14cb2fb068f37d543c1586e8465af70d232c5",  # seed 1
@@ -112,9 +119,10 @@ def test_toy_output_bytes_match_golden_digests(experiment, tmp_path, capsys):
     for seed, expected in zip(SEEDS, DIGESTS[experiment]):
         digest = output_digest([experiment, "--seed", str(seed), "--no-timestamp"],
                                tmp_path / "out.csv", capsys)
-        assert digest == expected, f"{experiment} at seed {seed}"
+        assert digest == expected, f"{experiment} at seed {seed}: got {digest}"
 
 
 @recorded_versions_only
 def test_headline_output_bytes_match_golden_digest(tmp_path, capsys):
-    assert output_digest(HEADLINE_ARGV, tmp_path / "headline.csv", capsys) == HEADLINE_DIGEST
+    digest = output_digest(HEADLINE_ARGV, tmp_path / "headline.csv", capsys)
+    assert digest == HEADLINE_DIGEST, f"vacuum-divergence at K=4: got {digest}"
