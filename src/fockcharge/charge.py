@@ -11,8 +11,10 @@ it reproduces bit for bit is the oracle in the tests.  Also the
 number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)),
 summed the same way, the total charge, the toy vacuum norm |Q^J Omega|^2
 by a Fock route and a trace route (`vacuum_norm`), the spectral /
-additivity / commutation checks and the four-sum decomposition of the
-truncated-charge sector norm.
+additivity / commutation checks, the eigenvector witness and the four-sum
+decomposition of the truncated-charge sector norm.  The Fock route of
+`vacuum_norm` (the sum of b*(f_i) c*(f_i)) and the witness's
+sum_i Psi*(f_i) Psi(f_i) read the same table.
 """
 
 from dataclasses import dataclass
@@ -133,10 +135,12 @@ def vacuum_norm(model: ToyModel, basis: SubspaceBasis, J: int):
     trace route is tr(M) - tr(M^2) with M = F* P+ F, the exact toy M+ on the
     first J basis vectors F."""
     _check_J(basis, J)
-    omega = fock.vacuum(model)
     F = basis.vectors[:, :J]
-    vec = np.sum([(fock.creator_b(model, f) @ fock.creator_c(model, f)) @ omega
-                  for f in F.T], axis=0) if J else np.zeros_like(omega)
+    acc = fock._class_zeros(model.n)
+    for f in F.T:
+        bs, _, cs, _ = fock._ladder_coeffs(model, f)
+        acc += fock._product_values(model.n, bs, cs)
+    vec = fock._table_matrix(model.n, acc) @ fock.vacuum(model)
     M = F.conj().T @ model.p_plus @ F
     return (float(np.vdot(vec, vec).real),
             float((np.trace(M) - np.trace(M @ M)).real))
@@ -177,15 +181,20 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
     return fock._table_matrix(model.n, acc)
 
 
-def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitary) -> float:
-    """Max matrix deviation between Q built from (f_j) and from the rotated
-    basis g_j = sum_i U_ij f_i."""
+def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitaries) -> float:
+    """Largest matrix deviation between Q built from (f_j) and from a rotated
+    basis g_j = sum_i U_ij f_i, over the d x d unitaries U; Q of (f_j) is
+    built once."""
+    Q = q_subspace(model, basis)
+    return max(max_abs(Q - q_subspace(model, _rotated(model, basis, U))) for U in unitaries)
+
+
+def _rotated(model: ToyModel, basis: SubspaceBasis, unitary) -> SubspaceBasis:
     U = np.asarray(unitary, dtype=complex)
     d = basis.dim
     if U.shape != (d, d) or np.max(np.abs(U.conj().T @ U - np.eye(d))) > 1e-12:
         raise ValueError("need a d x d unitary")
-    rotated = SubspaceBasis.from_vectors(model, basis.vectors @ U)
-    return max_abs(q_subspace(model, basis) - q_subspace(model, rotated))
+    return SubspaceBasis.from_vectors(model, basis.vectors @ U)
 
 
 def q_additivity_and_commutation(model: ToyModel, basis1: SubspaceBasis,
@@ -252,11 +261,11 @@ def eigenvector_witness(model: ToyModel, basis: SubspaceBasis, j: int):
     nrm = np.linalg.norm(phi)
     if nrm < 1e-9:
         raise ValueError("witness vector degenerated to zero for this basis")
-    total = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
-    for i in range(d):
-        psi = fock.field_op(model, basis.vectors[:, i])
-        total = total + psi.conj().T @ psi
-    residual = np.linalg.norm(total @ phi - j * phi) / nrm
+    acc = fock._class_zeros(model.n)
+    for f in basis.vectors.T:
+        bs, b, cs, c = fock._ladder_coeffs(model, f)
+        acc += fock._product_values(model.n, bs + c, b + cs)
+    residual = np.linalg.norm(fock._table_matrix(model.n, acc) @ phi - j * phi) / nrm
     return phi, float(residual)
 
 

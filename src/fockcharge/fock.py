@@ -10,24 +10,26 @@ of an antiparticle creator crosses the whole particle block, which is exactly
 the (-1)^n factor in the antiparticle creation operator.
 
 All operators are returned as scipy CSR matrices, for the mode counts
-(n <= 12) this module is meant for.  Each builder is one gather and one CSR
-constructor call: the sparsity pattern of sum_k x_k a*_k + sum_l y_l a_l
-(row pointers, column indices, which coefficient each stored entry takes and
-its Jordan-Wigner sign) is cached per mode count and mode sets, and the
-field operators use one merged pattern for their two disjoint blocks.
+(n <= 12) this module is meant for.  There is one Jordan-Wigner pattern per
+mode count: the sparsity pattern of G = sum_k x_k a*_k + sum_k y_k a_k, every
+mode both raised and lowered (row pointers, column indices, which
+coefficient each stored entry takes and its Jordan-Wigner sign), is cached.
+Each builder is one gather and one CSR constructor call: its row of
+coefficients on G's terms, with zeros on the terms it lacks (for the field
+operators the sum of two rows), gathered onto the pattern, zeros dropped.
 
 Products of these operators go through one cached table per mode count.
-Every builder's operator is G, the pattern with every mode both raised and
-lowered, with zero coefficients on its absent terms, and each stored entry
-of G.G is a fixed ordered sum of coefficient products, in the order
-scipy's sparse product adds them.  The entries fall into few classes of
-equal sums, so the Wick-ordered density :Psi*(f) Psi(f):, the products of
-the number-operator charge and the anticommutators of the CAR check are
-class sums on the 2n x 2n table of coefficient products, gathered onto the
-pattern once where a matrix is needed; they come out bit for bit as by
-scipy's products.  The cached arrays are read-only.  The Kronecker-product,
-sum-of-adds builders and the sparse products are kept in the tests as the
-exact oracles.
+Every builder's operator is G with zero coefficients on its absent terms,
+and each stored entry of G.G is a fixed ordered sum of coefficient
+products, in the order scipy's sparse product adds them.  The entries fall
+into few classes of equal sums, so the Wick-ordered density
+:Psi*(f) Psi(f):, the products of the number-operator charge, the
+anticommutators of the CAR check and the ladder products of `charge`'s
+vacuum norm and eigenvector witness are class sums on the 2n x 2n table of
+coefficient products, gathered onto the pattern once where a matrix is
+needed; they come out bit for bit as by scipy's products.  The cached
+arrays are read-only.  The Kronecker-product, sum-of-adds builders and the
+sparse products are kept in the tests as the exact oracles.
 """
 
 from dataclasses import dataclass, field
@@ -55,22 +57,23 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
-def _jw_pattern(nmodes: int, raised: tuple, lowered: tuple):
-    """CSR structure of sum_i x_i a*_{raised[i]} + sum_j y_j a_{lowered[j]}.
+@lru_cache(maxsize=16)
+def _jw_pattern(nmodes: int):
+    """CSR structure of G = sum_k x_k a*_k + sum_k y_k a_k over every mode.
 
     Mode 0 is the most significant bit of a basis index.  The Jordan-Wigner
     string sits on the modes *before* the target mode, so raising or lowering
     mode k picks up the parity of the occupation of modes 0..k-1.  Distinct
     (mode, direction) terms never share a stored entry, so the operator is a
     gather: stored entry e holds ``coeffs[pos[e]] * sign[e]`` with ``coeffs``
-    the concatenation (x, y).  Returns ``(indptr, indices, pos, sign)`` with
-    the indices sorted within each row.
+    the concatenation (x, y), raising mode k term k and lowering it term
+    n + k.  Returns ``(indptr, indices, pos, sign)`` with the indices sorted
+    within each row; every row holds n entries.
     """
     dim = 2 ** nmodes
     states = np.arange(dim, dtype=np.int64)
     rows, cols, pos, sign = [], [], [], []
-    terms = [(k, True) for k in raised] + [(k, False) for k in lowered]
+    terms = [(k, True) for k in range(nmodes)] + [(k, False) for k in range(nmodes)]
     for p, (k, raise_) in enumerate(terms):
         bit = 1 << (nmodes - 1 - k)
         src = states[((states & bit) == 0) == raise_]
@@ -98,7 +101,7 @@ def _read_only(*arrays) -> tuple:
 
 
 class _ProductTable(NamedTuple):
-    """The stored entries of G.G, for G = `_jw_pattern(n, modes, modes)`,
+    """The stored entries of G.G, for G = `_jw_pattern(n)`,
     sorted into classes of equal sums.
 
     Every operator the toy suites multiply is G with zero coefficients on its
@@ -134,8 +137,7 @@ _TABLE_BLOCK = 128
 @lru_cache(maxsize=16)
 def _product_table(nmodes: int) -> _ProductTable:
     """The read-only class table of G.G for mode count nmodes."""
-    modes = tuple(range(nmodes))
-    _, cols, pos, sign = _jw_pattern(nmodes, modes, modes)
+    _, cols, pos, sign = _jw_pattern(nmodes)
     dim, width = 2 ** nmodes, 2 * nmodes
     per_row = 1 + nmodes * (nmodes - 1) // 2          # stored entries per row of G.G
     indices = np.empty(dim * per_row, dtype=np.int32)
@@ -253,6 +255,7 @@ class ToyModel:
     conj : anti-unitary involution C with C P- C = P+
     basis_plus : ONB of ran(P+), the particle modes (columns)
     basis_antip : ONB of ran(C P-), the antiparticle modes (columns)
+    p_minus : I - P+, set once on construction
     """
 
     n: int
@@ -266,7 +269,7 @@ class ToyModel:
         P = self.p_plus
         if np.max(np.abs(P @ P - P)) > 1e-10 or np.max(np.abs(P - P.conj().T)) > 1e-10:
             raise ValueError("p_plus is not an orthogonal projector")
-        Pm = self.p_minus
+        self.p_minus = Pm = np.eye(self.n) - P
         # C P- C = P+ as anti-linear conjugation: U conj(P-) conj(U) = P+
         U = self.conj.U
         dev = np.max(np.abs(U @ np.conj(Pm) @ np.conj(U) - P))
@@ -277,10 +280,6 @@ class ToyModel:
         if self.d_plus + self.d_minus != self.n:
             raise ValueError("mode count mismatch")
         self.fock_dim = 2 ** self.n
-
-    @property
-    def p_minus(self) -> np.ndarray:
-        return np.eye(self.n) - self.p_plus
 
 
 def random_model(n: int, rng) -> ToyModel:
@@ -324,84 +323,64 @@ def _check_f(model: ToyModel, f) -> np.ndarray:
     return f
 
 
-def _jw_operator(model: ToyModel, raised: tuple, lowered: tuple, coeffs) -> sparse.csr_matrix:
-    """sum_i coeffs[i] a*_{raised[i]} + sum_j coeffs[len(raised) + j] a_{lowered[j]}
-    as a fresh CSR matrix that owns its arrays, without explicit zeros."""
-    indptr, indices, pos, sign = _jw_pattern(model.n, raised, lowered)
+def _jw_operator(model: ToyModel, coeffs) -> sparse.csr_matrix:
+    """G with the coefficient row ``coeffs``, sum_k coeffs[k] a*_k +
+    sum_k coeffs[n + k] a_k, as a fresh CSR matrix that owns its arrays; the
+    zeros of the terms an operator lacks are dropped."""
+    indptr, indices, pos, sign = _jw_pattern(model.n)
     op = sparse.csr_matrix((coeffs[pos] * sign, indices.copy(), indptr.copy()),
                            shape=(model.fock_dim, model.fock_dim))
     op.eliminate_zeros()
     return op
 
 
-def _particle_modes(model: ToyModel) -> tuple:
-    return tuple(range(model.d_plus))
-
-
-def _antiparticle_modes(model: ToyModel) -> tuple:
-    return tuple(range(model.d_plus, model.n))
-
-
-def _b_coeffs(model: ToyModel, f) -> np.ndarray:
-    """<u_a, f> over the particle ONB: the coefficients of b*(f)."""
-    return model.basis_plus.conj().T @ _check_f(model, f)
-
-
-def _c_coeffs(model: ToyModel, f) -> np.ndarray:
-    """Coefficients of c*(f): C P- f over the antiparticle ONB."""
-    target = model.conj.apply(model.p_minus @ _check_f(model, f))
-    return model.basis_antip.conj().T @ target
+def _ladder_coeffs(model: ToyModel, f) -> np.ndarray:
+    """Rows b*(f), b(f), c*(f), c(f): each operator's coefficients on the
+    terms of G = `_jw_pattern(n)` (raising mode k is term k, lowering it
+    term n + k), with zeros on the terms it lacks: <u_a, f> over the
+    particle ONB for b*(f), C P- f over the antiparticle ONB for c*(f)."""
+    f = _check_f(model, f)
+    n, d = model.n, model.d_plus
+    b = model.basis_plus.conj().T @ f
+    c = model.basis_antip.conj().T @ model.conj.apply(model.p_minus @ f)
+    out = np.zeros((4, 2 * n), dtype=complex)
+    out[0, :d], out[1, n:n + d] = b, b.conj()
+    out[2, d:n], out[3, n + d:] = c, c.conj()
+    return out
 
 
 def creator_b(model: ToyModel, f) -> sparse.csr_matrix:
     """Particle creation operator b*(f); creates P+ f, linear in f."""
-    return _jw_operator(model, _particle_modes(model), (), _b_coeffs(model, f))
+    return _jw_operator(model, _ladder_coeffs(model, f)[0])
 
 
 def annihilator_b(model: ToyModel, f) -> sparse.csr_matrix:
     """Particle annihilation operator b(f) = (b*(f))^dagger; anti-linear in f."""
-    return _jw_operator(model, (), _particle_modes(model), _b_coeffs(model, f).conj())
+    return _jw_operator(model, _ladder_coeffs(model, f)[1])
 
 
 def creator_c(model: ToyModel, f) -> sparse.csr_matrix:
     """Antiparticle creation operator c*(f); creates C P- f in the
     antiparticle modes, with the parity factor over the particle block
     supplied by the Jordan-Wigner string."""
-    return _jw_operator(model, _antiparticle_modes(model), (), _c_coeffs(model, f))
+    return _jw_operator(model, _ladder_coeffs(model, f)[2])
 
 
 def annihilator_c(model: ToyModel, f) -> sparse.csr_matrix:
     """Antiparticle annihilation operator c(f) = (c*(f))^dagger; linear in f."""
-    return _jw_operator(model, (), _antiparticle_modes(model), _c_coeffs(model, f).conj())
-
-
-def _field_coeffs(model: ToyModel, f) -> np.ndarray:
-    """Coefficients of Psi(f) = b(f) + c*(f) on the field pattern's terms."""
-    return np.concatenate([_c_coeffs(model, f), _b_coeffs(model, f).conj()])
+    return _jw_operator(model, _ladder_coeffs(model, f)[3])
 
 
 def field_op(model: ToyModel, f) -> sparse.csr_matrix:
     """Field operator Psi(f) = b(f) + c*(f)."""
-    return _jw_operator(model, _antiparticle_modes(model), _particle_modes(model),
-                        _field_coeffs(model, f))
+    _, b, cs, _ = _ladder_coeffs(model, f)
+    return _jw_operator(model, b + cs)
 
 
 def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
     """Psi*(f) = b*(f) + c(f), the matrix adjoint of Psi(f)."""
-    coeffs = np.concatenate([_b_coeffs(model, f), _c_coeffs(model, f).conj()])
-    return _jw_operator(model, _particle_modes(model), _antiparticle_modes(model), coeffs)
-
-
-def _ladder_coeffs(model: ToyModel, f) -> np.ndarray:
-    """Rows b*(f), b(f), c*(f), c(f): each operator's coefficients on the
-    terms of G = `_jw_pattern(n, modes, modes)` (raising mode k is term k,
-    lowering it term n + k), with zeros on the terms it lacks."""
-    n, d = model.n, model.d_plus
-    b, c = _b_coeffs(model, f), _c_coeffs(model, f)
-    out = np.zeros((4, 2 * n), dtype=complex)
-    out[0, :d], out[1, n:n + d] = b, b.conj()
-    out[2, d:n], out[3, n + d:] = c, c.conj()
-    return out
+    bs, _, _, c = _ladder_coeffs(model, f)
+    return _jw_operator(model, bs + c)
 
 
 def _density_values(model: ToyModel, f) -> np.ndarray:

@@ -181,8 +181,8 @@ def run_spectrum(cfg: ExperimentConfig) -> SuiteResult:
 
     model = fock.random_model(6, rng)
     basis = charge.random_subspace(model, 3, rng)
-    worst_indep = max(charge.q_basis_independence_check(model, basis, _random_unitary(rng, 3))
-                      for _ in range(100))
+    worst_indep = charge.q_basis_independence_check(
+        model, basis, (_random_unitary(rng, 3) for _ in range(100)))
     worst_witness = 0.0
     for _ in range(3):
         model = fock.random_model(6, rng)

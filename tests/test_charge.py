@@ -69,10 +69,26 @@ def test_spectrum_independent_of_which_subset(model6, rng):
 
 def test_basis_independence(model6, rng):
     basis = charge.random_subspace(model6, 3, rng)
-    assert charge.q_basis_independence_check(model6, basis, np.eye(3)) == 0.0
-    assert charge.q_basis_independence_check(model6, basis, random_unitary(rng, 3)) < 1e-10
+    assert charge.q_basis_independence_check(model6, basis, [np.eye(3)]) == 0.0
+    assert charge.q_basis_independence_check(model6, basis, [random_unitary(rng, 3)]) < 1e-10
     perm = np.eye(3)[rng.permutation(3)]
-    assert charge.q_basis_independence_check(model6, basis, perm) < 1e-12
+    assert charge.q_basis_independence_check(model6, basis, [perm]) < 1e-12
+    assert charge.q_basis_independence_check(model6, basis, [np.eye(3), perm]) < 1e-12
+
+
+def test_spectrum_builds_the_unrotated_charge_once(monkeypatch):
+    """run_spectrum's 100 basis rotations share one unrotated Q: 50 + 12
+    spectra, one unrotated and 100 rotated charges."""
+    calls = []
+    q_subspace = charge.q_subspace
+
+    def counted(*args):
+        calls.append(args)
+        return q_subspace(*args)
+
+    monkeypatch.setattr(charge, "q_subspace", counted)
+    assert suites.run_spectrum(suites.ExperimentConfig(seed=4)).ok
+    assert len(calls) == 163
 
 
 def test_orthogonal_additivity_and_commutation(model6, rng):
@@ -174,6 +190,25 @@ def oracle_q_tilde(model, basis):
     return out.tocsr()
 
 
+def oracle_vacuum_norm(model, basis, J):
+    """The Fock route of |Q^J Omega|^2 by scipy's sparse products
+    (b*(f_i) c*(f_i)) Omega, summed over i < J."""
+    omega = fock.vacuum(model)
+    vec = np.sum([(fock.creator_b(model, f) @ fock.creator_c(model, f)) @ omega
+                  for f in basis.vectors[:, :J].T], axis=0) if J else np.zeros_like(omega)
+    return float(np.vdot(vec, vec).real)
+
+
+def oracle_witness_residual(model, basis, phi, j):
+    """|(sum_i Psi*(f_i) Psi(f_i)) phi - j phi| / |phi| with the sum taken
+    as a series of scipy sparse products and adds."""
+    total = sparse.csr_matrix((model.fock_dim, model.fock_dim), dtype=complex)
+    for f in basis.vectors.T:
+        psi = fock.field_op(model, f)
+        total = total + psi.conj().T @ psi
+    return float(np.linalg.norm(total @ phi - j * phi) / np.linalg.norm(phi))
+
+
 def bitwise_cases():
     """(model, basis) over n = 2..8 with random, aligned (exact-zero
     coefficients) and C-invariant bases."""
@@ -189,6 +224,7 @@ def bitwise_cases():
 
 def test_wick_gather_matches_sparse_product_oracle_bitwise():
     rng = np.random.default_rng(5)
+    witnesses = 0
     for model, basis in bitwise_cases():
         for j in range(basis.dim):
             f = basis.vectors[:, j]
@@ -202,11 +238,25 @@ def test_wick_gather_matches_sparse_product_oracle_bitwise():
                                oracle_q_weighted(model, basis, weights))
         assert_bitwise_csr(charge.q_tilde(model, basis),
                            sorted_csr(oracle_q_tilde(model, basis)))
+        for J in range(basis.dim + 1):
+            assert charge.vacuum_norm(model, basis, J)[0] == oracle_vacuum_norm(model, basis, J)
+        for j in range(basis.dim + 1):
+            try:
+                phi, residual = charge.eigenvector_witness(model, basis, j)
+            except ValueError:  # phi_j vanishes for this basis
+                continue
+            assert residual == oracle_witness_residual(model, basis, phi, j)
+            witnesses += 1
+    # the C-invariant bases give every witness; the random ones of dimension
+    # d + 1 > n/2 and the aligned ones lose some
+    assert witnesses == 56
 
 
 def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
-    """No density matrix, sparse product or sparse add in the Wick sum or in
-    Q~, and one product table per mode count, which the car-check shares."""
+    """No density matrix, sparse product or sparse add in the Wick sum, in
+    Q~, in the vacuum norm's Fock route or in the eigenvector witness, and
+    one Jordan-Wigner pattern and one product table per mode count, which
+    the car-check shares."""
     basis = charge.random_subspace(model6, 3, rng)
     expected = oracle_q_weighted(model6, basis, [1.0, 0.5, 1.0])
     expected_tilde = sorted_csr(oracle_q_tilde(model6, basis))
@@ -216,16 +266,20 @@ def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
 
     monkeypatch.setattr(fock, "normal_ordered_density", forbidden)
     monkeypatch.setattr(sparse.csr_matrix, "_matmul_sparse", forbidden)
+    fock._jw_pattern.cache_clear()
     fock._product_table.cache_clear()
     with monkeypatch.context() as no_sums:
         no_sums.setattr(sparse.csr_matrix, "_binopt", forbidden)
         for _ in range(2):
             assert_bitwise_csr(charge.q_weighted(model6, basis, [1.0, 0.5, 1.0]), expected)
             assert_bitwise_csr(charge.q_tilde(model6, basis), expected_tilde)
+            charge.vacuum_norm(model6, basis, 3)
+            charge.eigenvector_witness(model6, basis, 1)
     assert fock._product_table.cache_info().misses == 1
     # mode counts 6, 8 and 12; its adjoint check subtracts sparse matrices
     assert suites.run_car_check(suites.ExperimentConfig()).ok
     assert fock._product_table.cache_info().misses == 3
+    assert fock._jw_pattern.cache_info().currsize == 3
 
 
 def test_q_weighted_limits(model6, rng):
@@ -256,7 +310,7 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
 @pytest.mark.parametrize("call, message", [
     (lambda model, basis: charge.SubspaceBasis.from_vectors(model, np.eye(4)), "expected shape"),
     (lambda model, basis: charge.q_weighted(model, basis, [0.5]), "one weight per basis vector"),
-    (lambda model, basis: charge.q_basis_independence_check(model, basis, 2 * np.eye(2)),
+    (lambda model, basis: charge.q_basis_independence_check(model, basis, [2 * np.eye(2)]),
      "unitary"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),

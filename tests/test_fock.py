@@ -134,13 +134,11 @@ def test_in_place_changes_do_not_reach_the_pattern_cache(model6, rng):
 def test_cached_patterns_are_read_only(model6, rng):
     """A matrix that shares a cached pattern's arrays cannot rewrite them in
     place, so the later operators of that mode count stay intact."""
-    modes = tuple(range(6))
-    field = fock._jw_pattern(6, modes[3:], modes[:3])
-    full = fock._jw_pattern(6, modes, modes)
+    pattern = fock._jw_pattern(6)
     table = fock._product_table(6)
-    for arr in (*field, *full, *table):
+    for arr in (*pattern, *table):
         assert not arr.flags.writeable
-    for indptr, indices, *_ in (field, full, table):
+    for indptr, indices, *_ in (pattern, table):
         shared = sparse.csr_matrix((np.zeros(indices.size), indices, indptr),
                                    shape=(model6.fock_dim, model6.fock_dim))
         with pytest.raises(ValueError, match="read-only"):
@@ -152,16 +150,21 @@ def test_cached_patterns_are_read_only(model6, rng):
     assert_same_csr(fock.field_op(model6, f), oracle_operators(model6, f)["field_op"])
 
 
+def test_p_minus_is_computed_once(model6):
+    assert model6.p_minus is model6.p_minus
+    expected = np.eye(6) - model6.p_plus
+    assert model6.p_minus.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 6, 8, 12])  # car-check runs at n = 6, 8, 12
 def test_builders_are_the_full_pattern_restricted_to_their_terms(n):
-    """Every builder is G = `_jw_pattern(n, modes, modes)` with zeros on its
-    absent terms: the coefficient rows the product table multiplies."""
+    """Every builder is G = `_jw_pattern(n)` with zeros on its absent terms:
+    the coefficient rows the product table multiplies."""
     rng = np.random.default_rng(n)
     model = fock.random_model(n, rng)
-    modes = tuple(range(n))
     for f in (rng.normal(size=n) + 1j * rng.normal(size=n), model.basis_plus[:, 0]):
         for op, coeffs in operators(model, f).values():
-            assert_same_csr(op, fock._jw_operator(model, modes, modes, coeffs))
+            assert_same_csr(op, fock._jw_operator(model, coeffs))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
