@@ -11,6 +11,11 @@ check kept alongside is the exponentially damped integral representation
 equal to the conditionally convergent cosine form
 int_0^inf cos(z t) / sqrt(t^2 + 1) dt, which is also evaluated directly
 (lobe summation plus averaging acceleration) at moderate accuracy.
+
+K0, K1 and the damped-integral oracles take scalars or arrays, and an array
+call gives each entry bit for bit as the scalar call; verify_kernel_identity
+makes one array call per side of its finite difference.  Every argument and
+mass must be positive: zero, negative and NaN inputs raise ValueError.
 """
 
 from functools import lru_cache
@@ -129,12 +134,18 @@ def _series_small(z):
     return k0v, k1v
 
 
+def _require_positive(x, message: str) -> None:
+    """Raise ValueError(message) unless every entry of x is positive; NaN is
+    not positive."""
+    if not np.all(np.asarray(x) > 0):
+        raise ValueError(message)
+
+
 def _eval(z, nu):
+    _require_positive(z, "K_nu is defined for positive arguments only")
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    if np.any(z <= 0.0):
-        raise ValueError("K_nu is defined for positive arguments only")
     out = np.empty_like(z)
     small = z <= 2.0
     if np.any(small):
@@ -169,20 +180,29 @@ def _gauss_legendre(order: int):
 
 def _damped_integral(z, nu):
     """K_nu(z) by composite Gauss-Legendre on exp(-z cosh t) cosh(nu t); the
-    upper limit is where the integrand underflows."""
-    if z <= 0:
-        raise ValueError("argument must be positive")
-    tmax = float(np.arccosh(745.0 / z)) if z < 700.0 else 1.0
+    upper limit is where the integrand underflows.  Takes a scalar or an
+    array; each entry's panels are summed in panel order, as one scalar
+    evaluation adds them, so an entry does not depend on the others."""
+    _require_positive(z, "argument must be positive")
+    z = np.asarray(z, dtype=float)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    # arccosh(745 / z) is only taken below z = 700, where 745 / z > 1
+    tmax = np.where(z < 700.0, np.arccosh(np.maximum(745.0 / z, 1.0)), 1.0)
     xi, wi = _gauss_legendre(INTEGRAL_ORDER)
-    edges = np.linspace(0.0, tmax, INTEGRAL_PANELS + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (b - a) * xi + 0.5 * (a + b)
-        f = np.exp(-z * np.cosh(t))
-        if nu == 1:
-            f = f * np.cosh(t)
-        total += 0.5 * (b - a) * float(np.sum(wi * f))
-    return total
+    edges = np.linspace(0.0, tmax, INTEGRAL_PANELS + 1, axis=-1)
+    a, b = edges[..., :-1], edges[..., 1:]
+    half = 0.5 * (b - a)
+    t = half[..., None] * xi + (0.5 * (a + b))[..., None]
+    cosh_t = np.cosh(t)
+    f = np.exp(-z[..., None, None] * cosh_t)
+    if nu == 1:
+        f = f * cosh_t
+    panel = half * np.sum(wi * f, axis=-1)
+    total = panel[..., 0]
+    for p in range(1, INTEGRAL_PANELS):
+        total = total + panel[..., p]
+    return float(total[0]) if scalar else total
 
 
 def k0_integral(z):
@@ -202,8 +222,7 @@ def k0_cosine_representation(z):
     between consecutive zeros of the cosine and the alternating tail is
     accelerated by repeated averaging of partial sums.
     """
-    if z <= 0:
-        raise ValueError("argument must be positive")
+    _require_positive(z, "argument must be positive")
     xi, wi = _gauss_legendre(COSINE_ORDER)
     zeros = (np.arange(COSINE_LOBES + 1) + 0.5) * np.pi / z
     edges = np.concatenate([[0.0], zeros])
@@ -221,8 +240,7 @@ def k0_cosine_representation(z):
 def inverse_energy_kernel(m: float, r):
     """Position-space kernel of 1/lambda up to the (2 pi)^{3/2} convention:
     4 pi m K1(m r) / r."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    _require_positive(m, "mass must be positive")
     r = np.asarray(r, dtype=float)
     return 4.0 * np.pi * m * _eval(m * r, 1) / r
 
@@ -230,14 +248,14 @@ def inverse_energy_kernel(m: float, r):
 def verify_kernel_identity(m: float, r_samples) -> float:
     """Max relative deviation between the kernel 4 pi m K1(m r)/r and the
     derivative form -(4 pi / r) d/dr K0(m r), the latter taken by central
-    finite differences of the integral representation of K0."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    r_samples = np.atleast_1d(np.asarray(r_samples, dtype=float))
-    h, worst = KERNEL_FD_STEP, 0.0
-    for r in r_samples:
-        derivative = (k0_integral(m * (r + h)) - k0_integral(m * (r - h))) / (2.0 * h)
-        lhs = -(4.0 * np.pi / r) * derivative
-        rhs = float(inverse_energy_kernel(m, r))
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+    finite differences of the integral representation of K0, over the
+    non-empty r_samples."""
+    _require_positive(m, "mass must be positive")
+    r = np.atleast_1d(np.asarray(r_samples, dtype=float))
+    if r.size == 0:
+        raise ValueError("r_samples must not be empty")
+    h = KERNEL_FD_STEP
+    derivative = (k0_integral(m * (r + h)) - k0_integral(m * (r - h))) / (2.0 * h)
+    lhs = -(4.0 * np.pi / r) * derivative
+    rhs = inverse_energy_kernel(m, r)
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))

@@ -27,8 +27,11 @@ into few classes of equal sums, so the Wick-ordered density
 anticommutators of the CAR check and the ladder products of `charge`'s
 vacuum norm and eigenvector witness are class sums on the 2n x 2n table of
 coefficient products, gathered onto the pattern once where a matrix is
-needed; they come out bit for bit as by scipy's products.  The cached
-arrays are read-only.  The Kronecker-product, sum-of-adds builders and the
+needed; they come out bit for bit as by scipy's products.  The class sums
+take a leading axis of coefficient rows, so the car-check reduces all
+anticommutators of a mode count in batches, each temporary at most 2^14
+complex entries; one pair is the one-row case.  The cached arrays are
+read-only.  The Kronecker-product, sum-of-adds builders and the
 sparse products are kept in the tests as the exact oracles.
 """
 
@@ -180,26 +183,31 @@ def _product_table(nmodes: int) -> _ProductTable:
 
 
 def _products(x, y) -> np.ndarray:
-    """The 2n x 2n table x[p] y[q], each product written in real arithmetic
-    as scipy's complex multiply: numpy's complex multiply may fuse a
-    multiply-add and leave a rounding residue where scipy gives an exact
-    zero.  Returned flat, as `_ProductTable` indexes it."""
-    P = np.empty((x.size, y.size), dtype=complex)
-    P.real = np.multiply.outer(x.real, y.real) - np.multiply.outer(x.imag, y.imag)
-    P.imag = np.multiply.outer(x.real, y.imag) + np.multiply.outer(x.imag, y.real)
-    return P.ravel()
+    """The 2n x 2n table x[p] y[q] of each row of coefficients, each product
+    written in real arithmetic as scipy's complex multiply: numpy's complex
+    multiply may fuse a multiply-add and leave a rounding residue where
+    scipy gives an exact zero.  Takes rows of shape (..., 2n) and returns
+    each table flat, shape (..., 4n^2), as `_ProductTable` indexes it."""
+    x, y = np.asarray(x), np.asarray(y)
+    xr, xi = x.real[..., :, None], x.imag[..., :, None]
+    yr, yi = y.real[..., None, :], y.imag[..., None, :]
+    P = np.empty(np.broadcast_shapes(xr.shape, yr.shape), dtype=complex)
+    P.real = xr * yr - xi * yi
+    P.imag = xr * yi + xi * yr
+    return P.reshape(P.shape[:-2] + (-1,))
 
 
 def _off_diagonal_sums(table: _ProductTable, P) -> np.ndarray:
     """A B on the off-diagonal classes, for P = `_products(x, y)`."""
-    return table.sign[0] * P[table.pq[0]] + table.sign[1] * P[table.pq[1]]
+    return (table.sign[0] * np.take(P, table.pq[0], axis=-1)
+            + table.sign[1] * np.take(P, table.pq[1], axis=-1))
 
 
 def _diagonal_sums(table: _ProductTable, P) -> np.ndarray:
     """The diagonal of A B, each entry's n terms added in ascending k."""
-    out = P[table.diag_pq[0]]
+    out = np.take(P, table.diag_pq[0], axis=-1)
     for pq in table.diag_pq[1:]:
-        out += P[pq]
+        out += np.take(P, pq, axis=-1)
     return out
 
 
@@ -227,21 +235,43 @@ def _table_matrix(nmodes: int, values) -> sparse.csr_matrix:
     return op
 
 
+# complex entries per temporary of a batched anticommutator pass (256 KB)
+_BATCH_ENTRIES = 2 ** 14
+
+
+def _batch_rows(nmodes: int) -> int:
+    """Rows per anticommutator batch: a row's widest temporary is its 2n x 2n
+    product table or its 2^n diagonal, whichever is larger."""
+    return max(1, _BATCH_ENTRIES // max(2 ** nmodes, 4 * nmodes ** 2))
+
+
 def _anticommutator(nmodes: int, x, y, shift):
     """{A, B} - shift I on the classes, as scipy's A @ B + B @ A - shift * I:
     the off-diagonal class values and the diagonal, each bit for bit up to
-    the sign of exact zeros."""
+    the sign of exact zeros.  x and y are rows of shape (..., 2n) and shift
+    broadcasts against their leading shape."""
     table = _product_table(nmodes)
     pxy, pyx = _products(x, y), _products(y, x)
     off = _off_diagonal_sums(table, pxy) + _off_diagonal_sums(table, pyx)
-    return off, (_diagonal_sums(table, pxy) + _diagonal_sums(table, pyx)) - shift
+    diag = _diagonal_sums(table, pxy) + _diagonal_sums(table, pyx)
+    return off, diag - np.asarray(shift)[..., None]
 
 
-def _anticommutator_deviation(nmodes: int, x, y, shift) -> float:
-    """Largest |entry| of {A, B} - shift I, equal to `charge.max_abs` of
-    scipy's A @ B + B @ A - shift * I."""
-    off, diag = _anticommutator(nmodes, x, y, shift)
-    return float(max(np.max(np.abs(off), initial=0.0), np.max(np.abs(diag))))
+def _anticommutator_deviations(nmodes: int, x, y, shift) -> np.ndarray:
+    """Largest |entry| of {A, B} - shift I for each row of x, y (shape
+    (rows, 2n)) and entry of shift, equal to `charge.max_abs` of scipy's
+    A @ B + B @ A - shift * I.  The rows are reduced `_batch_rows(n)` at a
+    time, which bounds every temporary to `_BATCH_ENTRIES` entries."""
+    x, y = np.asarray(x), np.asarray(y)
+    shift = np.broadcast_to(shift, x.shape[:1])
+    out = np.empty(x.shape[0])
+    step = _batch_rows(nmodes)
+    for lo in range(0, x.shape[0], step):
+        rows = slice(lo, lo + step)
+        off, diag = _anticommutator(nmodes, x[rows], y[rows], shift[rows])
+        out[rows] = np.maximum(np.max(np.abs(off), axis=-1, initial=0.0),
+                               np.max(np.abs(diag), axis=-1))
+    return out
 
 
 @dataclass

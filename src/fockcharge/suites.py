@@ -116,28 +116,31 @@ def run_car_check(cfg: ExperimentConfig) -> SuiteResult:
     worst = dict.fromkeys(names, 0.0)
     for n, pairs in plan:
         model = fock.random_model(n, rng)
+        rows = []  # (x, y, shift) of {A, B} - shift I, in the order of `names`
         for _ in range(pairs):
             f = _random_vec(rng, n)
             g = _random_vec(rng, n)
             bs_f, b_f, cs_f, c_f = fock._ladder_coeffs(model, f)
             bs_g, b_g, cs_g, c_g = fock._ladder_coeffs(model, g)
-            # {A, B} - shift I for the operators with these coefficients
-            for name, x, y, shift in [
-                    ("bb", b_f, b_g, 0.0),
-                    ("b*b*", bs_f, bs_g, 0.0),
-                    ("b*b-car", bs_f, b_g, np.vdot(g, model.p_plus @ f)),
-                    ("cc", c_f, c_g, 0.0),
-                    ("c*c*", cs_f, cs_g, 0.0),
-                    ("c*c-car", cs_f, c_g, np.conj(np.vdot(g, model.p_minus @ f))),
-                    ("bc", b_f, c_g, 0.0),
-                    ("bc*", b_f, cs_g, 0.0),
-                    ("b*c", bs_f, c_g, 0.0),
-                    ("b*c*", bs_f, cs_g, 0.0),
-                    ("PsiPsi", b_f + cs_f, b_g + cs_g, 0.0),
-                    ("Psi*Psi-car", bs_f + c_f, b_g + cs_g, np.vdot(g, f))]:
-                worst[name] = max(worst[name], fock._anticommutator_deviation(n, x, y, shift))
+            rows += [(b_f, b_g, 0.0),
+                     (bs_f, bs_g, 0.0),
+                     (bs_f, b_g, np.vdot(g, model.p_plus @ f)),
+                     (c_f, c_g, 0.0),
+                     (cs_f, cs_g, 0.0),
+                     (cs_f, c_g, np.conj(np.vdot(g, model.p_minus @ f))),
+                     (b_f, c_g, 0.0),
+                     (b_f, cs_g, 0.0),
+                     (bs_f, c_g, 0.0),
+                     (bs_f, cs_g, 0.0),
+                     (b_f + cs_f, b_g + cs_g, 0.0),
+                     (bs_f + c_f, b_g + cs_g, np.vdot(g, f))]
             adjoint = fock.field_adjoint(model, f) - fock.field_op(model, f).conj().T.tocsr()
             worst["adjoint"] = max(worst["adjoint"], charge.max_abs(adjoint))
+        # all of the mode count's anticommutators in one batched pass
+        xs, ys, shifts = zip(*rows)
+        deviations = fock._anticommutator_deviations(n, xs, ys, shifts).reshape(pairs, -1)
+        for name, column in zip(names[:-1], deviations.T):
+            worst[name] = max(worst[name], float(column.max()))
     checks = [Check.below(f"car/{k}", v, 1e-12) for k, v in worst.items()]
     return _check_result("car-check", checks)
 
@@ -453,12 +456,14 @@ def run_aligned(cfg: ExperimentConfig) -> SuiteResult:
 
 def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
     small = abs(0.02 * bessel.k1(0.02) - 1.0)
+    # each grid's K0, K1 and oracle values are evaluated once, as arrays
     zs = np.geomspace(0.1, 10.0, 60)
-    impl_vs_integral = max(abs(bessel.k0(z) - bessel.k0_integral(z)) / bessel.k0(z)
-                           for z in zs)
+    k0_zs, k1_zs = bessel.k0(zs), bessel.k1(zs)
+    impl_vs_integral = np.max(np.abs(k0_zs - bessel.k0_integral(zs)) / k0_zs)
     zs_wide = np.geomspace(1e-3, 50.0, 80)
-    wide0 = max(abs(bessel.k0(z) - bessel.k0_integral(z)) / bessel.k0(z) for z in zs_wide)
-    wide1 = max(abs(bessel.k1(z) - bessel.k1_integral(z)) / bessel.k1(z) for z in zs_wide)
+    k0_wide, k1_wide = bessel.k0(zs_wide), bessel.k1(zs_wide)
+    wide0 = np.max(np.abs(k0_wide - bessel.k0_integral(zs_wide)) / k0_wide)
+    wide1 = np.max(np.abs(k1_wide - bessel.k1_integral(zs_wide)) / k1_wide)
     cosine = abs(bessel.k0_cosine_representation(1.0) - bessel.k0(1.0))
     h = 1e-5
     fd = (bessel.k0_integral(1.0 + h) - bessel.k0_integral(1.0 - h)) / (2 * h)
@@ -468,8 +473,7 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
     scaling = abs(bessel.inverse_energy_kernel(m, r)
                   - m * m * bessel.inverse_energy_kernel(1.0, m * r))
     decay = bessel.inverse_energy_kernel(1.0, 10.0) / bessel.inverse_energy_kernel(1.0, 5.0)
-    mono = np.all(np.diff([bessel.k0(z) for z in zs]) < 0) and \
-        np.all(np.diff([bessel.k1(z) for z in zs]) < 0)
+    mono = np.all(np.diff(k0_zs) < 0) and np.all(np.diff(k1_zs) < 0)
     checks = [
         Check.below("kernel/small-z-k1-limit", small, 0.01),
         Check.below("kernel/k0-vs-integral-0.1-10", impl_vs_integral, 1e-8),

@@ -167,14 +167,17 @@ def test_builders_are_the_full_pattern_restricted_to_their_terms(n):
             assert_same_csr(op, fock._jw_operator(model, coeffs))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
 def test_anticommutator_table_matches_sparse_oracle_bitwise(n):
     """The car-check's deviations equal max_abs of the sparse route bit for
     bit, and so does every value of {A, B} - shift I.  Each case runs once
     more with a shift of the other kind: the CAR cases with none, whose
-    diagonal products are not zero, and the others with one."""
+    diagonal products are not zero, and the others with one.  The deviations
+    come out the same one row at a time and stacked, over several batches
+    and a partial last one at n = 12."""
     rng = np.random.default_rng(40 + n)
     model = fock.random_model(n, rng)
+    xs, ys, shifts, expected_devs = [], [], [], []
     for _ in range(3):
         f = rng.normal(size=n) + 1j * rng.normal(size=n)
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -183,9 +186,29 @@ def test_anticommutator_table_matches_sparse_oracle_bitwise(n):
             (A, x), (B, y) = of[a], og[b]
             for shift in [shift_of(model, f, g), 0.0] if shift_of else [0.0, 0.25 - 0.5j]:
                 expected = oracle_anticommutator(A, B, shift)
-                assert fock._anticommutator_deviation(n, x, y, shift) == max_abs(expected), name
+                dev = max_abs(expected)
+                assert fock._anticommutator_deviations(n, [x], [y], shift)[0] == dev, name
                 values = np.concatenate(fock._anticommutator(n, x, y, shift))
                 assert_bitwise_csr(fock._table_matrix(n, values), sorted_csr(expected))
+                xs.append(x)
+                ys.append(y)
+                shifts.append(shift)
+                expected_devs.append(dev)
+    rows = len(xs) - 1  # 71: at n = 8 a 64-row batch and 7, at n = 12 17 of 4 and 3
+    if n == 12:
+        assert fock._batch_rows(n) == 4 and rows // 4 > 1 and rows % 4 != 0
+    stacked = fock._anticommutator_deviations(n, xs[:rows], ys[:rows], shifts[:rows])
+    assert np.array_equal(stacked, expected_devs[:rows])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
+def test_anticommutator_batches_bound_their_temporaries(n):
+    """A batch's widest temporaries, its product tables, class sums and
+    diagonals, hold at most 2**14 complex entries."""
+    rows = fock._batch_rows(n)
+    classes = fock._product_table(n).pq.shape[1]
+    assert rows >= 1
+    assert rows * max(4 * n * n, classes, 2 ** n) <= 2 ** 14
 
 
 @pytest.mark.parametrize("n, classes", [(2, 4), (6, 100), (8, 196), (12, 484)])
