@@ -14,7 +14,11 @@ by a Fock route and a trace route (`vacuum_norm`), the spectral /
 additivity / commutation checks, the eigenvector witness and the four-sum
 decomposition of the truncated-charge sector norm.  The Fock route of
 `vacuum_norm` (the sum of b*(f_i) c*(f_i)) and the witness's
-sum_i Psi*(f_i) Psi(f_i) read the same table.
+sum_i Psi*(f_i) Psi(f_i) read the same table.  Every Wick term keeps the
+total charge n_p - n_a, so `spectrum_deviation` solves the charge-sector
+blocks (at most 70 x 70 at n = 8) instead of the full 2^n matrix, and adds
+the off-sector Frobenius norm as a Weyl bound; one dense solve of the full
+matrix is the oracle in the tests.
 """
 
 from dataclasses import dataclass
@@ -234,15 +238,42 @@ def cluster_eigenvalues(values) -> np.ndarray:
     return np.array([c.mean() for c in np.split(values, splits)])
 
 
-def spectrum_deviation(matrix, expected) -> float:
+def spectrum_deviation(model: ToyModel, matrix, expected) -> float:
     """Hausdorff-style distance between the clustered spectrum of a Hermitian
-    matrix and an expected eigenvalue set."""
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
-    got = cluster_eigenvalues(np.linalg.eigvalsh(dense))
+    Fock-space matrix and an expected eigenvalue set.
+
+    The spectrum is read off the diagonal blocks of the charge sectors
+    n_p - n_a (`_sector_spectrum`), which every toy charge keeps.  The
+    Frobenius norm of the off-sector part is added to the distance: by
+    Weyl's inequality it bounds how far the blocks' spectrum can lie from
+    the full one, so a matrix that mixes sectors cannot pass on its blocks
+    alone.  For the toy charges that part is stored as no entry at all and
+    adds exactly 0.0.  A clustered spectrum with a different number of
+    values than `expected` is infinitely far off.
+    """
+    eigenvalues, off_sector = _sector_spectrum(model, matrix)
+    got = cluster_eigenvalues(eigenvalues)
     expected = np.sort(np.asarray(expected, dtype=float))
     if got.size != expected.size:
         return float("inf")
-    return float(np.max(np.abs(got - expected)))
+    return float(np.max(np.abs(got - expected))) + off_sector
+
+
+def _sector_spectrum(model: ToyModel, matrix):
+    """(eigenvalues of the n_p - n_a diagonal blocks, sector by sector,
+    Frobenius norm of the part outside them) of a (2^n, 2^n) Hermitian
+    matrix."""
+    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+    if dense.shape != (model.fock_dim, model.fock_dim):
+        raise ValueError(f"expected a ({model.fock_dim}, {model.fock_dim}) matrix, "
+                         f"got {dense.shape}")
+    n_p, n_a = fock.sector_labels(model)
+    q = n_p - n_a
+    blocks = [np.flatnonzero(q == c) for c in np.unique(q)]
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+                                  for idx in blocks])
+    off_sector = float(np.linalg.norm(dense[q[:, None] != q[None, :]]))
+    return eigenvalues, off_sector
 
 
 def eigenvector_witness(model: ToyModel, basis: SubspaceBasis, j: int):

@@ -158,7 +158,7 @@ def run_spectrum(cfg: ExperimentConfig) -> SuiteResult:
         d = 1 + i % 4
         model = fock.random_model(n, rng)
         basis = charge.random_subspace(model, d, rng)
-        dev = charge.spectrum_deviation(charge.q_subspace(model, basis),
+        dev = charge.spectrum_deviation(model, charge.q_subspace(model, basis),
                                         charge.predicted_spectrum(basis))
         worst_p1 = max(worst_p1, dev)
         rows.append({"instance": i, "kind": "generic", "n": n, "d": d,
@@ -173,7 +173,7 @@ def run_spectrum(cfg: ExperimentConfig) -> SuiteResult:
         model = fock.random_model(n, rng)
         basis = charge.c_invariant_subspace(model, d, rng)
         half_dev = abs(basis.dplus - d / 2.0)
-        dev = charge.spectrum_deviation(charge.q_subspace(model, basis),
+        dev = charge.spectrum_deviation(model, charge.q_subspace(model, basis),
                                         -d / 2.0 + np.arange(d + 1))
         worst_half = max(worst_half, half_dev)
         worst_lattice = max(worst_lattice, dev)
@@ -377,9 +377,7 @@ def run_weighted(cfg: ExperimentConfig) -> SuiteResult:
     mus = [float(np.linalg.norm(model.p_plus @ basis.vectors[:, j]) ** 2) for j in range(2)]
     predicted = sorted({sum(w[j] * (mus[j] if (s >> j) & 1 else mus[j] - 1.0)
                             for j in range(2)) for s in range(4)})
-    got = charge.cluster_eigenvalues(np.linalg.eigvalsh(Qw.toarray()))
-    eig_dev = (float(np.max(np.abs(got - np.asarray(predicted))))
-               if len(got) == len(predicted) else np.inf)
+    eig_dev = charge.spectrum_deviation(model, Qw, predicted)
     rejected = False
     try:
         charge.q_weighted(model, basis, [0.5, 1.5])
@@ -417,7 +415,7 @@ def run_total_charge(cfg: ExperimentConfig) -> SuiteResult:
         P = sparse.diags(mask.astype(float))
         worst_proj = max(worst_proj, charge.max_abs(Q @ P - P @ Q))
     lattice = charge.spectrum_deviation(
-        Q, np.arange(-model.d_minus, model.d_plus + 1, dtype=float))
+        model, Q, np.arange(-model.d_minus, model.d_plus + 1, dtype=float))
     checks = [
         Check.below("total/vacuum-annihilated", vac, 1e-12),
         Check.below("total/one-particle-charge", one_dev, 1e-12),

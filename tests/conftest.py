@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fockcharge import fock
+from fockcharge import charge, fock
 
 
 @pytest.fixture
@@ -35,6 +35,17 @@ def dense_gram(suite, name):
     """The full n x n Gram `name` ("one", "g0".."g3") of a suite, gathered."""
     idx = np.arange(suite.shell.count)
     return suite.gather(name, idx[:, None], idx[None, :])
+
+
+def dense_spectrum_deviation(model, matrix, expected):
+    """`charge.spectrum_deviation` by one dense solve of the full 2^n matrix,
+    with no sector split and no off-sector term."""
+    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+    got = charge.cluster_eigenvalues(np.linalg.eigvalsh(dense))
+    expected = np.sort(np.asarray(expected, dtype=float))
+    if got.size != expected.size:
+        return float("inf")
+    return float(np.max(np.abs(got - expected)))
 
 
 def assert_bitwise_csr(A, B):

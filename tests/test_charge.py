@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import assert_bitwise_csr, random_unitary, sorted_csr
+from conftest import assert_bitwise_csr, dense_spectrum_deviation, random_unitary, sorted_csr
 from fockcharge import charge, fock, suites
 from fockcharge.charge import max_abs
 
@@ -53,9 +53,89 @@ def test_spectrum_lattice_random_instances(rng):
     for n, d in [(6, 3), (8, 4), (4, 2)]:
         model = fock.random_model(n, rng)
         basis = charge.random_subspace(model, d, rng)
-        dev = charge.spectrum_deviation(charge.q_subspace(model, basis),
+        dev = charge.spectrum_deviation(model, charge.q_subspace(model, basis),
                                         charge.predicted_spectrum(basis))
         assert dev < 1e-9
+
+
+def sector_cases():
+    """(label, model, matrix) for Q_k, a fractional Q^w and Q_total at
+    n = 2..8."""
+    for n in (2, 4, 6, 8):
+        rng = np.random.default_rng(200 + n)
+        model = fock.random_model(n, rng)
+        basis = charge.random_subspace(model, n // 2, rng)
+        yield f"q_subspace-{n}", model, charge.q_subspace(model, basis)
+        yield (f"q_weighted-{n}", model,
+               charge.q_weighted(model, basis, rng.uniform(size=basis.dim)))
+        yield f"q_total-{n}", model, charge.q_total(model)
+
+
+def test_sector_spectrum_matches_dense_oracle():
+    for label, model, matrix in sector_cases():
+        eigenvalues, off_sector = charge._sector_spectrum(model, matrix)
+        dense = np.linalg.eigvalsh(matrix.toarray())
+        assert eigenvalues.shape == dense.shape, label
+        assert np.max(np.abs(np.sort(eigenvalues) - dense)) < 1e-13, label
+        assert off_sector == 0.0, label
+
+
+def test_off_sector_leak_fails_the_spectrum_check(model6, rng):
+    """A Hermitian coupling of size 1e-6 between two charge sectors moves the
+    blocks' spectrum by nothing the check can see; the off-sector term makes
+    it fail all the same."""
+    basis = charge.random_subspace(model6, 3, rng)
+    Q = charge.q_subspace(model6, basis).toarray()
+    n_p, n_a = fock.sector_labels(model6)
+    q = n_p - n_a
+    j = int(np.flatnonzero(q != q[0])[0])  # a state outside the vacuum's sector
+    Q[0, j] += 1e-6
+    Q[j, 0] += 1e-6
+    lattice = charge.predicted_spectrum(basis)
+    blocks = charge.cluster_eigenvalues(charge._sector_spectrum(model6, Q)[0])
+    assert np.max(np.abs(blocks - lattice)) < 1e-9
+    dev = charge.spectrum_deviation(model6, Q, lattice)
+    assert dev >= 1e-6
+    assert not suites.Check.below("spectrum-law/spectrum-lattice", dev, 1e-9).passed
+
+
+def test_spectrum_solves_sector_blocks_only(model8, rng, monkeypatch):
+    """At n = 8 the nine charge sectors have at most 70 states, and no
+    256 x 256 solve is left."""
+    basis = charge.random_subspace(model8, 4, rng)
+    Q = charge.q_subspace(model8, basis)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert charge.spectrum_deviation(model8, Q, charge.predicted_spectrum(basis)) < 1e-9
+    assert len(shapes) == 9
+    assert max(max(s) for s in shapes) == 70
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2024])
+def test_sector_spectra_agree_with_dense_solves_in_the_suites(seed, monkeypatch):
+    """run_spectrum and run_weighted give the same statuses, and values within
+    1e-14, with every spectrum from one dense solve of the full matrix."""
+    cfg = suites.ExperimentConfig(seed=seed)
+    for run in (suites.run_spectrum, suites.run_weighted):
+        shipped = run(cfg)
+        with monkeypatch.context() as dense:
+            dense.setattr(charge, "spectrum_deviation", dense_spectrum_deviation)
+            oracle = run(cfg)
+        assert len(shipped.rows) == len(oracle.rows)
+        assert len(shipped.checks) == len(oracle.checks)
+        pairs = list(zip(shipped.rows, oracle.rows))
+        pairs += zip(shipped.check_rows(), oracle.check_rows())
+        for got, want in pairs:
+            assert got["status"] == want["status"]
+            for key in ("deviation", "value"):
+                if key in got:
+                    assert abs(got[key] - want[key]) <= 1e-14, (run.__name__, got)
 
 
 def test_spectrum_independent_of_which_subset(model6, rng):
@@ -120,7 +200,8 @@ def test_c_invariant_subspace_half_split(model6, rng):
         basis = charge.c_invariant_subspace(model6, d, rng)
         assert abs(basis.dplus - d / 2) < 1e-10
         lattice = -d / 2 + np.arange(d + 1)
-        assert charge.spectrum_deviation(charge.q_subspace(model6, basis), lattice) < 1e-9
+        assert charge.spectrum_deviation(model6, charge.q_subspace(model6, basis),
+                                         lattice) < 1e-9
 
 
 def test_q_tilde_aligned_equals_q(model6):
@@ -315,10 +396,12 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
     (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),
     # a spectrum with a different number of clusters is infinitely far off
-    (lambda model, basis: charge.spectrum_deviation(np.diag([0.0, 1.0]), [0.0, 1.0, 2.0]),
-     None),
+    (lambda model, basis: charge.spectrum_deviation(
+        model, np.diag(np.arange(model.fock_dim) % 2.0), [0.0, 1.0, 2.0]), None),
+    (lambda model, basis: charge.spectrum_deviation(model, np.diag([0.0, 1.0]), [0.0, 1.0]),
+     r"expected a \(64, 64\) matrix"),
 ], ids=["basis-shape", "weight-count", "non-unitary-rotation", "witness-j-above",
-        "witness-j-below", "spectrum-count-mismatch"])
+        "witness-j-below", "spectrum-count-mismatch", "spectrum-wrong-shape"])
 def test_unusable_inputs_rejected(call, message, model6, rng):
     basis = charge.random_subspace(model6, 2, rng)
     if message is None:

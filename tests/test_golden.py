@@ -32,10 +32,10 @@ DIGESTS = {
         "f3214e49babaa4d59a738ac15ea957fbb1adfd5303db9f0d16e7a21cb1516eb6",  # seed 2024
     ),
     "spectrum": (
-        "9f107eab1fc0d14eae6a1537c5db36a629bfb4bc798e924b96e271687bd13039",  # seed 0
-        "4a7096c058c5a8ec5198cd811bc14cb2fb068f37d543c1586e8465af70d232c5",  # seed 1
-        "8a6497ac29584e740be5ad7df09623b35a02f685069bce75b662f671f8ea0774",  # seed 2
-        "8a03c6842f822e9032bc9d376549f60d15bebf1a3dd213c840c2f81c986555cc",  # seed 2024
+        "8843e01962e773c326c59d3c79b7302ed565a3c28aed258884f9ca27f13b0c1a",  # seed 0
+        "0d45e32ccff0a9839869b9eb8527ccf1b309ef220b982ed61171033257598660",  # seed 1
+        "389219a1af0939d557c7a100e81da5cc9e9a2a919fd795d9bede4e9fb6144fa8",  # seed 2
+        "a3173c8887be6ae100b89820298a45c06d71e67f19786d62cff928e612d8b51f",  # seed 2024
     ),
     "additivity": (
         "95e7ae516c3b9c9dfe1c0632f7dda6a60afccc48102a8a4d108b3c8acce0b9f3",  # seed 0
@@ -56,10 +56,10 @@ DIGESTS = {
         "d34d2a370ceee1f51f9d2c18c6620389b346c88d95c95b24ab8caccb1942d907",  # seed 2024
     ),
     "weighted": (
-        "63d8d8d24ef9931258ed473c070598f657184a2952752fde0e45aff5e3537104",  # seed 0
-        "f8a193e59fddb16cf0cd6a4080e6362b838a6238928341f4ad6b69f751d58396",  # seed 1
-        "918061834553304dd387630c0b95277fba8bbc1c8ef9d7836bd0dfea58380d84",  # seed 2
-        "938ecfccf7e3cf4fbbdb3f3e23bac5ed804ce3ef3d1ad89deb44e1e42be3f124",  # seed 2024
+        "918061834553304dd387630c0b95277fba8bbc1c8ef9d7836bd0dfea58380d84",  # seed 0
+        "5a05f36cfe6a90146ea2083a54b82bce9dfcbcc0263d3eab03d6b022f05290df",  # seed 1
+        "73f6b17d9b5977af81942bb04c29a322661925dceeec277e8b62d7162189f539",  # seed 2
+        "73f6b17d9b5977af81942bb04c29a322661925dceeec277e8b62d7162189f539",  # seed 2024
     ),
     "total-charge": (
         "9a39fbf46ccc81021df1aa634a462fcecabfb81fcd3985ec13449baa9f6991f1",  # seed 0
