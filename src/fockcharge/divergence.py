@@ -18,29 +18,28 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   [(L, A), (pi L, B)], with pi the mode map k -> -k, the zero mode fixed
   and L the modes i < pi(i) (`FRAMES`, `_shell_frame`).  Every block of
   R_J is then sum (R_u^T X_t R_u') (x) (Q_u* Y_t Q_u'), so its Frobenius
-  norm follows from inner products of scalar blocks together with the spin
-  cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>, which is computed, not
-  assumed.  The mirror symmetry X_t(pi r, pi r') = eps_t X_t(r, r') (eps
-  +1 for G0, -1 for Gs) folds the blocks read through pi L onto those of
-  L, so only (fixed, fixed), (fixed, L), (L, L) and (L, pi L) are
-  gathered, once for the top shell and both bases, L's rows in blocks of
-  _ROW_BLOCK; every sub-shell sums its tiles of those row blocks, and no
-  spinor matrix and no n x n array is formed;
+  norm follows from inner products of scalar blocks and the computed spin
+  cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>.  The mirror symmetry
+  X_t(pi r, pi r') = eps_t X_t(r, r') (eps +1 for G0, -1 for Gs) folds the
+  blocks read through pi L onto those of L, so only (fixed, fixed),
+  (fixed, L), (L, L) and (L, pi L) are gathered from the suite's
+  accumulators, once for the top shell and both bases, in row blocks of
+  _ROW_BLOCK that every sub-shell sums its tiles of: no spinor matrix and
+  no n x n array is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
-  hand, summed over pair triples of the suite (`GramMatrices.fro2`).
+  hand, in closed form on the Grams' 1d factors (`AxisFactors.fro2`).
 
-Both routes read the same quadrature Grams, so their agreement
-(`trace-vs-scalar-rel`) checks the four-spin reduction of |R|^2, the place
-where the mass enters `m_plus_terms`, the mirror symmetry the trace route
-folds by and the basis algebra, not the quadrature.  The honest quadrature
-M+, weight-one Gram included, enters only `mplus_diagonal`, which reads its
-diagonal off the same frames; `c_invariant_transform` assembles the
-invariant frame as a sparse matrix and, like the dense M+
-(`quadrature.m_plus`), serves as an oracle for the tests.  On complete
-shells the sums are basis independent (trace invariance); the basis matters
-for partial shells, which is exactly why the series itself is basis
-sensitive.
+The scalar route never reads the accumulators the trace route gathers from,
+so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
+assembly, the four-spin reduction of |R|^2, where the mass enters
+`m_plus_terms`, the mirror fold and the basis algebra; not the 1d
+quadrature both share.  The honest quadrature M+, weight-one Gram
+included, enters only `mplus_diagonal`, which reads its diagonal off the
+same frames; `c_invariant_transform` (a sparse frame) and the dense M+
+(`quadrature.m_plus`) are oracles for the tests.  On complete shells the
+sums are basis independent; the basis matters for partial shells, which is
+why the series itself is basis sensitive.
 """
 
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from scipy import sparse
 from . import fock
 from .charge import SubspaceBasis, vacuum_norm
 from .modes import Shell, enumerate_shell
-from .quadrature import QuadGrid, GramMatrices, gram_suite, m_plus_terms
+from .quadrature import QuadGrid, GramMatrices, axis_factors, gram_suite, m_plus_terms
 from .spinor import conjugation_matrix
 
 __all__ = [
@@ -240,13 +239,10 @@ def checked_tail(grid: QuadGrid, kmax: int) -> float:
     return tail
 
 
-def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
-    """Validate the shell radii, the grid and a precomputed suite.
-
-    Returns the radii, their scalar mode counts n = (2K+1)^3, the tail
-    estimate at the top shell and the Gram suite, built for the top shell
-    when none is given.
-    """
+def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices, build):
+    """Validate the shell radii, the grid and a precomputed suite; return
+    the radii, their mode counts n = (2K+1)^3, the tail estimate at the top
+    shell and the suite, or `build(top shell, m, grid)` when none is given."""
     shells = [int(k) for k in shells]
     if not shells or any(k < 0 for k in shells):
         raise ValueError("need a non-empty list of shell radii >= 0")
@@ -261,7 +257,7 @@ def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices):
         raise ValueError(f"precomputed Gram suite was built on the grid "
                          f"{suite.grid.describe()}, not {grid.describe()}")
     if suite is None:
-        suite = gram_suite(enumerate_shell(kmax), m, grid)
+        suite = build(enumerate_shell(kmax), m, grid)
     return shells, [(2 * K + 1) ** 3 for K in shells], tail, suite
 
 
@@ -275,7 +271,7 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     ("c_invariant"), the basis whose terms all carry weight 1/2.  Both read
     one gather of the top shell's scalar blocks.
     """
-    shells, ns, tail, suite = _prepare(shells, m, grid, suite)
+    shells, ns, tail, suite = _prepare(shells, m, grid, suite, gram_suite)
     fro2 = _frame_fro2(m_plus_terms(suite), shells[-1])
     return tuple(DivergenceSeries(shells, [4 * n for n in ns],
                                   [n - f[K] for n, K in zip(ns, shells)], kind,
@@ -290,12 +286,13 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
 
         S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
 
-    by `GramMatrices.fro2`.  The mass enters there, not through
-    `m_plus_terms`, and no mirror symmetry is used, so the trace route's
-    agreement checks both.
+    in closed form on the 1d factors (`AxisFactors.fro2`) of `suite`, or of
+    the top shell when none is given.  It reads no accumulator, no mirror
+    symmetry and not `m_plus_terms`, so the trace route's agreement checks
+    all three.
     """
-    shells, ns, tail, suite = _prepare(shells, m, grid, suite)
-    S = [n - suite.fro2(K) for n, K in zip(ns, shells)]
+    shells, ns, tail, factors = _prepare(shells, m, grid, suite, axis_factors)
+    S = [n - factors.fro2(K) for n, K in zip(ns, shells)]
     return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, float(m),
                             grid.describe(), tail)
 

@@ -12,20 +12,21 @@ shells cheap:
   D(a - p) D(a' - p), so only pairs a <= a' are tabulated, and every weight
   is even or odd in each coordinate, so each axis folds onto its positive nodes;
 * a separable weight: 1/lambda = sum_r c_r exp(-a_r m^2) prod_s exp(-a_r p_s^2),
-  an exponential sum (Beylkin and Monzon, ACHA 28, 2010), so the Gram
-  accumulators are rank-R sums of outer products of per-axis tables and
-  1/lambda is never evaluated on the 3d node set.  G1 and G2 are G3 with its
-  axes relabelled, since 1/lambda is symmetric under permuting the axes.
+  an exponential sum (Beylkin and Monzon, ACHA 28, 2010), so every Gram is a
+  rank-R sum of products of 1d factors (`AxisFactors`) and 1/lambda is never
+  evaluated on the 3d node set.
 
 Panels are aligned to the integers because the integrand oscillates with
 unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node and term
 ordering, so results are reproducible run to run.
 
-The Grams stay pair-compressed (`GramMatrices`) and reach the spinor level
-through `m_plus_terms`, the Kronecker terms of R = M+ - I/2.  The series
-needs only R, since S_J = n - |R_J|_F^2 with the identity part of M+ exact.
-The dense M+ (`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
+The trace route gathers the Grams from two pair-compressed npair^3
+accumulators (`GramMatrices`) through `m_plus_terms`, the Kronecker terms
+of R = M+ - I/2; the scalar route reads |R|_F^2 in closed form off the 1d
+factors (`AxisFactors.fro2`).  The series needs only R, since
+S_J = n - |R_J|_F^2 with the identity part of M+ exact.  The dense M+
+(`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +42,9 @@ __all__ = [
     "build_grid",
     "fits_node_cap",
     "mass_squared",
+    "AxisFactors",
     "GramMatrices",
+    "axis_factors",
     "gram_suite",
     "m_plus_terms",
     "m_plus",
@@ -123,30 +126,24 @@ def mass_squared(m: float) -> float:
 # folded per-axis factor tables
 
 
-def _pair_index(M: int):
-    """Index matrix PI[a, a'] into the list of unordered pairs a <= a'."""
-    a, b = np.triu_indices(M)
-    PI = np.empty((M, M), dtype=int)
-    PI[a, b] = PI[b, a] = np.arange(a.size)
-    return PI, a, b
-
-
 def _axis_tables(K: int, grid: QuadGrid):
     """Even/odd folded pair tables over the positive half-axis.
 
-    Returns (E, Ox, xp, PI) where for the pair r = (a, a')
+    Returns (E, Ox, xp, PI), PI[a, a'] the index of the unordered pair
+    a <= a' in the list of pairs, where for the pair r = (a, a')
       E[r, i]  = B(a, x_i) B(a', x_i) + B(a, -x_i) B(a', -x_i)
       Ox[r, i] = x_i * (B(a, x_i) B(a', x_i) - B(a, -x_i) B(a', -x_i))
     with B(a, x) = sqrt(w) D(a - x) / (2 pi).
     """
     N = grid.nodes_per_axis
-    xp = grid.nodes[N // 2:]
-    wp = grid.weights[N // 2:]
+    xp, wp = grid.nodes[N // 2:], grid.weights[N // 2:]
     offsets = np.arange(-K, K + 1, dtype=float)
     sq = np.sqrt(wp)
     Bp = sq[None, :] * axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
     Bm = sq[None, :] * axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
-    PI, a, b = _pair_index(offsets.size)
+    a, b = np.triu_indices(offsets.size)
+    PI = np.empty((offsets.size,) * 2, dtype=int)
+    PI[a, b] = PI[b, a] = np.arange(a.size)
     prod_p = Bp[a] * Bp[b]
     prod_m = Bm[a] * Bm[b]
     return prod_p + prod_m, xp[None, :] * (prod_p - prod_m), xp, PI
@@ -167,19 +164,43 @@ def _inverse_sqrt_terms(x_min: float, x_max: float):
 
 
 @dataclass
-class GramMatrices:
-    """Weighted Gram matrices of a shell's modes, real symmetric in canonical
-    shell order: "one" (weight 1), "g0" (1/lambda), "g1".."g3" (p_s/lambda),
-    stored pair-compressed, never as n x n matrices.  With the per-axis pairs
-    p_s = PI[k_s(i) + K, k_s(j) + K] of modes i, j the entries are
-    one = g1d[p1] g1d[p2] g1d[p3], g0 = acc0[p1, p2, p3], g3 = acc3[p1, p2, p3];
-    g1 and g2 are g3 with the axes relabelled."""
+class AxisFactors:
+    """The 1d factors of a shell's Grams: with the per-axis pairs
+    p_s = PI[k_s(i) + K, k_s(j) + K] of modes i, j, G0_ij = sum_r chat_r
+    g[p1, r] g[p2, r] g[p3, r], G3_ij the same with h[p3, r] last and
+    one_ij = g1d[p1] g1d[p2] g1d[p3]; g1 and g2 are g3 with the axes
+    relabelled, since 1/lambda is symmetric under permuting the axes."""
 
     shell: Shell
     m: float
     grid: QuadGrid
     pair_index: np.ndarray = field(repr=False)  # PI, (2K+1, 2K+1)
     g1d: np.ndarray = field(repr=False)         # (npair,) 1d weight-one Gram
+    g: np.ndarray = field(repr=False)           # (npair, R)
+    h: np.ndarray = field(repr=False)           # (npair, R)
+    chat: np.ndarray = field(repr=False)        # (R,)
+
+    def fro2(self, k: int) -> float:
+        """sum_{i,j<=n} [(m G0_ij)^2 + sum_s Gs_ij^2] over the first
+        n = (2k+1)^3 modes: with the sub-shell's pairs p, each counted w_p
+        times, it factors per axis into I_gg = g_p^T diag(w) g_p and I_hh, so
+        it is (m chat)^T I_gg^3 (m chat) + 3 chat^T (I_gg^2 I_hh) chat in
+        elementwise powers (g1..g3 add up equally), finite wherever m^2 is."""
+        sub = slice(self.shell.K - k, self.shell.K + k + 1)
+        p, w = np.unique(self.pair_index[sub, sub], return_counts=True)
+        I_gg, I_hh = (np.dot(F[p].T, w[:, None] * F[p]) for F in (self.g, self.h))
+        mc, T = self.m * self.chat, I_gg * I_gg
+        I_hh *= T
+        T *= I_gg
+        return float(mc @ T @ mc + 3.0 * self.chat @ I_hh @ self.chat)
+
+
+@dataclass
+class GramMatrices(AxisFactors):
+    """Weighted Gram matrices of a shell's modes, real symmetric in canonical
+    shell order: "one" (weight 1), "g0" (1/lambda), "g1".."g3" (p_s/lambda),
+    pair-compressed: g0 = acc0[p1, p2, p3], g3 = acc3[p1, p2, p3]."""
+
     acc0: np.ndarray = field(repr=False)        # (npair,)*3, weight 1/lambda
     acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
 
@@ -203,43 +224,33 @@ class GramMatrices:
         flat += PI[a[rows, k], a[cols, k]]
         return acc.take(flat)
 
-    def fro2(self, k: int) -> float:
-        """sum_{i,j<=n} [(m g0_ij)^2 + sum_s gs_ij^2] over the first
-        n = (2k+1)^3 modes (|k|_inf <= k), summed over pair triples with a
-        pair a != a' counted twice.  The sub-shell is symmetric under
-        permuting the axes, so g1..g3 add up equally; m scales g0 before
-        squaring, so the sum is finite wherever m^2 is."""
-        a, b = np.triu_indices(2 * k + 1)
-        sub = np.ix_(*[self.pair_index[a + self.shell.K - k, b + self.shell.K - k]] * 3)
-        w = np.where(a == b, 1.0, 2.0)
-        T = (self.m * self.acc0[sub]) ** 2 + 3.0 * self.acc3[sub] ** 2
-        return float(w @ (T @ w) @ w)
 
-
-def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
-    """Assemble all weighted Gram matrices of a shell in one quadrature pass:
-    acc0 = sum_r c_r e^{-a_r m^2} g_r (x) g_r (x) g_r and acc3 the same with
-    h_r last, where g_r = E phi_r, h_r = Ox phi_r, phi_r = exp(-a_r xp^2),
-    built in blocks of the first pair index of at most _BLOCK_BYTES."""
+def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:
+    """The 1d factors of a shell's Grams: g = E phi, h = Ox phi on the
+    folded pair tables, phi_r = exp(-a_r xp^2), chat_r = c_r e^{-a_r m^2}."""
     m2 = mass_squared(m)
     grid.tail_estimate(shell.K)  # rejects a cutoff that does not cover the shell
     E, Ox, xp, PI = _axis_tables(shell.K, grid)
     x2 = xp ** 2
     a, c = _inverse_sqrt_terms(3.0 * x2.min() + m2, 3.0 * x2.max() + m2)
     phi = np.exp(-x2[:, None] * a[None, :])
-    g, h = E @ phi, Ox @ phi  # (npair, R)
-    cg = g * (c * np.exp(-a * m2))
-    npair = g.shape[0]
-    acc0 = np.empty((npair,) * 3)
-    acc3 = np.empty((npair,) * 3)
-    rows = max(1, _BLOCK_BYTES // (8 * npair * a.size))
-    for p in range(0, npair, rows):
-        U = (cg[p:p + rows, None, :] * g[None, :, :]).reshape(-1, a.size)
-        np.matmul(U, g.T, out=acc0[p:p + rows].reshape(-1, npair))
-        np.matmul(U, h.T, out=acc3[p:p + rows].reshape(-1, npair))
+    return AxisFactors(shell=shell, m=float(m), grid=grid, pair_index=PI,
+                       g1d=E.sum(axis=1), g=E @ phi, h=Ox @ phi, chat=c * np.exp(-a * m2))
 
-    return GramMatrices(shell=shell, m=float(m), grid=grid, pair_index=PI,
-                        g1d=E.sum(axis=1), acc0=acc0, acc3=acc3)
+
+def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
+    """All weighted Gram matrices of a shell: acc0 = sum_r chat_r g_r (x) g_r
+    (x) g_r and acc3 the same with h_r last, on the factors of `axis_factors`,
+    in blocks of the first pair index of at most _BLOCK_BYTES."""
+    f = axis_factors(shell, m, grid)
+    (npair, R), g, cg = f.g.shape, f.g, f.g * f.chat
+    acc0, acc3 = np.empty((npair,) * 3), np.empty((npair,) * 3)
+    rows = max(1, _BLOCK_BYTES // (8 * npair * R))
+    for p in range(0, npair, rows):
+        U = (cg[p:p + rows, None, :] * g[None, :, :]).reshape(-1, R)
+        np.matmul(U, g.T, out=acc0[p:p + rows].reshape(-1, npair))
+        np.matmul(U, f.h.T, out=acc3[p:p + rows].reshape(-1, npair))
+    return GramMatrices(**vars(f), acc0=acc0, acc3=acc3)
 
 
 def m_plus_terms(suite: GramMatrices):
@@ -270,21 +281,15 @@ def _dense_m_plus(suite: GramMatrices, identity) -> np.ndarray:
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:
-    """Dense small-scale oracle; the series path does not call it.
-
-    Spinor-level Gram of the positive spectral projector,
-    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t>, spin as the fast index, with
-    the quadrature weight-one Gram as its identity part, so eigenvalues sit
-    in [0, 1] up to the quadrature tolerance.
-    """
+    """Dense small-scale oracle, off the series path: the spinor-level Gram
+    M+_{(i,s),(j,t)} = <f_i^s, Lambda+ f_j^t> of the positive spectral
+    projector, spin as the fast index, with the quadrature weight-one Gram as
+    its identity part, so eigenvalues sit in [0, 1] up to the quadrature
+    tolerance."""
     return _dense_m_plus(suite, partial(suite.gather, "one"))
 
 
 def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
-    """Dense small-scale oracle; the series path does not call it.
-
-    Same as m_plus but with the identity part taken exactly, invoking the
-    exact orthonormality of the modes; this is the form whose traces match
-    the series routes identically.
-    """
+    """Dense small-scale oracle, off the series path: m_plus with the exact
+    identity part of orthonormal modes, whose traces match the series routes."""
     return _dense_m_plus(suite, lambda rows, cols: np.equal(rows, cols) * 1.0)

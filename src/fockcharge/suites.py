@@ -493,16 +493,15 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
 
 def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     shells = list(range(cfg.shells + 1))
-    top = modes.enumerate_shell(cfg.shells)
-    suite = quadrature.gram_suite(top, cfg.m, cfg.grid)
+    suite = quadrature.gram_suite(modes.enumerate_shell(cfg.shells), cfg.m, cfg.grid)
 
     scalar = divergence.vacuum_series_scalar(shells, cfg.m, cfg.grid, suite=suite)
     product, c_inv = divergence.vacuum_series_trace(shells, cfg.m, cfg.grid, suite=suite)
     S_ci = c_inv.S
 
-    # both routes read the same Gram suite: this checks the four-spin
-    # reduction of the trace and the mirror symmetry the trace route folds
-    # its blocks by, not the quadrature
+    # the scalar route reads only the suite's 1d factors: this checks the
+    # accumulator assembly, the four-spin reduction of the trace and the
+    # mirror symmetry the trace route folds its blocks by, not the quadrature
     route_dev = max(abs(a - b) / max(abs(b), 1e-300)
                     for a, b in zip(product.S, scalar.S))
     basis_dev = max(abs(a - b) / max(abs(b), 1e-300)
@@ -512,7 +511,6 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
 
     diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
-    del suite  # the series hold no reference: free it before the reference grid's suite
 
     scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, cfg.reference_grid)
     conv = max(abs(a - b) / max(abs(a), 1e-300)

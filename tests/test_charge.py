@@ -138,6 +138,22 @@ def test_sector_spectra_agree_with_dense_solves_in_the_suites(seed, monkeypatch)
                     assert abs(got[key] - want[key]) <= 1e-14, (run.__name__, got)
 
 
+def test_weighted_builds_one_instance_per_seed(monkeypatch):
+    """The weighted checks print almost the same values at every seed, so
+    its golden digests barely see the seed; the spectra it predicts must."""
+    predicted = []
+    shipped = charge.spectrum_deviation
+
+    def capture(model, matrix, expected):
+        predicted.append(tuple(expected))
+        return shipped(model, matrix, expected)
+
+    monkeypatch.setattr(charge, "spectrum_deviation", capture)
+    for seed in (0, 1, 2, 2024):
+        assert suites.run_weighted(suites.ExperimentConfig(seed=seed)).ok
+    assert len(predicted) == 4 and len(set(predicted)) == 4
+
+
 def test_spectrum_independent_of_which_subset(model6, rng):
     # eigenvalue for q occupied modes is q - d^-, regardless of the subset
     basis = charge.random_subspace(model6, 3, rng)

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import re
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -142,25 +141,22 @@ def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
     assert code == 0 and "FAIL" not in out
 
 
-def test_vacuum_divergence_frees_its_suite_before_the_reference_grid(monkeypatch, capsys):
-    built = []
-    gram_suite, series_scalar = quadrature.gram_suite, divergence.vacuum_series_scalar
+def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, capsys):
+    # the main grid's suite is the run's only one: the reference-grid probe
+    # reads 1d factors, so a second gram_suite, by either name, is refused
+    calls = []
+    gram_suite = quadrature.gram_suite
 
-    def tracked(*args, **kwargs):
-        suite = gram_suite(*args, **kwargs)
-        built.append(weakref.ref(suite))
-        return suite
+    def first_only(*args, **kwargs):
+        assert not calls, "a second Gram suite was built"
+        calls.append(args)
+        return gram_suite(*args, **kwargs)
 
-    def scalar(shells, m, grid, suite=None):
-        if suite is None:  # the reference-grid probe, which builds a suite of its own
-            assert built and all(ref() is None for ref in built)
-        return series_scalar(shells, m, grid, suite=suite)
-
-    monkeypatch.setattr(quadrature, "gram_suite", tracked)
-    monkeypatch.setattr(divergence, "vacuum_series_scalar", scalar)
+    for module in (quadrature, divergence):
+        monkeypatch.setattr(module, "gram_suite", first_only)
     code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
     assert code == 0 and "FAIL" not in out
-    assert len(built) == 1
+    assert len(calls) == 1
 
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):

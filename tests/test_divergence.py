@@ -262,7 +262,7 @@ def test_mass_zero_drops_mass_term():
 
 @pytest.mark.parametrize("m", [0.0, 0.1, 2.5])
 def test_scalar_route_matches_dense_sub_block_sums(m):
-    # the pair-triple closed form against sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2]
+    # the closed form on the 1d factors against sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2]
     suite = quad.gram_suite(modes.enumerate_shell(2), m, SMALL_GRID)
     grams = [m * dense_gram(suite, "g0")] + [dense_gram(suite, name)
                                              for name in ("g1", "g2", "g3")]
@@ -271,6 +271,42 @@ def test_scalar_route_matches_dense_sub_block_sums(m):
         n = (2 * K + 1) ** 3
         dense = n - sum(float(np.sum(G[:n, :n] ** 2)) for G in grams)
         assert abs(S - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("name", ["acc0", "acc3"])
+def test_route_check_covers_the_accumulators(name):
+    # the scalar route reads only the suite's 1d factors, so the largest
+    # accumulator entry off by 1e-5 relative opens a gap above the CLI's 1e-6
+    # tolerance; its mirror image moves with it, so the trace route's fold
+    # still holds and the gap comes from the accumulators alone
+    suite = quad.gram_suite(modes.enumerate_shell(2), 1.0, SMALL_GRID)
+    acc, PI = getattr(suite, name), suite.pair_index
+    a, b = np.triu_indices(PI.shape[0])
+    mirror = PI[PI.shape[0] - 1 - b, PI.shape[0] - 1 - a]  # pair (a, a') -> (-a', -a)
+    entry = tuple(int(p) for p in np.unravel_index(np.argmax(np.abs(acc)), acc.shape))
+    for e in {entry, tuple(int(mirror[p]) for p in entry)}:
+        acc[e] *= 1.0 + 1e-5
+    tr, _ = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=suite)
+    sc = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=suite)
+    assert max(abs(a - b) / abs(b) for a, b in zip(tr.S, sc.S)) > 1e-6
+
+
+def test_scalar_route_without_suite_reads_the_same_factors(small_suite):
+    # without a suite the route builds only the top shell's 1d factors
+    alone = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID)
+    assert alone.S == dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=small_suite).S
+
+
+def test_scalar_route_without_suite_builds_no_accumulators():
+    # two K=8 accumulators would hold 28.6 MB each
+    grid = quad.build_grid(40, 2, 6)
+    tracemalloc.start()
+    try:
+        dv.vacuum_series_scalar(range(9), 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_growth_diagnostics_verdicts():

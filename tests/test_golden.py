@@ -96,7 +96,7 @@ DIGESTS = {
 
 HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "40",
                  "--panels", "2", "--order", "6", "--no-timestamp"]
-HEADLINE_DIGEST = "4efcbe1db3a4eb52c87fa7590d7830440fd0433cfc51494d5b9e55fe52519a0b"
+HEADLINE_DIGEST = "41fbb36fd8f823851fce346779740d21c219316d2251ea627129761e099d7ea6"
 
 recorded_versions_only = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),

@@ -129,6 +129,27 @@ def test_gram_suite_memory_stays_near_its_accumulators():
     assert peak < suite.acc0.nbytes + suite.acc3.nbytes + 16 * 2 ** 20
 
 
+def oracle_fro2(suite, k):
+    """sum_{i,j<=n} [(m g0_ij)^2 + sum_s gs_ij^2] over the first
+    n = (2k+1)^3 modes, summed over pair triples of the accumulators with a
+    pair a != a' counted twice; g1..g3 add up equally on the sub-shell."""
+    a, b = np.triu_indices(2 * k + 1)
+    sub = np.ix_(*[suite.pair_index[a + suite.shell.K - k, b + suite.shell.K - k]] * 3)
+    w = np.where(a == b, 1.0, 2.0)
+    T = (suite.m * suite.acc0[sub]) ** 2 + 3.0 * suite.acc3[sub] ** 2
+    return float(w @ (T @ w) @ w)
+
+
+@pytest.mark.parametrize("K, m", [(4, m) for m in MASSES] + [(8, 1.0)])
+def test_closed_form_fro2_matches_pair_triple_sum(K, m):
+    # the scalar route's closed form on the 1d factors against the pair-triple
+    # sum of the accumulators, every sub-shell, across the mass range
+    suite = quad.gram_suite(modes.enumerate_shell(K), m, quad.build_grid(*HEADLINE_GRID))
+    for k in range(K + 1):
+        ref = oracle_fro2(suite, k)
+        assert abs(suite.fro2(k) - ref) <= 1e-13 * ref, (k, ref)
+
+
 def shell_permutation(shell):
     """Positions of the canonically ordered shell modes inside the plain
     product enumeration over (k1, k2, k3)."""
