@@ -3,11 +3,11 @@
 Builds the weighted (fuzzy-set) charge sum_j m_j :Psi*(f_j) Psi(f_j): for
 an ONB (f_j) of a subspace k; the subspace charge Q_k (all m_j = 1) and its
 truncations Q^J (m_j = 1 for j < J, else 0) are its special cases, so
-`q_weighted` is the one Wick-sum loop.  It adds the densities up in j
-order as class values of `fock`'s cached product table (each density a
-handful of class sums, no sparse product or sparse add) and gathers them
-onto the table's pattern once; the series of scipy sparse products and adds
-it reproduces bit for bit is the oracle in the tests.  Also the
+`q_weighted` is the one Wick sum.  It is one batched class sum on `fock`'s
+cached product table over the densities' stacked coefficient rows, added
+in j order with no sparse product or sparse add, and gathered onto the
+table's pattern once; the series of scipy sparse products and adds it
+reproduces bit for bit is the oracle in the tests.  Also the
 number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)),
 summed the same way, the total charge, the toy vacuum norm |Q^J Omega|^2
 by a Fock route and a trace route (`vacuum_norm`), the spectral /
@@ -140,11 +140,8 @@ def vacuum_norm(model: ToyModel, basis: SubspaceBasis, J: int):
     first J basis vectors F."""
     _check_J(basis, J)
     F = basis.vectors[:, :J]
-    acc = fock._class_zeros(model.n)
-    for f in F.T:
-        bs, _, cs, _ = fock._ladder_coeffs(model, f)
-        acc += fock._product_values(model.n, bs, cs)
-    vec = fock._table_matrix(model.n, acc) @ fock.vacuum(model)
+    bs, _, cs, _ = fock._ladder_rows(model, F)
+    vec = fock._table_matrix(model.n, fock._class_sum(model.n, bs, cs)) @ fock.vacuum(model)
     M = F.conj().T @ model.p_plus @ F
     return (float(np.vdot(vec, vec).real),
             float((np.trace(M) - np.trace(M @ M)).real))
@@ -156,11 +153,11 @@ def q_tilde(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
     Each stored value equals, bit for bit, the one of the series of scipy
     products and adds; the indices are sorted in each row, where scipy's
     sums leave them in its own order."""
-    acc = fock._class_zeros(model.n)
-    for j in range(basis.dim):
-        bs, b, cs, c = fock._ladder_coeffs(model, basis.vectors[:, j])
-        acc = acc + fock._product_values(model.n, bs, b) - fock._product_values(model.n, cs, c)
-    return fock._table_matrix(model.n, acc)
+    bs, b, cs, c = fock._ladder_rows(model, basis.vectors)
+    x = np.hstack([bs, cs]).reshape(-1, 2 * model.n)  # b*(f_j) b(f_j), then c*(f_j) c(f_j)
+    y = np.hstack([b, c]).reshape(-1, 2 * model.n)
+    signs = np.tile([1.0, -1.0], basis.dim)
+    return fock._table_matrix(model.n, fock._class_sum(model.n, x, y, signs))
 
 
 def q_total(model: ToyModel) -> sparse.csr_matrix:
@@ -177,12 +174,8 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
         raise ValueError("one weight per basis vector required")
     if not np.all((w >= 0) & (w <= 1)):  # also rejects NaN
         raise ValueError("weights must lie in [0, 1]")
-    acc = fock._class_zeros(model.n)
-    for j in range(basis.dim):
-        if w[j]:  # a unit weight adds the density itself, with no scaled copy
-            D = fock._density_values(model, basis.vectors[:, j])
-            acc += D if w[j] == 1 else w[j] * D
-    return fock._table_matrix(model.n, acc)
+    x, y, shift = fock._density_rows(model, basis.vectors)
+    return fock._table_matrix(model.n, fock._class_sum(model.n, x, y, w, shift))
 
 
 def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitaries) -> float:
@@ -292,11 +285,9 @@ def eigenvector_witness(model: ToyModel, basis: SubspaceBasis, j: int):
     nrm = np.linalg.norm(phi)
     if nrm < 1e-9:
         raise ValueError("witness vector degenerated to zero for this basis")
-    acc = fock._class_zeros(model.n)
-    for f in basis.vectors.T:
-        bs, b, cs, c = fock._ladder_coeffs(model, f)
-        acc += fock._product_values(model.n, bs + c, b + cs)
-    residual = np.linalg.norm(fock._table_matrix(model.n, acc) @ phi - j * phi) / nrm
+    bs, b, cs, c = fock._ladder_rows(model, basis.vectors)
+    Q = fock._table_matrix(model.n, fock._class_sum(model.n, bs + c, b + cs))
+    residual = np.linalg.norm(Q @ phi - j * phi) / nrm
     return phi, float(residual)
 
 

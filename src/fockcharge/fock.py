@@ -10,29 +10,30 @@ of an antiparticle creator crosses the whole particle block, which is exactly
 the (-1)^n factor in the antiparticle creation operator.
 
 All operators are returned as scipy CSR matrices, for the mode counts
-(n <= 12) this module is meant for.  There is one Jordan-Wigner pattern per
-mode count: the sparsity pattern of G = sum_k x_k a*_k + sum_k y_k a_k, every
-mode both raised and lowered (row pointers, column indices, which
-coefficient each stored entry takes and its Jordan-Wigner sign), is cached.
-Each builder is one gather and one CSR constructor call: its row of
+(n <= 12) this module is meant for.  The Jordan-Wigner bit layout is
+written once, in `_jw_terms`: the occupations of every basis state, the
+parity of the modes before each mode, and the order of the terms of
+G = sum_k x_k a*_k + sum_k y_k a_k (every mode raised and lowered) in each
+row.  G's CSR pattern is read off it and cached per mode count.  Each
+builder is one gather and one CSR constructor call: its row of
 coefficients on G's terms, with zeros on the terms it lacks (for the field
 operators the sum of two rows), gathered onto the pattern, zeros dropped.
 
-Products of these operators go through one cached table per mode count.
-Every builder's operator is G with zero coefficients on its absent terms,
-and each stored entry of G.G is a fixed ordered sum of coefficient
-products, in the order scipy's sparse product adds them.  The entries fall
-into few classes of equal sums, so the Wick-ordered density
-:Psi*(f) Psi(f):, the products of the number-operator charge, the
-anticommutators of the CAR check and the ladder products of `charge`'s
-vacuum norm and eigenvector witness are class sums on the 2n x 2n table of
-coefficient products, gathered onto the pattern once where a matrix is
-needed; they come out bit for bit as by scipy's products.  The class sums
-take a leading axis of coefficient rows, so the car-check reduces all
-anticommutators of a mode count in batches, each temporary at most 2^14
-complex entries; one pair is the one-row case.  The cached arrays are
-read-only.  The Kronecker-product, sum-of-adds builders and the
-sparse products are kept in the tests as the exact oracles.
+Products of these operators go through one cached table per mode count,
+read off the same layout in closed form.  Every builder's operator is G
+with zero coefficients on its absent terms, and each stored entry of G.G
+is a fixed ordered sum of coefficient products, in the order scipy's
+sparse product adds them.  The entries fall into few classes of equal
+sums, so the Wick sums of `charge` (the densities :Psi*(f) Psi(f): of the
+weighted charge, the products of the number-operator charge, the ladder
+products of the vacuum norm and the eigenvector witness) are one batched
+class sum over stacked coefficient rows, and the car-check's
+anticommutators class sums in batches of at most 2^14 complex entries per
+temporary, all on the 2n x 2n table of coefficient products, gathered
+onto the pattern once where a matrix is needed; they come out bit for bit
+as by scipy's products.  The cached arrays are read-only.  The
+Kronecker-product, sum-of-adds builders and the sparse products are kept
+in the tests as the exact oracles.
 """
 
 from dataclasses import dataclass, field
@@ -61,38 +62,43 @@ __all__ = [
 
 
 @lru_cache(maxsize=16)
+def _jw_terms(nmodes: int):
+    """The Jordan-Wigner bit layout, read-only: ``(occ, before, term)``.
+
+    Mode k is bit n - 1 - k of a basis state r; occ[r, k] is its occupation
+    and before[r, k] the parity of the modes before it, its string.  Row r of
+    G = sum_k x_k a*_k + sum_k y_k a_k holds one entry per mode k, in column
+    r ^ bit_k: raising k (term k of the coefficients (x, y)) if k is occupied
+    in r, else lowering it (term n + k), with the sign (-1)^before[r, k].
+    term[r] lists these terms in ascending columns: the occupied modes
+    ascending, then the empty modes descending.
+    """
+    modes = np.arange(nmodes)
+    states = np.arange(2 ** nmodes)[:, None]
+    occ = ((states >> (nmodes - 1 - modes)) & 1).astype(np.int8)
+    before = ((np.cumsum(occ, axis=1) - occ) & 1).astype(np.int8)
+    order = np.argsort(np.where(occ == 1, modes, 2 * nmodes - modes), axis=1)
+    term = order + nmodes * (1 - np.take_along_axis(occ, order, axis=1))
+    return _read_only(occ, before, term)
+
+
+@lru_cache(maxsize=16)
 def _jw_pattern(nmodes: int):
     """CSR structure of G = sum_k x_k a*_k + sum_k y_k a_k over every mode.
 
-    Mode 0 is the most significant bit of a basis index.  The Jordan-Wigner
-    string sits on the modes *before* the target mode, so raising or lowering
-    mode k picks up the parity of the occupation of modes 0..k-1.  Distinct
-    (mode, direction) terms never share a stored entry, so the operator is a
-    gather: stored entry e holds ``coeffs[pos[e]] * sign[e]`` with ``coeffs``
-    the concatenation (x, y), raising mode k term k and lowering it term
-    n + k.  Returns ``(indptr, indices, pos, sign)`` with the indices sorted
-    within each row; every row holds n entries.
+    Distinct terms never share a stored entry, so the operator is a gather:
+    stored entry e holds ``coeffs[pos[e]] * sign[e]`` with ``coeffs`` the
+    concatenation (x, y), each entry's term and sign as `_jw_terms` lays
+    them out.  Returns ``(indptr, indices, pos, sign)`` with the indices
+    sorted within each row; every row holds n entries.
     """
-    dim = 2 ** nmodes
-    states = np.arange(dim, dtype=np.int64)
-    rows, cols, pos, sign = [], [], [], []
-    terms = [(k, True) for k in range(nmodes)] + [(k, False) for k in range(nmodes)]
-    for p, (k, raise_) in enumerate(terms):
-        bit = 1 << (nmodes - 1 - k)
-        src = states[((states & bit) == 0) == raise_]
-        parity = np.zeros(src.size, dtype=np.int64)
-        for j in range(k):
-            parity ^= (src >> (nmodes - 1 - j)) & 1
-        rows.append(src ^ bit)
-        cols.append(src)
-        pos.append(np.full(src.size, p, dtype=np.intp))
-        sign.append(1.0 - 2.0 * parity)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return _read_only(indptr, cols[order].astype(np.int32),
-                      np.concatenate(pos)[order], np.concatenate(sign)[order])
+    _, before, term = _jw_terms(nmodes)
+    mode = term % nmodes
+    rows = np.arange(2 ** nmodes)[:, None]
+    indptr = np.arange(0, term.size + 1, nmodes, dtype=np.int32)
+    indices = (rows ^ (1 << (nmodes - 1 - mode))).astype(np.int32)
+    sign = 1.0 - 2.0 * np.take_along_axis(before, mode, axis=1)
+    return _read_only(indptr, indices.ravel(), term.ravel(), sign.ravel())
 
 
 def _read_only(*arrays) -> tuple:
@@ -111,10 +117,13 @@ class _ProductTable(NamedTuple):
     absent terms, so an entry (r, c) of a product A B sums the same terms
     A[r, k] B[k, c] = +-x[p] y[q] whatever the coefficients x of A and y of
     B: one per state k next to both r and c, added in ascending k as scipy's
-    sparse product adds them.  Off G.G's diagonal r and c differ in two
-    modes and there are two terms; entries with the same two terms, in the
-    same order and with the same signs, form a class.  A diagonal entry has
-    n terms, one per mode, all with sign +1, and is a class of its own.
+    sparse product adds them.  Off the diagonal c = r ^ bit_i ^ bit_j, i < j,
+    and the two terms go through r ^ bit_i, first if mode i is occupied in
+    r, and r ^ bit_j.  Their p, q and signs follow from the occupations of
+    modes i, j and the parity of modes i..j-1, which make the class: 8 per
+    pair of modes, 4 for adjacent ones, numbered by first term, its sign,
+    second term, its sign.  A diagonal entry has n terms, one per mode in
+    the order of G's row, all with sign +1, and is a class of its own.
 
     indptr, indices : the CSR pattern of G.G, indices sorted in each row
     cls : class of each stored entry; the off-diagonal classes come first,
@@ -132,54 +141,47 @@ class _ProductTable(NamedTuple):
     diag_pq: np.ndarray
 
 
-# rows of G whose products are expanded at once; bounds the builder's
-# temporaries (the n = 12 table expands 590k products in all)
+# rows of G.G classed at once; bounds the builder's temporaries
 _TABLE_BLOCK = 128
 
 
 @lru_cache(maxsize=16)
 def _product_table(nmodes: int) -> _ProductTable:
-    """The read-only class table of G.G for mode count nmodes."""
-    _, cols, pos, sign = _jw_pattern(nmodes)
+    """The read-only class table of G.G for mode count nmodes, read off
+    the bit layout `_jw_terms(nmodes)`."""
+    occ, before, term = _jw_terms(nmodes)
     dim, width = 2 ** nmodes, 2 * nmodes
-    per_row = 1 + nmodes * (nmodes - 1) // 2          # stored entries per row of G.G
-    indices = np.empty(dim * per_row, dtype=np.int32)
-    cls = np.empty(dim * per_row, dtype=np.int32)      # each entry's term key, then class
-    diag_pq = np.empty((nmodes, dim), dtype=np.intp)
-    found = np.empty(0, dtype=np.int64)
+    # flat codes of (i, j, occupied i, occupied j, parity of modes i..j-1)
+    i, j, oi, oj, q = np.indices((nmodes, nmodes, 2, 2, 2)).reshape(5, -1)
+    is_class = (i < j) & ((j > i + 1) | (q == oi))
+    ti, tj = i + nmodes * (1 - oi), j + nmodes * (1 - oj)   # the G terms of modes i, j
+    via_i, via_j = ti * width + tj, tj * width + ti          # through r ^ bit_i, r ^ bit_j
+    pq = np.where(oi == 1, [via_i, via_j], [via_j, via_i])[:, is_class]
+    neg = np.where(oi == 1, [1 - q, q], [q, 1 - q])[:, is_class]
+    by_terms = np.lexsort((neg[1], pq[1], neg[0], pq[0]))
+    class_of = np.empty(is_class.size, dtype=np.int32)
+    class_of[np.flatnonzero(is_class)[by_terms]] = np.arange(by_terms.size)
+
+    pair_i, pair_j = np.triu_indices(nmodes, 1)
+    flip = (1 << (nmodes - 1 - pair_i)) ^ (1 << (nmodes - 1 - pair_j))
+    indices = np.empty((dim, 1 + pair_i.size), dtype=np.int32)
+    cls = np.empty((dim, 1 + pair_i.size), dtype=np.int32)
     for lo in range(0, dim, _TABLE_BLOCK):
-        hi = min(lo + _TABLE_BLOCK, dim)
-        # every row of G holds n entries, so row k is the slice k*n .. k*n + n
-        a = np.repeat(np.arange(lo * nmodes, hi * nmodes), nmodes)             # entry (r, k)
-        b = cols[a] * nmodes + np.tile(np.arange(nmodes), (hi - lo) * nmodes)  # entry (k, c)
-        rc = a // nmodes * dim + cols[b]
-        order = np.argsort(rc, kind="stable")          # keeps each entry's terms in ascending k
-        a, b, rc = a[order], b[order], rc[order]
-        pq = pos[a] * width + pos[b]
-        neg = sign[a] != sign[b]
-        on_diag = rc % (dim + 1) == 0                  # r * dim + c with c == r
-        diag_pq[:, lo:hi] = pq[on_diag].reshape(hi - lo, nmodes).T
-        pq2, neg2 = pq[~on_diag].reshape(-1, 2), neg[~on_diag].reshape(-1, 2)
-        key = ((pq2[:, 0] * 2 + neg2[:, 0]) * width ** 2 + pq2[:, 1]) * 2 + neg2[:, 1]
-        found = np.union1d(found, key)
-        rc = rc[np.flatnonzero(np.diff(rc, prepend=-1))]   # the block's entries, in CSR order
-        block = cls[lo * per_row:hi * per_row]
-        indices[lo * per_row:hi * per_row] = rc % dim
-        entry_diag = rc % (dim + 1) == 0
-        block[~entry_diag] = key
-        block[entry_diag] = -1 - rc[entry_diag] // dim    # row r's diagonal
-    for lo in range(0, cls.size, _TABLE_BLOCK * per_row):
-        seg = cls[lo:lo + _TABLE_BLOCK * per_row]
-        off = seg >= 0
-        seg[off] = np.searchsorted(found, seg[off])
-        seg[~off] = found.size - 1 - seg[~off]             # diagonal of row r -> class ncls + r
-    indptr = np.arange(0, dim * per_row + 1, per_row, dtype=np.int32)
-    cells = width ** 2
-    pq = np.stack([found // (4 * cells), found // 2 % cells])
-    table_sign = 1.0 - 2.0 * np.stack([found // (2 * cells) % 2, found % 2])
+        rows = slice(lo, lo + _TABLE_BLOCK)
+        r = np.arange(lo, min(lo + _TABLE_BLOCK, dim))[:, None]
+        o, b = occ[rows], before[rows]
+        code = ((((pair_i * nmodes + pair_j) * 2 + o[:, pair_i]) * 2 + o[:, pair_j]) * 2
+                + (b[:, pair_i] ^ b[:, pair_j]))
+        col = np.hstack([r ^ flip, r])
+        by_col = np.argsort(col, axis=1)
+        indices[rows] = np.take_along_axis(col, by_col, axis=1)
+        entry_cls = np.hstack([class_of[code], by_terms.size + r])
+        cls[rows] = np.take_along_axis(entry_cls, by_col, axis=1)
+    indptr = np.arange(0, indices.size + 1, indices.shape[1], dtype=np.int32)
+    diag_pq = np.ascontiguousarray((term * width + (term + nmodes) % width).T)
     return _ProductTable(*_read_only(
-        indptr, indices, cls, pq.astype(np.intp),
-        table_sign, diag_pq))
+        indptr, indices.ravel(), cls.ravel(), np.take(pq, by_terms, axis=1),
+        1.0 - 2.0 * np.take(neg, by_terms, axis=1), diag_pq))
 
 
 def _products(x, y) -> np.ndarray:
@@ -194,7 +196,7 @@ def _products(x, y) -> np.ndarray:
     P = np.empty(np.broadcast_shapes(xr.shape, yr.shape), dtype=complex)
     P.real = xr * yr - xi * yi
     P.imag = xr * yi + xi * yr
-    return P.reshape(P.shape[:-2] + (-1,))
+    return P.reshape(P.shape[:-2] + (P.shape[-2] * P.shape[-1],))
 
 
 def _off_diagonal_sums(table: _ProductTable, P) -> np.ndarray:
@@ -211,18 +213,24 @@ def _diagonal_sums(table: _ProductTable, P) -> np.ndarray:
     return out
 
 
-def _product_values(nmodes: int, x, y) -> np.ndarray:
-    """Class values of A B for A, B with coefficients x, y on G's terms:
-    equal bit for bit, up to the sign of exact zeros, to every stored
-    value of scipy's A @ B; an entry scipy leaves out is an exact zero."""
+def _class_sum(nmodes: int, x, y, weights=None, shift=None) -> np.ndarray:
+    """Class values of sum_j w_j (A_j B_j - shift_j I), A_j and B_j with the
+    coefficient rows x[j], y[j] (shape (J, 2n)), added in j order: bit for
+    bit, up to the sign of exact zeros, scipy's series of products, shifted
+    identities, scalings and adds.  The weights default to 1, the shifts to
+    0; rows of weight 0 are dropped before the products, and no rows sum to
+    zero.  J is at most twice a basis dimension, so the (J, classes + 2^n)
+    values, summed at once, stay below 2 MB at n = 12."""
+    keep = slice(None) if weights is None else np.asarray(weights) != 0
     table = _product_table(nmodes)
-    P = _products(x, y)
-    return np.concatenate([_off_diagonal_sums(table, P), _diagonal_sums(table, P)])
-
-
-def _class_zeros(nmodes: int) -> np.ndarray:
-    """A zero value for every class of the mode count's product table."""
-    return np.zeros(_product_table(nmodes).pq.shape[1] + 2 ** nmodes, dtype=complex)
+    P = _products(np.asarray(x)[keep], np.asarray(y)[keep])
+    diag = _diagonal_sums(table, P)
+    if shift is not None:
+        diag -= np.asarray(shift)[keep, None]
+    values = np.concatenate([_off_diagonal_sums(table, P), diag], axis=-1)
+    if weights is not None:
+        values *= np.asarray(weights)[keep, None]
+    return values.sum(axis=0)  # row by row: numpy sums pairwise only along the fast axis
 
 
 def _table_matrix(nmodes: int, values) -> sparse.csr_matrix:
@@ -379,6 +387,22 @@ def _ladder_coeffs(model: ToyModel, f) -> np.ndarray:
     return out
 
 
+def _ladder_rows(model: ToyModel, vectors) -> np.ndarray:
+    """`_ladder_coeffs` of each column f of vectors as four stacks of rows,
+    b*(f), b(f), c*(f) and c(f), shape (4, J, 2n).  One call per vector:
+    one matrix product over all columns would change the last bits."""
+    rows = np.array([_ladder_coeffs(model, f) for f in np.asarray(vectors).T], dtype=complex)
+    return rows.reshape(-1, 4, 2 * model.n).swapaxes(0, 1)
+
+
+def _density_rows(model: ToyModel, vectors):
+    """The rows of :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2 for each
+    column f of vectors, as `_class_sum` takes them: (x, y, shift)."""
+    bs, b, cs, c = _ladder_rows(model, vectors)
+    shift = np.array([np.linalg.norm(model.p_minus @ f) ** 2 for f in np.asarray(vectors).T])
+    return bs + c, b + cs, shift
+
+
 def creator_b(model: ToyModel, f) -> sparse.csr_matrix:
     """Particle creation operator b*(f); creates P+ f, linear in f."""
     return _jw_operator(model, _ladder_coeffs(model, f)[0])
@@ -413,42 +437,26 @@ def field_adjoint(model: ToyModel, f) -> sparse.csr_matrix:
     return _jw_operator(model, bs + c)
 
 
-def _density_values(model: ToyModel, f) -> np.ndarray:
-    """Class values of :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2, equal
-    bit for bit to scipy's product less the shifted identity, up to the sign
-    of exact zeros."""
+def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:
+    """Wick-ordered density :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2
+    for a normalized one-particle vector f."""
     f = _check_f(model, f)
     nrm = np.linalg.norm(f)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"f must be normalized, |f| = {nrm}")
-    bs, b, cs, c = _ladder_coeffs(model, f)
-    out = _product_values(model.n, bs + c, b + cs)
-    out.real[-model.fock_dim:] -= float(np.linalg.norm(model.p_minus @ f) ** 2)
-    return out
-
-
-def normal_ordered_density(model: ToyModel, f) -> sparse.csr_matrix:
-    """Wick-ordered density :Psi*(f) Psi(f): = Psi*(f) Psi(f) - |P- f|^2
-    for a normalized one-particle vector f."""
-    return _table_matrix(model.n, _density_values(model, f))
+    x, y, shift = _density_rows(model, f[:, None])
+    return _table_matrix(model.n, _class_sum(model.n, x, y, shift=shift))
 
 
 def sector_labels(model: ToyModel):
     """(n, m) occupation labels of every Fock basis state.
 
     Returns two integer arrays: particle count and antiparticle count per
-    basis index.  Mode k occupies bit (n_modes - 1 - k) of the index.
+    basis index, read off the bit layout `_jw_terms`.
     """
-    idx = np.arange(model.fock_dim, dtype=np.int64)
-    n_p = np.zeros(model.fock_dim, dtype=np.int64)
-    n_a = np.zeros(model.fock_dim, dtype=np.int64)
-    for k in range(model.n):
-        bit = (idx >> (model.n - 1 - k)) & 1
-        if k < model.d_plus:
-            n_p += bit
-        else:
-            n_a += bit
-    return n_p, n_a
+    occ = _jw_terms(model.n)[0]
+    return (occ[:, :model.d_plus].sum(axis=1, dtype=np.int64),
+            occ[:, model.d_plus:].sum(axis=1, dtype=np.int64))
 
 
 def sector_mask(model: ToyModel, n: int, m: int) -> np.ndarray:

@@ -214,6 +214,7 @@ def test_trace_route_memory_below_one_dense_gram():
 
 def traced_peak(run):
     """Peak traced bytes of run(), from cold Fock pattern caches."""
+    fock._jw_terms.cache_clear()
     fock._jw_pattern.cache_clear()
     fock._product_table.cache_clear()
     tracemalloc.start()
@@ -226,9 +227,16 @@ def traced_peak(run):
 
 
 def test_product_table_build_memory():
-    # the builder expands G.G in row blocks; at once, the n = 12 table's
-    # 590k products would take 44.7 MB
+    # the builder classes G.G's entries in blocks of rows; the n = 12 table
+    # and bit layout hold 3.1 MB, and one block of all 4096 rows would
+    # take 13.9 MB
     assert traced_peak(lambda: fock._product_table(12)) < 8e6
+
+
+def test_jordan_wigner_tables_build_memory():
+    # the n = 12 bit layout, pattern and table hold 3.7 MB; 512-row blocks
+    # would take the build to 5.4 MB, 128-row blocks keep it at 4.8 MB
+    assert traced_peak(lambda: (fock._jw_pattern(12), fock._product_table(12))) < 5.5e6
 
 
 def test_car_check_memory():

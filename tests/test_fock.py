@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -136,7 +138,7 @@ def test_cached_patterns_are_read_only(model6, rng):
     place, so the later operators of that mode count stay intact."""
     pattern = fock._jw_pattern(6)
     table = fock._product_table(6)
-    for arr in (*pattern, *table):
+    for arr in (*fock._jw_terms(6), *pattern, *table):
         assert not arr.flags.writeable
     for indptr, indices, *_ in (pattern, table):
         shared = sparse.csr_matrix((np.zeros(indices.size), indices, indptr),
@@ -222,6 +224,67 @@ def test_product_table_shape(n, classes):
     assert np.array_equal(np.diff(table.indptr), np.full(2 ** n, 1 + n * (n - 1) // 2))
     uses = np.bincount(table.cls)
     assert np.all(uses[:classes] > 0) and np.array_equal(uses[classes:], np.ones(2 ** n))
+
+
+# SHA-256 of the dtype, shape and bytes of every array of `_jw_pattern(n)`
+# and `_product_table(n)`, recorded when the table was built by expanding
+# every product of G.G and sorting the entries into classes
+JW_TABLE_DIGESTS = {
+    2: "1fd10b753f0bbb22346f4c87b608909f15b21a25d8e687819440b64689e1cc47",
+    4: "a1f2104fbbabfa8a9531508c520f932f8f8379eeab12f08f4341a547666d469a",
+    6: "934e3170cb9e455269cce629ddfbbf4910f8cec19086a922d40b132885871765",
+    8: "9fcd9f88bd057feaf7f44ed245de184621e0ad70c8e3477b0339998c8ceafa5d",
+    10: "93dbd6d2eb5c0235dd3b0cb8095566905359f32e43ea55ec5f85b507ae777321",
+    12: "dceda303dfd588c8f1381e0dfecea1a8656c48802fa35631d998747d6db9b203",
+}
+
+
+def arrays_digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(JW_TABLE_DIGESTS))
+def test_jordan_wigner_tables_match_recorded_digests(n):
+    """The closed forms of the bit layout give G's pattern and the G.G class
+    table array for array: integers and exact signs, so every toy operator
+    built on them keeps its bits."""
+    tables = [*fock._jw_pattern(n), *fock._product_table(n)]
+    assert arrays_digest(tables) == JW_TABLE_DIGESTS[n]
+
+
+def test_product_table_reads_the_bit_layout_not_the_pattern():
+    for cached in (fock._jw_terms, fock._jw_pattern, fock._product_table):
+        cached.cache_clear()
+    fock._product_table(8)
+    assert fock._jw_pattern.cache_info().misses == 0
+    assert fock._jw_terms.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [2, 6, 12])
+def test_sector_labels_count_the_bits_of_each_block(n):
+    """Particle modes are the leading n/2 bits of a basis index."""
+    model = fock.random_model(n, np.random.default_rng(n))
+    n_p, n_a = fock.sector_labels(model)
+    low = n - model.d_plus
+    expected_p = [bin(s >> low).count("1") for s in range(2 ** n)]
+    expected_a = [bin(s & ((1 << low) - 1)).count("1") for s in range(2 ** n)]
+    assert n_p.dtype == n_a.dtype == np.int64
+    assert np.array_equal(n_p, expected_p) and np.array_equal(n_a, expected_a)
+
+
+def test_class_sum_drops_zero_weight_rows_before_the_products(rng):
+    x = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
+    y = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
+    x[1] = np.inf  # a product of this row would raise below
+    with np.errstate(invalid="raise"):
+        got = fock._class_sum(6, x, y, [0.5, 0.0, 1.0], [0.25, 2.0, 0.75])
+    kept = fock._class_sum(6, x[[0, 2]], y[[0, 2]], [0.5, 1.0], [0.25, 0.75])
+    assert got.tobytes() == kept.tobytes()
 
 
 def test_vacuum_is_normalized_and_annihilated(model6, rng):
