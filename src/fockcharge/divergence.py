@@ -22,15 +22,14 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>.  The mirror symmetry
   X_t(pi r, pi r') = eps_t X_t(r, r') (eps +1 for G0, -1 for Gs) folds the
   blocks read through pi L onto those of L, so only (fixed, fixed),
-  (fixed, L), (L, L) and (L, pi L) are gathered from the suite's
-  accumulators, once for the top shell and both bases, in row blocks of
-  _ROW_BLOCK that every sub-shell sums its tiles of: no spinor matrix and
-  no n x n array is formed;
+  (fixed, L), (L, L) and (L, pi L) are taken from the accumulators, once
+  for the top shell and both bases, in row blocks that every sub-shell sums
+  its tiles of: no spinor matrix and no n x n array is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, in closed form on the Grams' 1d factors (`AxisFactors.fro2`).
 
-The scalar route never reads the accumulators the trace route gathers from,
+The scalar route never reads the accumulators the trace route takes from,
 so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
 assembly, the four-spin reduction of |R|^2, where the mass enters
 `m_plus_terms`, the mirror fold and the basis algebra; not the 1d
@@ -155,19 +154,16 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     return sparse.hstack(groups, format="csc")
 
 
-def _block_grams(blocks, rows, row_counts, col_counts) -> np.ndarray:
-    """D[k] = <Z_a, Z_b> of the scalar blocks Z_a = X_a(rows, cols_a) cut to
-    sub-shell k, i.e. to their first row_counts[k] rows and col_counts[k]
-    columns, for every sub-shell k.
-
-    `blocks` lists (X_a, cols_a) with column sets of one size.  The rows of
-    each layer (sub-shell k less sub-shell k-1) are gathered _ROW_BLOCK at a
-    time, read transposed (the Grams are symmetric), so each column
-    sub-shell is a leading slice of the block.  A tile of row layer kr and
-    column layer kc adds into D[max(kr, kc)], and the cumulative sum over
-    sub-shells gives every corner.
-    """
-    T, ncol = len(blocks), blocks[0][1].size
+def _block_grams(pairs, Xs, col_sets, rows, row_counts, col_counts) -> np.ndarray:
+    """D[k] = <Z_a, Z_b> of the scalar blocks Z_a = X(pairs(rows, cols)), X
+    in Xs, for each of the col_sets (of one size), cut to sub-shell k: their
+    first row_counts[k] rows and col_counts[k] columns.  The rows of each
+    layer (sub-shell k less sub-shell k-1) are read _ROW_BLOCK at a time,
+    transposed (the Grams are symmetric), so each column sub-shell is a
+    leading slice of the block; every X takes its column set's one pair
+    read.  A tile of row layer kr and column layer kc adds into
+    D[max(kr, kc)], and the cumulative sum gives every corner."""
+    T, ncol = len(Xs) * len(col_sets), col_sets[0].size
     D = np.zeros((len(row_counts), T, T))
     buf = np.empty(T * ncol * min(_ROW_BLOCK, rows.size))
     row_edges = [0] + list(row_counts)
@@ -176,11 +172,14 @@ def _block_grams(blocks, rows, row_counts, col_counts) -> np.ndarray:
         col_edges = [0] + list(col_counts[kr:])
         for p0 in range(row_edges[kr], row_edges[kr + 1], _ROW_BLOCK):
             rb = rows[p0:min(p0 + _ROW_BLOCK, row_edges[kr + 1])]
-            Z = buf[:T * ncol * rb.size].reshape(T, ncol, rb.size)
-            for z, (X, cols) in zip(Z, blocks):
-                z[...] = X(cols[:, None], rb)
+            Z = buf[:T * ncol * rb.size].reshape(len(col_sets), len(Xs), ncol, rb.size)
+            for cols, Zc in zip(col_sets, Z):
+                p = pairs(cols[:, None], rb)
+                for X, z in zip(Xs, Zc):
+                    X(p, out=z)
+                del p  # before the next set's read: two sets alive raise the peak
             for k, (c0, c1) in enumerate(zip(col_edges, col_edges[1:]), start=kr):
-                seg = Z[:, c0:c1].reshape(T, -1)
+                seg = Z[..., c0:c1, :].reshape(T, -1)
                 D[k] += seg @ seg.T
     return np.cumsum(D, axis=0)
 
@@ -200,7 +199,7 @@ def _folded_spins(T0, A, B, Y, e):
             A.conj().T @ Y @ B + e * (B.conj().T @ Y @ A))
 
 
-def _frame_fro2(terms, K: int) -> dict:
+def _frame_fro2(pairs, terms, K: int) -> dict:
     """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k per basis in FRAMES,
     for every sub-shell k = 0..K, V_k the frame's columns on sub-shell k.
 
@@ -208,16 +207,16 @@ def _frame_fro2(terms, K: int) -> dict:
     X_t(pi r, pi r') = eps_t X_t(r, r') and pi(fixed) = fixed fold every
     block onto (fixed, fixed), (fixed, L), its transpose (L, fixed), (L, L)
     and (L, pi L).  The scalar-block Grams do not depend on the basis: they
-    are gathered once, and each basis contracts them with its own spin
-    cross-Gram.
+    are read once, and each basis contracts them with its own spin
+    cross-Gram; `pairs` reads the pair triples the terms X_t take.
     """
     fixed, L, pL = _shell_frame(K)
     ones = [1] * (K + 1)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
     Xs = [X for X, _, _ in terms]
-    grams = [_block_grams([(X, fixed) for X in Xs], fixed, ones, ones),
-             _block_grams([(X, L) for X in Xs], fixed, ones, half),
-             _block_grams([(X, c) for c in (L, pL) for X in Xs], L, half, half)]
+    grams = [_block_grams(pairs, Xs, [fixed], fixed, ones, ones),
+             _block_grams(pairs, Xs, [L], fixed, ones, half),
+             _block_grams(pairs, Xs, [L, pL], L, half, half)]
     fro2 = {}
     for kind, frame in FRAMES.items():
         ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for _, Y, e in terms))
@@ -269,10 +268,10 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     Returns one series per basis in FRAMES: the plane-wave spinor modes
     ("product") and the invariant basis of the shell conjugation
     ("c_invariant"), the basis whose terms all carry weight 1/2.  Both read
-    one gather of the top shell's scalar blocks.
+    the top shell's scalar blocks once.
     """
     shells, ns, tail, suite = _prepare(shells, m, grid, suite, gram_suite)
-    fro2 = _frame_fro2(m_plus_terms(suite), shells[-1])
+    fro2 = _frame_fro2(suite.pairs, m_plus_terms(suite), shells[-1])
     return tuple(DivergenceSeries(shells, [4 * n for n in ns],
                                   [n - f[K] for n, K in zip(ns, shells)], kind,
                                   float(m), grid.describe(), tail)
@@ -307,13 +306,11 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray
     Kronecker terms of M+, the quadrature identity part ("one", I/2) followed
     by `m_plus_terms`, so no spinor matrix is formed.
     """
-    frame = _frame(suite.shell.K, basis_kind)
-    terms = ([(lambda r, c: suite.gather("one", r, c), 0.5 * np.eye(4), 1.0)]
-             + m_plus_terms(suite))
+    terms = [(lambda p: suite.take("one", p), 0.5 * np.eye(4), 1.0)] + m_plus_terms(suite)
     return np.concatenate([
-        sum(np.outer(X(r, r2), np.diagonal(Q.conj().T @ Y @ Q2).real)
+        sum(np.outer(X(suite.pairs(r, r2)), np.diagonal(Q.conj().T @ Y @ Q2).real)
             for X, Y, _ in terms for r, Q in group for r2, Q2 in group).ravel()
-        for group in frame])
+        for group in _frame(suite.shell.K, basis_kind)])
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

@@ -12,21 +12,21 @@ shells cheap:
   D(a - p) D(a' - p), so only pairs a <= a' are tabulated, and every weight
   is even or odd in each coordinate, so each axis folds onto its positive nodes;
 * a separable weight: 1/lambda = sum_r c_r exp(-a_r m^2) prod_s exp(-a_r p_s^2),
-  an exponential sum (Beylkin and Monzon, ACHA 28, 2010), so every Gram is a
-  rank-R sum of products of 1d factors (`AxisFactors`) and 1/lambda is never
-  evaluated on the 3d node set.
+  a double exponential sum of 60 to 125 terms (Takahasi and Mori, Publ. RIMS
+  9, 1974), so every Gram is a rank-R sum of products of 1d factors
+  (`AxisFactors`) and 1/lambda is never evaluated on the 3d node set.
 
 Panels are aligned to the integers because the integrand oscillates with
 unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node and term
 ordering, so results are reproducible run to run.
 
-The trace route gathers the Grams from two pair-compressed npair^3
-accumulators (`GramMatrices`) through `m_plus_terms`, the Kronecker terms
-of R = M+ - I/2; the scalar route reads |R|_F^2 in closed form off the 1d
-factors (`AxisFactors.fro2`).  The series needs only R, since
-S_J = n - |R_J|_F^2 with the identity part of M+ exact.  The dense M+
-(`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
+The trace route takes the Grams from two pair-compressed npair^3
+accumulators at the modes' per-axis pairs (`pairs`, `take`) through
+`m_plus_terms`, the Kronecker terms of R = M+ - I/2; the scalar route reads
+|R|_F^2 in closed form off the 1d factors (`AxisFactors.fro2`).  The series
+needs only R, as S_J = n - |R_J|_F^2 with the identity part of M+ exact.
+The dense M+ (`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
 """
 
 from dataclasses import dataclass, field
@@ -69,9 +69,6 @@ class QuadGrid:
     @property
     def nodes_per_axis(self) -> int:
         return self.nodes.size
-
-    def effective_nodes(self) -> float:
-        return float(self.nodes.size) ** 3
 
     def tail_estimate(self, kmax: int = 0) -> float:
         """Estimated relative mass lost outside the cutoff for modes with
@@ -142,7 +139,7 @@ def _axis_tables(K: int, grid: QuadGrid):
     Bp = sq[None, :] * axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
     Bm = sq[None, :] * axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
     a, b = np.triu_indices(offsets.size)
-    PI = np.empty((offsets.size,) * 2, dtype=int)
+    PI = np.empty((offsets.size,) * 2, dtype=np.min_scalar_type(a.size - 1))
     PI[a, b] = PI[b, a] = np.arange(a.size)
     prod_p = Bp[a] * Bp[b]
     prod_m = Bm[a] * Bm[b]
@@ -152,15 +149,16 @@ def _axis_tables(K: int, grid: QuadGrid):
 def _inverse_sqrt_terms(x_min: float, x_max: float):
     """(a_r, c_r) with sum_r c_r exp(-a_r x) = 1/sqrt(x) to a relative error
     below 1e-13 for x in [x_min, x_max]: the trapezoid rule, step h = 0.12,
-    for (2/sqrt(pi)) int exp(-e^{2s} x + s) ds over s from -ln(x_max)/2 - 37
-    to ln(40/x_min)/2, so a_r = e^{2 s_r}, c_r = (2/sqrt(pi)) h e^{s_r}.  The
-    step aliases below 1e-17 and the cut ends lose below e^{-37}; the rest is
-    rounding, measured at 6.7e-16 on the headline grid for m <= 10 and at
-    4.0e-15 for the largest mass whose square is finite."""
-    h = 0.12
-    lo, hi = -0.5 * np.log(x_max) - 37.0, 0.5 * np.log(40.0 / x_min)
-    s = lo + h * np.arange(int(np.ceil((hi - lo) / h)) + 1)
-    return np.exp(2.0 * s), (2.0 / np.sqrt(np.pi)) * h * np.exp(s)
+    in t for (2/sqrt(pi)) int exp(-e^{2s} x + s) ds, s = t - e^{-t} - ln(x_max)/2
+    (Takahasi and Mori, Publ. RIMS 9, 1974), t from -5 to ln(x_max/x_min)/2 + 2,
+    so a_r = e^{2 s_r}, c_r = (2/sqrt(pi)) h e^{s_r} (1 + e^{-t_r}).  The ends
+    lose e^{-5-e^5} and erfc(e^{2-e^{-2}}) < 1e-19; the step aliases like
+    exp(-4.05/h), 1.01e-13 at h = 0.135 for the largest mass with a finite square;
+    at 0.12 the rest is rounding, 1.4e-15 for m <= 10 and 5.7e-15 at that mass."""
+    h, lo, hi = 0.12, -5.0, 0.5 * np.log(x_max / x_min) + 2.0
+    t = lo + h * np.arange(int(np.ceil((hi - lo) / h)) + 1)
+    s = t - np.exp(-t) - 0.5 * np.log(x_max)
+    return np.exp(2.0 * s), (2.0 / np.sqrt(np.pi)) * h * np.exp(s) * (1.0 + np.exp(-t))
 
 
 @dataclass
@@ -179,6 +177,14 @@ class AxisFactors:
     g: np.ndarray = field(repr=False)           # (npair, R)
     h: np.ndarray = field(repr=False)           # (npair, R)
     chat: np.ndarray = field(repr=False)        # (R,)
+
+    def pairs(self, rows, cols) -> tuple:
+        """Per-axis pairs (p1, p2, p3) of the modes (rows, cols), broadcast as in
+        fancy indexing; a column of rows against 1d cols is read in two stages."""
+        a, PI = self.shell.modes + self.shell.K, self.pair_index
+        if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
+            return tuple(PI[a[rows[:, 0], s]][:, a[cols, s]] for s in range(3))
+        return tuple(PI[a[rows, s], a[cols, s]] for s in range(3))
 
     def fro2(self, k: int) -> float:
         """sum_{i,j<=n} [(m G0_ij)^2 + sum_s Gs_ij^2] over the first
@@ -204,25 +210,21 @@ class GramMatrices(AxisFactors):
     acc0: np.ndarray = field(repr=False)        # (npair,)*3, weight 1/lambda
     acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
 
-    def gather(self, name: str, rows, cols) -> np.ndarray:
-        """Entries G[rows, cols] of the Gram `name`, with the index arrays
-        broadcast against each other as in fancy indexing."""
-        a, PI = self.shell.modes + self.shell.K, self.pair_index
+    def take(self, name: str, pairs, out=None) -> np.ndarray:
+        """The Gram `name` at a pair triple, read by one flat index, into `out` if given."""
         if name == "one":
-            g = self.g1d[PI]
-            return (g[a[rows, 0], a[cols, 0]] * g[a[rows, 1], a[cols, 1]]
-                    * g[a[rows, 2], a[cols, 2]])
+            return np.prod(self.g1d[np.stack(pairs)], axis=0, out=out)
         # 1/lambda is symmetric under permuting the axes: gs is acc3 with its
         # odd (last) axis moved to place s
         acc, (i, j, k) = {"g0": (self.acc0, (0, 1, 2)), "g1": (self.acc3, (2, 1, 0)),
                           "g2": (self.acc3, (0, 2, 1)), "g3": (self.acc3, (0, 1, 2))}[name]
-        # flat index (p_i npair + p_j) npair + p_k, reading p_i, p_j together
-        M, npair = PI.shape[0], acc.shape[0]
-        T = (PI[:, None, :, None] * npair + PI[None, :, None, :]) * npair
-        c = a[:, i] * M + a[:, j]
-        flat = T.reshape(M * M, M * M)[c[rows], c[cols]]
-        flat += PI[a[rows, k], a[cols, k]]
-        return acc.take(flat)
+        # flat index (p_i npair + p_j) npair + p_k, built in place in int64; in
+        # range by construction, so the take clips: a raising take copies `out`
+        flat = np.multiply(pairs[i], len(acc), dtype=np.int64)
+        flat += pairs[j]
+        flat *= len(acc)
+        flat += pairs[k]
+        return acc.take(flat, out=out, mode="clip")
 
 
 def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:
@@ -258,26 +260,27 @@ def m_plus_terms(suite: GramMatrices):
     Gram of the positive spectral projector less its identity part, with
     spin as the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
 
-    Each X_t is a function (rows, cols) -> entries gathered from the suite,
-    and eps_t its parity under the mirror k -> -k of both modes,
-    X_t(-k, -k') = eps_t X_t(k, k'): the shell modes satisfy
-    phi_{-k}^(p) = phi_k^(-p) on the symmetric grid, 1/lambda is even in p
-    and p_s/lambda odd.  The mass sits in the scalar block, so both factors
-    stay of order one up to the largest mass whose square is finite.  The
-    identity part is exact on the orthonormal modes;
-    `divergence.mplus_diagonal`, which needs the quadrature M+, adds the
-    weight-one Gram ("one", I/2, +1) itself.
+    Each X_t is a function (pairs, out=None) -> the entries the suite takes
+    at the pair triple (`AxisFactors.pairs`, `GramMatrices.take`), and eps_t
+    its parity under the mirror k -> -k of both modes, X_t(-k, -k') =
+    eps_t X_t(k, k'): the shell modes satisfy phi_{-k}^(p) = phi_k^(-p) on
+    the symmetric grid, 1/lambda is even in p and p_s/lambda odd.  The mass
+    sits in the scalar block, so both factors stay of order one up to the
+    largest mass whose square is finite.  The identity part is exact on the
+    orthonormal modes; `divergence.mplus_diagonal`, which needs the
+    quadrature M+, adds the weight-one Gram ("one", I/2, +1) itself.
     """
     g = gamma_matrices()
-    return ([(lambda rows, cols: suite.m * suite.gather("g0", rows, cols), 0.5 * g.beta, 1.0)]
-            + [(partial(suite.gather, name), 0.5 * a, -1.0)
+    return ([(lambda p, out=None: np.multiply(suite.m, suite.take("g0", p, out), out=out),
+              0.5 * g.beta, 1.0)]
+            + [(partial(suite.take, name), 0.5 * a, -1.0)
                for name, a in zip(("g1", "g2", "g3"), g.alpha)])
 
 
 def _dense_m_plus(suite: GramMatrices, identity) -> np.ndarray:
-    idx = np.arange(suite.shell.count)
+    pairs = suite.pairs(*np.indices((suite.shell.count,) * 2))
     terms = [(identity, 0.5 * np.eye(4, dtype=complex), 1.0)] + m_plus_terms(suite)
-    return sum(np.kron(X(idx[:, None], idx), Y) for X, Y, _ in terms)
+    return sum(np.kron(X(pairs), Y) for X, Y, _ in terms)
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:
@@ -286,10 +289,10 @@ def m_plus(suite: GramMatrices) -> np.ndarray:
     projector, spin as the fast index, with the quadrature weight-one Gram as
     its identity part, so eigenvalues sit in [0, 1] up to the quadrature
     tolerance."""
-    return _dense_m_plus(suite, partial(suite.gather, "one"))
+    return _dense_m_plus(suite, partial(suite.take, "one"))
 
 
 def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
     """Dense small-scale oracle, off the series path: m_plus with the exact
     identity part of orthonormal modes, whose traces match the series routes."""
-    return _dense_m_plus(suite, lambda rows, cols: np.equal(rows, cols) * 1.0)
+    return _dense_m_plus(suite, lambda pairs: np.eye(suite.shell.count))

@@ -32,9 +32,30 @@ def random_involution(rng, d):
 
 
 def dense_gram(suite, name):
-    """The full n x n Gram `name` ("one", "g0".."g3") of a suite, gathered."""
+    """The full n x n Gram `name` ("one", "g0".."g3") of a suite, taken at
+    the pairs of every mode pair."""
     idx = np.arange(suite.shell.count)
-    return suite.gather(name, idx[:, None], idx[None, :])
+    return suite.take(name, suite.pairs(idx[:, None], idx))
+
+
+def table_gather(suite, name, rows, cols):
+    """Entries G[rows, cols] of the Gram `name`, with the index arrays
+    broadcast against each other as in fancy indexing: the oracle for
+    `pairs` and `take`, reading p_i, p_j of the flat accumulator index
+    together from an (M^2, M^2) table and p_k by a second 2-d read."""
+    a, PI = suite.shell.modes + suite.shell.K, suite.pair_index.astype(int)
+    if name == "one":
+        g = suite.g1d[PI]
+        return (g[a[rows, 0], a[cols, 0]] * g[a[rows, 1], a[cols, 1]]
+                * g[a[rows, 2], a[cols, 2]])
+    acc, (i, j, k) = {"g0": (suite.acc0, (0, 1, 2)), "g1": (suite.acc3, (2, 1, 0)),
+                      "g2": (suite.acc3, (0, 2, 1)), "g3": (suite.acc3, (0, 1, 2))}[name]
+    M, npair = PI.shape[0], acc.shape[0]
+    T = (PI[:, None, :, None] * npair + PI[None, :, None, :]) * npair
+    c = a[:, i] * M + a[:, j]
+    flat = T.reshape(M * M, M * M)[c[rows], c[cols]]
+    flat += PI[a[rows, k], a[cols, k]]
+    return acc.take(flat)
 
 
 def dense_spectrum_deviation(model, matrix, expected):

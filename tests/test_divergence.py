@@ -152,7 +152,7 @@ def test_folded_blocks_reproduce_frame_blocks(K):
         folded = [(Vf, Vf, [(fixed, fixed, 0)]), (Vf, V2, [(fixed, L, 1)]),
                   (V2, Vf, [(L, fixed, 2)]), (V2, V2, [(L, L, 3), (L, pL, 4)])]
         for Vl, Vr, blocks in folded:
-            built = sum(np.kron(X(r[:, None], c), P[j])
+            built = sum(np.kron(X(suite.pairs(r[:, None], c)), P[j])
                         for (X, _, _), P in zip(terms, spins) for r, c, j in blocks)
             assert np.max(np.abs(built - Vl.conj().T @ R @ Vr)) < 1e-14
 
@@ -170,24 +170,24 @@ def test_gathered_blocks_mirror_symmetric(K, m):
         suite = quad.gram_suite(modes.enumerate_shell(K), m, grid)
         assert [e for _, _, e in quad.m_plus_terms(suite)] == [1.0, -1.0, -1.0, -1.0]
         for name, eps in parity.items():
-            X = suite.gather(name, idx[:, None], idx)
-            mirrored = suite.gather(name, pi[:, None], pi)
+            X = suite.take(name, suite.pairs(idx[:, None], idx))
+            mirrored = suite.take(name, suite.pairs(pi[:, None], pi))
             assert np.max(np.abs(mirrored - eps * X)) <= 1e-15 * np.max(np.abs(X))
 
 
 @pytest.mark.parametrize("kind", [dv.PRODUCT, dv.C_INVARIANT])
 def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
     # every sub-shell reads the top shell's row blocks, which do not depend
-    # on the shells asked for: the series over all shells gathers as often
-    # as the top shell alone, and gives it the same value in both bases
+    # on the shells asked for: the series over all shells reads the pairs as
+    # often as the top shell alone, and gives it the same value in both bases
     calls = []
-    gather = quad.GramMatrices.gather
+    pairs = quad.GramMatrices.pairs
 
-    def counted(self, name, rows, cols):
-        calls.append(name)
-        return gather(self, name, rows, cols)
+    def counted(self, rows, cols):
+        calls.append(np.size(cols))
+        return pairs(self, rows, cols)
 
-    monkeypatch.setattr(quad.GramMatrices, "gather", counted)
+    monkeypatch.setattr(quad.GramMatrices, "pairs", counted)
     top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], 1.0, SMALL_GRID,
                                                            suite=small_suite)}
     top_only = len(calls)

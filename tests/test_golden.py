@@ -96,7 +96,7 @@ DIGESTS = {
 
 HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "40",
                  "--panels", "2", "--order", "6", "--no-timestamp"]
-HEADLINE_DIGEST = "41fbb36fd8f823851fce346779740d21c219316d2251ea627129761e099d7ea6"
+HEADLINE_DIGEST = "9ccd01a203396e5cf5e19367f5df885f6de8732b9c1c791d26da523f5f23aaac"
 
 recorded_versions_only = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),

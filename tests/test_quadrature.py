@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_gram
+from conftest import dense_gram, table_gather
 from fockcharge import divergence, modes, quadrature as quad, spinor
 
 GS = ("g1", "g2", "g3")
@@ -29,7 +29,6 @@ def naive_grams(shell, grid, masses):
 def test_build_grid_node_count():
     grid = quad.build_grid(8, 1, 8)
     assert grid.nodes_per_axis == 128
-    assert grid.effective_nodes() == 128.0 ** 3
 
 
 def test_build_grid_rejects_absurd_sizes():
@@ -83,6 +82,7 @@ def plane_loop_accumulators(K, m, grid):
 
 
 HEADLINE_GRID = (40, 2, 6)
+REFERENCE_GRID = (40, 2, 3)  # the headline's self-convergence reference
 MASSES = (0.0, 0.1, 1.0, 10.0, 1.3407807929942596e154)  # the last: largest m with finite m^2
 
 
@@ -103,17 +103,37 @@ def test_exponential_sum_matches_plane_loop(K, grid_args, masses):
 
 @pytest.mark.parametrize("m", MASSES)
 def test_inverse_sqrt_sum_error_bound(m):
-    # over the |p|^2 + m^2 range of the headline grid: a log-spaced sweep
-    # and a sample of actual 3d node values
-    x2 = quad.build_grid(*HEADLINE_GRID).nodes ** 2
-    m2 = m * m
-    x_min, x_max = 3 * x2.min() + m2, 3 * x2.max() + m2
-    a, c = quad._inverse_sqrt_terms(x_min, x_max)
-    triples = np.random.default_rng(0).integers(0, x2.size, size=(2000, 3))
-    sweep = x_min * (x_max / x_min) ** np.linspace(0.0, 1.0, 2000)
-    x = np.concatenate([sweep, x2[triples].sum(axis=1) + m2])
-    approx = c @ np.exp(-a[:, None] * x[None, :])
-    assert np.max(np.abs(approx * np.sqrt(x) - 1.0)) < 1e-13
+    # over the |p|^2 + m^2 range of the headline grid and of its reference
+    # grid, which has its own x_min: a log-spaced sweep and a sample of
+    # actual 3d node values
+    for grid_args in (HEADLINE_GRID, REFERENCE_GRID):
+        x2 = quad.build_grid(*grid_args).nodes ** 2
+        m2 = m * m
+        x_min, x_max = 3 * x2.min() + m2, 3 * x2.max() + m2
+        a, c = quad._inverse_sqrt_terms(x_min, x_max)
+        triples = np.random.default_rng(0).integers(0, x2.size, size=(2000, 3))
+        sweep = x_min * (x_max / x_min) ** np.linspace(0.0, 1.0, 2000)
+        x = np.concatenate([sweep, x2[triples].sum(axis=1) + m2])
+        approx = c @ np.exp(-a[:, None] * x[None, :])
+        assert np.max(np.abs(approx * np.sqrt(x) - 1.0)) < 1e-13, grid_args
+
+
+@pytest.mark.parametrize("m", [0.0, 0.1, 1.0, 10.0])
+def test_exponential_sum_stays_short(m):
+    # the double-exponential substitution: 125 / 114 / 95 / 76 terms on the
+    # headline grid, against 390 / 379 / 361 / 341 for the plain trapezoid in s
+    factors = quad.axis_factors(modes.enumerate_shell(1), m, quad.build_grid(*HEADLINE_GRID))
+    assert factors.chat.size <= 130
+
+
+@pytest.mark.parametrize("m, tol", [(0.0, 1e-7), (0.1, 2e-6), (1.0, 1e-9), (10.0, 1e-12)])
+def test_quadrature_error_across_the_mass_range(m, tol):
+    # the scalar series at K = 4 on the order-6 grid against order 12 (the
+    # largest order within the node cap at cutoff 20): the largest relative
+    # change over the shells, at 1.9e-8 / 4.0e-7 / 2.0e-10 / 1.2e-13
+    coarse, fine = (divergence.vacuum_series_scalar(range(5), m, quad.build_grid(20, 2, n)).S
+                    for n in (6, 12))
+    assert max(abs(a - b) / abs(b) for a, b in zip(coarse, fine)) < tol
 
 
 def test_gram_suite_memory_stays_near_its_accumulators():
@@ -186,6 +206,24 @@ def test_gather_matches_unfolded_accumulators(K):
     }
     for name, G in oracle.items():
         assert np.array_equal(dense_gram(suite, name), G), name
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_pairs_and_take_match_the_table_gather(K):
+    # the pair read (both its two-stage outer read and the elementwise read)
+    # and the flat-index take, also into a given buffer, against the
+    # (M^2, M^2) table gather, bit for bit
+    shell = modes.enumerate_shell(K)
+    suite = quad.gram_suite(shell, 0.7, quad.build_grid(6, 1, 4))
+    idx = np.arange(shell.count)
+    perm = np.random.default_rng(K).permutation(shell.count)
+    for rows, cols in ((idx[:, None], idx), (perm[:, None], idx[::2]), (perm, idx)):
+        pairs = suite.pairs(rows, cols)
+        for name in ("one", "g0") + GS:
+            expected = table_gather(suite, name, rows, cols)
+            out = np.empty_like(expected)
+            assert np.array_equal(suite.take(name, pairs), expected), (name, rows.shape)
+            assert suite.take(name, pairs, out) is out and np.array_equal(out, expected)
 
 
 def test_suite_stores_less_than_one_dense_gram():
