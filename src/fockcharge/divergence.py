@@ -199,20 +199,22 @@ def _folded_spins(T0, A, B, Y, e):
             A.conj().T @ Y @ B + e * (B.conj().T @ Y @ A))
 
 
-def _frame_fro2(pairs, terms, K: int) -> dict:
-    """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k per basis in FRAMES,
-    for every sub-shell k = 0..K, V_k the frame's columns on sub-shell k.
+def _frame_fro2(suite: GramMatrices, K: int) -> dict:
+    """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k, the terms
+    `m_plus_terms(suite)`, per basis in FRAMES, for every sub-shell k = 0..K,
+    V_k the frame's columns on sub-shell k.
 
     On the skeleton [(fixed, T0)], [(L, A), (pi L, B)] the mirror symmetry
     X_t(pi r, pi r') = eps_t X_t(r, r') and pi(fixed) = fixed fold every
     block onto (fixed, fixed), (fixed, L), its transpose (L, fixed), (L, L)
     and (L, pi L).  The scalar-block Grams do not depend on the basis: they
     are read once, and each basis contracts them with its own spin
-    cross-Gram; `pairs` reads the pair triples the terms X_t take.
+    cross-Gram.  Pairs and terms come off one suite, so every take is in range.
     """
     fixed, L, pL = _shell_frame(K)
     ones = [1] * (K + 1)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
+    terms, pairs = m_plus_terms(suite), suite.pairs
     Xs = [X for X, _, _ in terms]
     grams = [_block_grams(pairs, Xs, [fixed], fixed, ones, ones),
              _block_grams(pairs, Xs, [L], fixed, ones, half),
@@ -271,7 +273,7 @@ def vacuum_series_trace(shells, m: float, grid: QuadGrid,
     the top shell's scalar blocks once.
     """
     shells, ns, tail, suite = _prepare(shells, m, grid, suite, gram_suite)
-    fro2 = _frame_fro2(suite.pairs, m_plus_terms(suite), shells[-1])
+    fro2 = _frame_fro2(suite, shells[-1])
     return tuple(DivergenceSeries(shells, [4 * n for n in ns],
                                   [n - f[K] for n, K in zip(ns, shells)], kind,
                                   float(m), grid.describe(), tail)

@@ -70,6 +70,9 @@ class QuadGrid:
     def nodes_per_axis(self) -> int:
         return self.nodes.size
 
+    def effective_nodes(self) -> float:
+        return float(self.nodes.size) ** 3
+
     def tail_estimate(self, kmax: int = 0) -> float:
         """Estimated relative mass lost outside the cutoff for modes with
         |k|_inf <= kmax, from the 1d envelope 4 sin^2(pi q)/q^2 whose tail
@@ -211,15 +214,16 @@ class GramMatrices(AxisFactors):
     acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
 
     def take(self, name: str, pairs, out=None) -> np.ndarray:
-        """The Gram `name` at a pair triple, read by one flat index, into `out` if given."""
+        """The Gram `name` at a pair triple from this suite's `pairs`, read by
+        one flat index, into `out` if given."""
         if name == "one":
             return np.prod(self.g1d[np.stack(pairs)], axis=0, out=out)
         # 1/lambda is symmetric under permuting the axes: gs is acc3 with its
         # odd (last) axis moved to place s
         acc, (i, j, k) = {"g0": (self.acc0, (0, 1, 2)), "g1": (self.acc3, (2, 1, 0)),
                           "g2": (self.acc3, (0, 2, 1)), "g3": (self.acc3, (0, 1, 2))}[name]
-        # flat index (p_i npair + p_j) npair + p_k, built in place in int64; in
-        # range by construction, so the take clips: a raising take copies `out`
+        # flat index (p_i npair + p_j) npair + p_k, built in place in int64, in
+        # range for this suite's pairs: the take clips, as a raising one copies `out`
         flat = np.multiply(pairs[i], len(acc), dtype=np.int64)
         flat += pairs[j]
         flat *= len(acc)

@@ -29,6 +29,7 @@ def naive_grams(shell, grid, masses):
 def test_build_grid_node_count():
     grid = quad.build_grid(8, 1, 8)
     assert grid.nodes_per_axis == 128
+    assert grid.effective_nodes() == 128.0 ** 3
 
 
 def test_build_grid_rejects_absurd_sizes():
@@ -224,6 +225,16 @@ def test_pairs_and_take_match_the_table_gather(K):
             out = np.empty_like(expected)
             assert np.array_equal(suite.take(name, pairs), expected), (name, rows.shape)
             assert suite.take(name, pairs, out) is out and np.array_equal(out, expected)
+
+
+def test_pairs_reject_modes_off_the_suite_shell():
+    # take clips its flat index, so the range is checked where the pairs are
+    # read: modes of a larger shell raise there, in both reads
+    suite = quad.gram_suite(modes.enumerate_shell(1), 0.7, quad.build_grid(6, 1, 4))
+    idx = np.arange(modes.enumerate_shell(2).count)
+    for rows in (idx[:, None], idx):
+        with pytest.raises(IndexError):
+            suite.pairs(rows, idx)
 
 
 def test_suite_stores_less_than_one_dense_gram():
