@@ -4,8 +4,8 @@ region-charge series across mode shells of the cube.
 On an orthonormal frame V_J of the first J spinor modes, W_J = V_J* M+ V_J
 is I/2 + R_J, where the identity part of M+ is exact by orthonormality of
 the modes and R_J = V_J* (sum_t X_t (x) Y_t) V_J carries the quadrature
-Grams: X_t in {m G0, G1, G2, G3} (weights 1/lambda and p_s/lambda), Y_t in
-{beta/2, alpha_s/2} (`quadrature.m_plus_terms`).  Hence
+Grams X_t in {m G0, G1, G2, G3} (`GramMatrices.terms`, weights 1/lambda,
+p_s/lambda), spin factors Y_t in {beta/2, alpha_s/2} (`m_plus_terms`).  Hence
 
     S_J = tr(W_J) - tr(W_J^2) = n - |R_J|_F^2
 
@@ -22,17 +22,17 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   cross-Gram <Q_u* Y_t Q_u', Q_v* Y_t' Q_v'>.  The mirror symmetry
   X_t(pi r, pi r') = eps_t X_t(r, r') (eps +1 for G0, -1 for Gs) folds the
   blocks read through pi L onto those of L, so only (fixed, fixed),
-  (fixed, L), (L, L) and (L, pi L) are taken from the accumulators, once
-  for the top shell and both bases, in row blocks that every sub-shell sums
-  its tiles of: no spinor matrix and no n x n array is formed;
+  (fixed, L), (L, L) and (L, pi L) are read from the suite, once for the
+  top shell and both bases, in row blocks that every sub-shell sums its
+  tiles of: no spinor matrix and no n x n array is formed;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, in closed form on the Grams' 1d factors (`AxisFactors.fro2`).
 
-The scalar route never reads the accumulators the trace route takes from,
-so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
+The scalar route never reads the accumulators the trace route's Grams come
+from, so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
 assembly, the four-spin reduction of |R|^2, where the mass enters
-`m_plus_terms`, the mirror fold and the basis algebra; not the 1d
+`GramMatrices.terms`, the mirror fold and the basis algebra; not the 1d
 quadrature both share.  The honest quadrature M+, weight-one Gram
 included, enters only `mplus_diagonal`, which reads its diagonal off the
 same frames; `c_invariant_transform` (a sparse frame) and the dense M+
@@ -154,16 +154,14 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     return sparse.hstack(groups, format="csc")
 
 
-def _block_grams(pairs, Xs, col_sets, rows, row_counts, col_counts) -> np.ndarray:
-    """D[k] = <Z_a, Z_b> of the scalar blocks Z_a = X(pairs(rows, cols)), X
-    in Xs, for each of the col_sets (of one size), cut to sub-shell k: their
-    first row_counts[k] rows and col_counts[k] columns.  The rows of each
-    layer (sub-shell k less sub-shell k-1) are read _ROW_BLOCK at a time,
-    transposed (the Grams are symmetric), so each column sub-shell is a
-    leading slice of the block; every X takes its column set's one pair
-    read.  A tile of row layer kr and column layer kc adds into
-    D[max(kr, kc)], and the cumulative sum gives every corner."""
-    T, ncol = len(Xs) * len(col_sets), col_sets[0].size
+def _block_grams(suite: GramMatrices, col_sets, rows, row_counts, col_counts) -> np.ndarray:
+    """D[k] = <Z_a, Z_b> of the scalar blocks Z_a, the four `suite.terms` at
+    (cols, rows) for each of the col_sets (of one size), cut to sub-shell k:
+    their first row_counts[k] rows and col_counts[k] columns.  Each layer's
+    rows (sub-shell k less k-1) are read _ROW_BLOCK at a time and transposed
+    (the Grams are symmetric), so each column sub-shell is a leading slice; a
+    tile of row layer kr and column layer kc adds into D[max(kr, kc)]."""
+    T, ncol = 4 * len(col_sets), col_sets[0].size
     D = np.zeros((len(row_counts), T, T))
     buf = np.empty(T * ncol * min(_ROW_BLOCK, rows.size))
     row_edges = [0] + list(row_counts)
@@ -172,12 +170,9 @@ def _block_grams(pairs, Xs, col_sets, rows, row_counts, col_counts) -> np.ndarra
         col_edges = [0] + list(col_counts[kr:])
         for p0 in range(row_edges[kr], row_edges[kr + 1], _ROW_BLOCK):
             rb = rows[p0:min(p0 + _ROW_BLOCK, row_edges[kr + 1])]
-            Z = buf[:T * ncol * rb.size].reshape(len(col_sets), len(Xs), ncol, rb.size)
+            Z = buf[:T * ncol * rb.size].reshape(len(col_sets), 4, ncol, rb.size)
             for cols, Zc in zip(col_sets, Z):
-                p = pairs(cols[:, None], rb)
-                for X, z in zip(Xs, Zc):
-                    X(p, out=z)
-                del p  # before the next set's read: two sets alive raise the peak
+                suite.terms(cols[:, None], rb, out=Zc)
             for k, (c0, c1) in enumerate(zip(col_edges, col_edges[1:]), start=kr):
                 seg = Z[..., c0:c1, :].reshape(T, -1)
                 D[k] += seg @ seg.T
@@ -200,28 +195,26 @@ def _folded_spins(T0, A, B, Y, e):
 
 
 def _frame_fro2(suite: GramMatrices, K: int) -> dict:
-    """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k, the terms
-    `m_plus_terms(suite)`, per basis in FRAMES, for every sub-shell k = 0..K,
-    V_k the frame's columns on sub-shell k.
+    """|R_k|_F^2 of R_k = V_k* (sum_t X_t (x) Y_t) V_k, X_t the `terms` of
+    `suite` and (Y_t, eps_t) `m_plus_terms()`, per basis in FRAMES, for every
+    sub-shell k = 0..K, V_k the frame's columns on sub-shell k.
 
     On the skeleton [(fixed, T0)], [(L, A), (pi L, B)] the mirror symmetry
     X_t(pi r, pi r') = eps_t X_t(r, r') and pi(fixed) = fixed fold every
     block onto (fixed, fixed), (fixed, L), its transpose (L, fixed), (L, L)
     and (L, pi L).  The scalar-block Grams do not depend on the basis: they
     are read once, and each basis contracts them with its own spin
-    cross-Gram.  Pairs and terms come off one suite, so every take is in range.
+    cross-Gram.
     """
     fixed, L, pL = _shell_frame(K)
     ones = [1] * (K + 1)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
-    terms, pairs = m_plus_terms(suite), suite.pairs
-    Xs = [X for X, _, _ in terms]
-    grams = [_block_grams(pairs, Xs, [fixed], fixed, ones, ones),
-             _block_grams(pairs, Xs, [L], fixed, ones, half),
-             _block_grams(pairs, Xs, [L, pL], L, half, half)]
-    fro2 = {}
+    grams = [_block_grams(suite, [fixed], fixed, ones, ones),
+             _block_grams(suite, [L], fixed, ones, half),
+             _block_grams(suite, [L, pL], L, half, half)]
+    terms, fro2 = m_plus_terms(), {}
     for kind, frame in FRAMES.items():
-        ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for _, Y, e in terms))
+        ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for Y, e in terms))
         # (L, fixed) shares the Gram of its transpose (fixed, L)
         spin_grams = [_cross_gram(ff), _cross_gram(fl) + _cross_gram(lf),
                       _cross_gram(ll + lm)]
@@ -289,8 +282,8 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
 
     in closed form on the 1d factors (`AxisFactors.fro2`) of `suite`, or of
     the top shell when none is given.  It reads no accumulator, no mirror
-    symmetry and not `m_plus_terms`, so the trace route's agreement checks
-    all three.
+    symmetry and not `GramMatrices.terms`, so the trace route's agreement
+    checks all three.
     """
     shells, ns, tail, factors = _prepare(shells, m, grid, suite, axis_factors)
     S = [n - factors.fro2(K) for n, K in zip(ns, shells)]
@@ -305,14 +298,16 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray
 
     Read off the frame: column (l, c) of a group sum_u R_u (x) Q_u gives
     sum_t sum_uu' X_t[r_u[l], r_u'[l]] Re diag(Q_u* Y_t Q_u')[c] over the
-    Kronecker terms of M+, the quadrature identity part ("one", I/2) followed
-    by `m_plus_terms`, so no spinor matrix is formed.
+    Kronecker terms of M+, the quadrature identity part (`suite.one`, I/2)
+    and then `suite.terms`, each block (u, u') read once: no spinor matrix.
     """
-    terms = [(lambda p: suite.take("one", p), 0.5 * np.eye(4), 1.0)] + m_plus_terms(suite)
+    Ys = [0.5 * np.eye(4)] + [Y for Y, _ in m_plus_terms()]
+    groups = [[([suite.one(r, r2), *suite.terms(r, r2)], Q, Q2) for r, Q in group for r2, Q2 in group]
+              for group in _frame(suite.shell.K, basis_kind)]
     return np.concatenate([
-        sum(np.outer(X(suite.pairs(r, r2)), np.diagonal(Q.conj().T @ Y @ Q2).real)
-            for X, Y, _ in terms for r, Q in group for r2, Q2 in group).ravel()
-        for group in _frame(suite.shell.K, basis_kind)])
+        sum(np.outer(Xs[t], np.diagonal(Q.conj().T @ Y @ Q2).real)
+            for t, Y in enumerate(Ys) for Xs, Q, Q2 in blocks).ravel()
+        for blocks in groups])
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

@@ -21,16 +21,15 @@ unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node and term
 ordering, so results are reproducible run to run.
 
-The trace route takes the Grams from two pair-compressed npair^3
-accumulators at the modes' per-axis pairs (`pairs`, `take`) through
-`m_plus_terms`, the Kronecker terms of R = M+ - I/2; the scalar route reads
-|R|_F^2 in closed form off the 1d factors (`AxisFactors.fro2`).  The series
-needs only R, as S_J = n - |R_J|_F^2 with the identity part of M+ exact.
-The dense M+ (`m_plus`, `ideal_m_plus`) is a small-scale oracle for tests.
+A Gram suite keeps its Grams in two pair-compressed npair^3 accumulators
+and reads them at any modes: `GramMatrices.terms` gives (m G0, G1, G2, G3),
+the Kronecker partners of the spin factors `m_plus_terms` in R = M+ - I/2,
+and `GramMatrices.one` the weight-one Gram.  The scalar route reads |R|_F^2
+off the 1d factors (`AxisFactors.fro2`).  The series needs only R, as
+S_J = n - |R_J|_F^2; the dense M+ (`m_plus`, `ideal_m_plus`) is a test oracle.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -69,9 +68,6 @@ class QuadGrid:
     @property
     def nodes_per_axis(self) -> int:
         return self.nodes.size
-
-    def effective_nodes(self) -> float:
-        return float(self.nodes.size) ** 3
 
     def tail_estimate(self, kmax: int = 0) -> float:
         """Estimated relative mass lost outside the cutoff for modes with
@@ -181,14 +177,6 @@ class AxisFactors:
     h: np.ndarray = field(repr=False)           # (npair, R)
     chat: np.ndarray = field(repr=False)        # (R,)
 
-    def pairs(self, rows, cols) -> tuple:
-        """Per-axis pairs (p1, p2, p3) of the modes (rows, cols), broadcast as in
-        fancy indexing; a column of rows against 1d cols is read in two stages."""
-        a, PI = self.shell.modes + self.shell.K, self.pair_index
-        if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
-            return tuple(PI[a[rows[:, 0], s]][:, a[cols, s]] for s in range(3))
-        return tuple(PI[a[rows, s], a[cols, s]] for s in range(3))
-
     def fro2(self, k: int) -> float:
         """sum_{i,j<=n} [(m G0_ij)^2 + sum_s Gs_ij^2] over the first
         n = (2k+1)^3 modes: with the sub-shell's pairs p, each counted w_p
@@ -207,28 +195,45 @@ class AxisFactors:
 @dataclass
 class GramMatrices(AxisFactors):
     """Weighted Gram matrices of a shell's modes, real symmetric in canonical
-    shell order: "one" (weight 1), "g0" (1/lambda), "g1".."g3" (p_s/lambda),
-    pair-compressed: g0 = acc0[p1, p2, p3], g3 = acc3[p1, p2, p3]."""
+    shell order: weight 1, 1/lambda (G0) and p_s/lambda (G1..G3), stored
+    pair-compressed: G0 = acc0[p1, p2, p3], G3 = acc3[p1, p2, p3]."""
 
     acc0: np.ndarray = field(repr=False)        # (npair,)*3, weight 1/lambda
     acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
 
-    def take(self, name: str, pairs, out=None) -> np.ndarray:
-        """The Gram `name` at a pair triple from this suite's `pairs`, read by
-        one flat index, into `out` if given."""
-        if name == "one":
-            return np.prod(self.g1d[np.stack(pairs)], axis=0, out=out)
-        # 1/lambda is symmetric under permuting the axes: gs is acc3 with its
-        # odd (last) axis moved to place s
-        acc, (i, j, k) = {"g0": (self.acc0, (0, 1, 2)), "g1": (self.acc3, (2, 1, 0)),
-                          "g2": (self.acc3, (0, 2, 1)), "g3": (self.acc3, (0, 1, 2))}[name]
-        # flat index (p_i npair + p_j) npair + p_k, built in place in int64, in
-        # range for this suite's pairs: the take clips, as a raising one copies `out`
-        flat = np.multiply(pairs[i], len(acc), dtype=np.int64)
-        flat += pairs[j]
-        flat *= len(acc)
-        flat += pairs[k]
-        return acc.take(flat, out=out, mode="clip")
+    def _pairs(self, rows, cols) -> tuple:
+        """Per-axis pairs (p1, p2, p3) of the modes (rows, cols); a column of
+        rows against 1d cols is read in two stages.  Raises IndexError on
+        modes off the shell, so every flat index built on them is in range."""
+        a, PI = self.shell.modes + self.shell.K, self.pair_index
+        if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
+            return tuple(PI[a[rows[:, 0], s]][:, a[cols, s]] for s in range(3))
+        return tuple(PI[a[rows, s], a[cols, s]] for s in range(3))
+
+    def one(self, rows, cols) -> np.ndarray:
+        """The weight-one Gram at the modes (rows, cols), read as `terms` reads."""
+        return np.prod(self.g1d[np.stack(self._pairs(rows, cols))], axis=0)
+
+    def terms(self, rows, cols, out=None) -> np.ndarray:
+        """The stack (m G0, G1, G2, G3) at the modes (rows, cols), broadcast
+        as in fancy indexing, into `out` if given; IndexError off the shell."""
+        p = self._pairs(rows, cols)
+        out = np.empty((4,) + p[0].shape) if out is None else out
+        n, flat = len(self.acc0), np.empty(p[0].shape, dtype=np.int64)
+        # Gs is acc3 with its odd (last) axis moved to place s (1/lambda is
+        # symmetric under permuting the axes), so G0 and G3 share one flat
+        # index (p_i n + p_j) n + p_k.  It is in range on the shell's own
+        # pairs, so the takes clip, as a raising one writes through a copy
+        for (i, j, k), reads in (((0, 1, 2), ((self.acc0, 0), (self.acc3, 3))),
+                                 ((2, 1, 0), ((self.acc3, 1),)), ((0, 2, 1), ((self.acc3, 2),))):
+            np.multiply(p[i], n, dtype=np.int64, out=flat)
+            flat += p[j]
+            flat *= n
+            flat += p[k]
+            for acc, t in reads:
+                acc.take(flat, out=out[t], mode="clip")
+        out[0] *= self.m
+        return out
 
 
 def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:
@@ -259,32 +264,27 @@ def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     return GramMatrices(**vars(f), acc0=acc0, acc3=acc3)
 
 
-def m_plus_terms(suite: GramMatrices):
-    """Kronecker terms (X_t, Y_t, eps_t) of R = M+ - I/2, the spinor-level
-    Gram of the positive spectral projector less its identity part, with
-    spin as the fast index: R = (m G0) (x) beta/2 + sum_s Gs (x) alpha_s/2.
+def m_plus_terms():
+    """Spin factors (Y_t, eps_t) of R = M+ - I/2, the spinor-level Gram of
+    the positive spectral projector less its identity part, spin the fast
+    index: R = sum_t X_t (x) Y_t, X_t the stack `GramMatrices.terms`
+    (m G0, G1, G2, G3) and Y_t = beta/2, alpha_s/2 in that order.
 
-    Each X_t is a function (pairs, out=None) -> the entries the suite takes
-    at the pair triple (`AxisFactors.pairs`, `GramMatrices.take`), and eps_t
-    its parity under the mirror k -> -k of both modes, X_t(-k, -k') =
-    eps_t X_t(k, k'): the shell modes satisfy phi_{-k}^(p) = phi_k^(-p) on
-    the symmetric grid, 1/lambda is even in p and p_s/lambda odd.  The mass
-    sits in the scalar block, so both factors stay of order one up to the
-    largest mass whose square is finite.  The identity part is exact on the
-    orthonormal modes; `divergence.mplus_diagonal`, which needs the
-    quadrature M+, adds the weight-one Gram ("one", I/2, +1) itself.
+    eps_t is the parity X_t(-k, -k') = eps_t X_t(k, k') under the mirror of
+    both modes: phi_{-k}^(p) = phi_k^(-p) on the symmetric grid, 1/lambda is
+    even in p and p_s/lambda odd.  The mass sits in the scalar block, so both
+    factors stay of order one up to the largest mass whose square is finite.
+    The identity part is exact on the orthonormal modes;
+    `divergence.mplus_diagonal` adds the quadrature one (`GramMatrices.one`).
     """
     g = gamma_matrices()
-    return ([(lambda p, out=None: np.multiply(suite.m, suite.take("g0", p, out), out=out),
-              0.5 * g.beta, 1.0)]
-            + [(partial(suite.take, name), 0.5 * a, -1.0)
-               for name, a in zip(("g1", "g2", "g3"), g.alpha)])
+    return [(0.5 * g.beta, 1.0)] + [(0.5 * a, -1.0) for a in g.alpha]
 
 
-def _dense_m_plus(suite: GramMatrices, identity) -> np.ndarray:
-    pairs = suite.pairs(*np.indices((suite.shell.count,) * 2))
-    terms = [(identity, 0.5 * np.eye(4, dtype=complex), 1.0)] + m_plus_terms(suite)
-    return sum(np.kron(X(pairs), Y) for X, Y, _ in terms)
+def _dense_m_plus(suite: GramMatrices, identity: np.ndarray) -> np.ndarray:
+    Xs = [identity, *suite.terms(*np.indices((suite.shell.count,) * 2))]
+    Ys = [0.5 * np.eye(4, dtype=complex)] + [Y for Y, _ in m_plus_terms()]
+    return sum(np.kron(X, Y) for X, Y in zip(Xs, Ys))
 
 
 def m_plus(suite: GramMatrices) -> np.ndarray:
@@ -293,10 +293,10 @@ def m_plus(suite: GramMatrices) -> np.ndarray:
     projector, spin as the fast index, with the quadrature weight-one Gram as
     its identity part, so eigenvalues sit in [0, 1] up to the quadrature
     tolerance."""
-    return _dense_m_plus(suite, partial(suite.take, "one"))
+    return _dense_m_plus(suite, suite.one(*np.indices((suite.shell.count,) * 2)))
 
 
 def ideal_m_plus(suite: GramMatrices) -> np.ndarray:
     """Dense small-scale oracle, off the series path: m_plus with the exact
     identity part of orthonormal modes, whose traces match the series routes."""
-    return _dense_m_plus(suite, lambda pairs: np.eye(suite.shell.count))
+    return _dense_m_plus(suite, np.eye(suite.shell.count))

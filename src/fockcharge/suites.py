@@ -70,6 +70,10 @@ class Check:
     def at_least(cls, name, value, bound):
         return cls(name, float(value), float(bound), bool(value >= bound))
 
+    @classmethod
+    def holds(cls, name, flag):
+        return cls(name, 1.0 if flag else 0.0, 1.0, bool(flag))
+
 
 @dataclass
 class SuiteResult:
@@ -308,9 +312,9 @@ def run_cbasis(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("cbasis/gram", worst_gram, 1e-10),
         Check("cbasis/full-rank", float(min_rank), 0.0, bool(min_rank >= 1) and worst_gram < 1e-10),
         Check("cbasis/footnote-rank8", float(footnote_rank), 8.0, footnote_rank == 8),
-        Check("cbasis/permutation-rank", 1.0 if perm_rank_stable else 0.0, 1.0, perm_rank_stable),
-        Check("cbasis/non-involution-rejected", 1.0 if rejected else 0.0, 1.0, rejected),
-        Check("cbasis/phase-involution-accepted", 1.0 if phase_ok else 0.0, 1.0, phase_ok),
+        Check.holds("cbasis/permutation-rank", perm_rank_stable),
+        Check.holds("cbasis/non-involution-rejected", rejected),
+        Check.holds("cbasis/phase-involution-accepted", phase_ok),
     ]
     return _check_result("cbasis", checks)
 
@@ -388,7 +392,7 @@ def run_weighted(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("weighted/unit-weights", ones, 1e-12),
         Check.below("weighted/hermitian", herm, 1e-12),
         Check.below("weighted/subset-sum-spectrum", eig_dev, 1e-9),
-        Check("weighted/range-rejected", 1.0 if rejected else 0.0, 1.0, rejected),
+        Check.holds("weighted/range-rejected", rejected),
     ]
     return _check_result("weighted", checks)
 
@@ -482,7 +486,7 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("kernel/derivative-identity", kernel_dev, 1e-6),
         Check.below("kernel/kernel-scaling", scaling, 1e-12),
         Check.below("kernel/kernel-decay-ratio", decay, 0.25 ** 2),
-        Check("kernel/monotone-decreasing", 1.0 if mono else 0.0, 1.0, bool(mono)),
+        Check.holds("kernel/monotone-decreasing", mono),
     ]
     return _check_result("bessel-check", checks)
 
@@ -535,9 +539,8 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
             S_ci[-1], 2.0 * S_ci[half]))
     if len(shells) >= 3:
         diag_report = divergence.growth_diagnostics(c_inv)
-        checks.append(Check("divergence/no-cauchy-convergence",
-                            1.0 if diag_report["verdict"] == "no Cauchy convergence" else 0.0,
-                            1.0, diag_report["verdict"] == "no Cauchy convergence"))
+        checks.append(Check.holds("divergence/no-cauchy-convergence",
+                                  diag_report["verdict"] == "no Cauchy convergence"))
 
     rows = [{
         "shell": idx,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -32,16 +34,20 @@ def random_involution(rng, d):
 
 
 def dense_gram(suite, name):
-    """The full n x n Gram `name` ("one", "g0".."g3") of a suite, taken at
-    the pairs of every mode pair."""
+    """The full n x n Gram `name` ("one", "g0".."g3") of a suite, read at
+    every mode pair through `one` or `terms`; G0 is the first term of the
+    same suite at m = 1, since `terms` carries m G0."""
     idx = np.arange(suite.shell.count)
-    return suite.take(name, suite.pairs(idx[:, None], idx))
+    if name == "one":
+        return suite.one(idx[:, None], idx)
+    terms = dataclasses.replace(suite, m=1.0).terms(idx[:, None], idx)
+    return terms[("g0", "g1", "g2", "g3").index(name)]
 
 
 def table_gather(suite, name, rows, cols):
     """Entries G[rows, cols] of the Gram `name`, with the index arrays
     broadcast against each other as in fancy indexing: the oracle for
-    `pairs` and `take`, reading p_i, p_j of the flat accumulator index
+    `GramMatrices.terms` and `one`, reading p_i, p_j of the flat accumulator index
     together from an (M^2, M^2) table and p_k by a second 2-d read."""
     a, PI = suite.shell.modes + suite.shell.K, suite.pair_index.astype(int)
     if name == "one":

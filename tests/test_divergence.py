@@ -142,18 +142,17 @@ def test_folded_blocks_reproduce_frame_blocks(K):
     # and T0 is unitary), so compare each folded block with V_g* R V_g'
     suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     R = quad.ideal_m_plus(suite) - 0.5 * np.eye(4 * suite.shell.count)
-    terms = quad.m_plus_terms(suite)
     eye = np.eye(suite.shell.count)
     for kind in dv.FRAMES:
         (fixed, T0), (L, A), (pL, B) = [t for group in dv._frame(K, kind) for t in group]
         Vf = np.kron(eye[:, fixed], T0)
         V2 = np.kron(eye[:, L], A) + np.kron(eye[:, pL], B)
-        spins = [dv._folded_spins(T0, A, B, Y, e) for _, Y, e in terms]
+        spins = [dv._folded_spins(T0, A, B, Y, e) for Y, e in quad.m_plus_terms()]
         folded = [(Vf, Vf, [(fixed, fixed, 0)]), (Vf, V2, [(fixed, L, 1)]),
                   (V2, Vf, [(L, fixed, 2)]), (V2, V2, [(L, L, 3), (L, pL, 4)])]
         for Vl, Vr, blocks in folded:
-            built = sum(np.kron(X(suite.pairs(r[:, None], c)), P[j])
-                        for (X, _, _), P in zip(terms, spins) for r, c, j in blocks)
+            built = sum(np.kron(X, P[j]) for r, c, j in blocks
+                        for X, P in zip(suite.terms(r[:, None], c), spins))
             assert np.max(np.abs(built - Vl.conj().T @ R @ Vr)) < 1e-14
 
 
@@ -166,28 +165,28 @@ def test_gathered_blocks_mirror_symmetric(K, m):
     pi = idx.copy()
     pi[L], pi[pL] = pL, L
     parity = {"one": 1.0, "g0": 1.0, "g1": -1.0, "g2": -1.0, "g3": -1.0}
+    assert [e for _, e in quad.m_plus_terms()] == [1.0, -1.0, -1.0, -1.0]
     for grid in (SMALL_GRID, quad.build_grid(9, 2, 4)):
         suite = quad.gram_suite(modes.enumerate_shell(K), m, grid)
-        assert [e for _, _, e in quad.m_plus_terms(suite)] == [1.0, -1.0, -1.0, -1.0]
         for name, eps in parity.items():
-            X = suite.take(name, suite.pairs(idx[:, None], idx))
-            mirrored = suite.take(name, suite.pairs(pi[:, None], pi))
+            X = dense_gram(suite, name)
+            mirrored = X[np.ix_(pi, pi)]
             assert np.max(np.abs(mirrored - eps * X)) <= 1e-15 * np.max(np.abs(X))
 
 
 @pytest.mark.parametrize("kind", [dv.PRODUCT, dv.C_INVARIANT])
 def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
     # every sub-shell reads the top shell's row blocks, which do not depend
-    # on the shells asked for: the series over all shells reads the pairs as
+    # on the shells asked for: the series over all shells reads the terms as
     # often as the top shell alone, and gives it the same value in both bases
     calls = []
-    pairs = quad.GramMatrices.pairs
+    terms = quad.GramMatrices.terms
 
-    def counted(self, rows, cols):
+    def counted(self, rows, cols, out=None):
         calls.append(np.size(cols))
-        return pairs(self, rows, cols)
+        return terms(self, rows, cols, out)
 
-    monkeypatch.setattr(quad.GramMatrices, "pairs", counted)
+    monkeypatch.setattr(quad.GramMatrices, "terms", counted)
     top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], 1.0, SMALL_GRID,
                                                            suite=small_suite)}
     top_only = len(calls)

@@ -5,7 +5,8 @@ code changes.  The determinism tests compare two runs of the same code;
 these digests pin the bytes themselves: SHA-256 of the check lines on
 stdout followed by the CSV written with --no-timestamp.  The toy digests
 use default settings, for every toy experiment; the headline digest is
-vacuum-divergence at K=4 on the cutoff-40, 2-panel, order-6 grid.  They
+vacuum-divergence at K=4 on the cutoff-40, 2-panel, order-6 grid, and three
+more pin it at m = 0, 0.1 and 10 on smaller grids.  They
 were recorded with the numpy and scipy versions below; other versions may
 round differently, so the tests are skipped there.  A failing assertion
 names the digest it got, ready to be copied in after a deliberate
@@ -98,6 +99,17 @@ HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "
                  "--panels", "2", "--order", "6", "--no-timestamp"]
 HEADLINE_DIGEST = "9ccd01a203396e5cf5e19367f5df885f6de8732b9c1c791d26da523f5f23aaac"
 
+# vacuum-divergence at the ends of the mass range and on small, non-default
+# grids: m = 0 drops the mass term, m = 10 weights it most
+SMALL_GRID_DIGESTS = {
+    ("--m", "0", "--shells", "3", "--cutoff", "20", "--panels", "1", "--order", "4"):
+        "0cb81dce1fc7144ed9fee09abef289b1a2ae975330b3a0063ebd03a3107df6aa",
+    ("--m", "0.1", "--shells", "2", "--cutoff", "12", "--panels", "1", "--order", "4"):
+        "35d2267e600a3a5573e30ec62a6eab31dc2c88b72889ff8a704e5b7d600cc689",
+    ("--m", "10", "--shells", "5", "--cutoff", "20"):
+        "244881b29e7c1101bd7b0ec77f33371d47d56f8ce36c7dd7dfa33bd8a8bcdf6d",
+}
+
 recorded_versions_only = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),
     reason=f"digests recorded with numpy {RECORDED_WITH['numpy']} and scipy "
@@ -126,3 +138,11 @@ def test_toy_output_bytes_match_golden_digests(experiment, tmp_path, capsys):
 def test_headline_output_bytes_match_golden_digest(tmp_path, capsys):
     digest = output_digest(HEADLINE_ARGV, tmp_path / "headline.csv", capsys)
     assert digest == HEADLINE_DIGEST, f"vacuum-divergence at K=4: got {digest}"
+
+
+@recorded_versions_only
+@pytest.mark.parametrize("args", sorted(SMALL_GRID_DIGESTS), ids=lambda a: f"m={a[1]}")
+def test_small_grid_output_bytes_match_golden_digests(args, tmp_path, capsys):
+    argv = ["vacuum-divergence", *args, "--no-timestamp"]
+    digest = output_digest(argv, tmp_path / "small.csv", capsys)
+    assert digest == SMALL_GRID_DIGESTS[args], f"{' '.join(args)}: got {digest}"

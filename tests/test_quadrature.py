@@ -29,7 +29,6 @@ def naive_grams(shell, grid, masses):
 def test_build_grid_node_count():
     grid = quad.build_grid(8, 1, 8)
     assert grid.nodes_per_axis == 128
-    assert grid.effective_nodes() == 128.0 ** 3
 
 
 def test_build_grid_rejects_absurd_sizes():
@@ -211,30 +210,31 @@ def test_gather_matches_unfolded_accumulators(K):
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3])
 def test_pairs_and_take_match_the_table_gather(K):
-    # the pair read (both its two-stage outer read and the elementwise read)
-    # and the flat-index take, also into a given buffer, against the
-    # (M^2, M^2) table gather, bit for bit
+    # `terms` (also into a given buffer) and `one`, in the two-stage outer
+    # read, a permuted and strided outer read and the elementwise read,
+    # against the (M^2, M^2) table gather, bit for bit
     shell = modes.enumerate_shell(K)
     suite = quad.gram_suite(shell, 0.7, quad.build_grid(6, 1, 4))
     idx = np.arange(shell.count)
     perm = np.random.default_rng(K).permutation(shell.count)
     for rows, cols in ((idx[:, None], idx), (perm[:, None], idx[::2]), (perm, idx)):
-        pairs = suite.pairs(rows, cols)
-        for name in ("one", "g0") + GS:
-            expected = table_gather(suite, name, rows, cols)
-            out = np.empty_like(expected)
-            assert np.array_equal(suite.take(name, pairs), expected), (name, rows.shape)
-            assert suite.take(name, pairs, out) is out and np.array_equal(out, expected)
+        expected = np.stack([table_gather(suite, name, rows, cols) for name in ("g0",) + GS])
+        expected[0] *= suite.m
+        out = np.empty_like(expected)
+        assert np.array_equal(suite.terms(rows, cols), expected), rows.shape
+        assert suite.terms(rows, cols, out) is out and np.array_equal(out, expected)
+        assert np.array_equal(suite.one(rows, cols), table_gather(suite, "one", rows, cols))
 
 
 def test_pairs_reject_modes_off_the_suite_shell():
-    # take clips its flat index, so the range is checked where the pairs are
-    # read: modes of a larger shell raise there, in both reads
+    # `terms` clips its flat index, so the range is checked where the pairs
+    # are read: modes of a larger shell raise there, in both reads
     suite = quad.gram_suite(modes.enumerate_shell(1), 0.7, quad.build_grid(6, 1, 4))
     idx = np.arange(modes.enumerate_shell(2).count)
     for rows in (idx[:, None], idx):
-        with pytest.raises(IndexError):
-            suite.pairs(rows, idx)
+        for read in (suite.terms, suite.one):
+            with pytest.raises(IndexError):
+                read(rows, idx)
 
 
 def test_suite_stores_less_than_one_dense_gram():
