@@ -24,16 +24,17 @@ read off the same layout in closed form.  Every builder's operator is G
 with zero coefficients on its absent terms, and each stored entry of G.G
 is a fixed ordered sum of coefficient products, in the order scipy's
 sparse product adds them.  The entries fall into few classes of equal
-sums, so the Wick sums of `charge` (the densities :Psi*(f) Psi(f): of the
-weighted charge, the products of the number-operator charge, the ladder
-products of the vacuum norm and the eigenvector witness) are one batched
-class sum over stacked coefficient rows, and the car-check's
-anticommutators class sums in batches of at most 2^14 complex entries per
-temporary, all on the 2n x 2n table of coefficient products, gathered
-onto the pattern once where a matrix is needed; they come out bit for bit
-as by scipy's products.  The cached arrays are read-only.  The
-Kronecker-product, sum-of-adds builders and the sparse products are kept
-in the tests as the exact oracles.
+sums, and one reduction, `_class_values`, reads the class values of A.B
+for stacked coefficient rows off the 2n x 2n table of coefficient
+products.  The Wick sums of `charge` (the densities :Psi*(f) Psi(f): of
+the weighted charge, the products of the number-operator charge, the
+ladder products of the vacuum norm and the eigenvector witness) are one
+batched class sum of it, gathered onto the pattern once where a matrix is
+needed; the car-check's anticommutators add its values for A.B and B.A,
+in batches of at most 2^14 complex entries per temporary.  Both come out
+bit for bit as by scipy's products.  The cached arrays are read-only.
+The Kronecker-product, sum-of-adds builders and the sparse products are
+kept in the tests as the exact oracles.
 """
 
 from dataclasses import dataclass, field
@@ -199,18 +200,17 @@ def _products(x, y) -> np.ndarray:
     return P.reshape(P.shape[:-2] + (P.shape[-2] * P.shape[-1],))
 
 
-def _off_diagonal_sums(table: _ProductTable, P) -> np.ndarray:
-    """A B on the off-diagonal classes, for P = `_products(x, y)`."""
-    return (table.sign[0] * np.take(P, table.pq[0], axis=-1)
-            + table.sign[1] * np.take(P, table.pq[1], axis=-1))
-
-
-def _diagonal_sums(table: _ProductTable, P) -> np.ndarray:
-    """The diagonal of A B, each entry's n terms added in ascending k."""
-    out = np.take(P, table.diag_pq[0], axis=-1)
+def _class_values(table: _ProductTable, x, y):
+    """The class values ``(off, diag)`` of A B for each row of coefficients
+    x of A and y of B (shape (..., 2n)): each off-diagonal class's two terms
+    added in order, and each diagonal entry's n terms added in ascending k."""
+    P = _products(x, y)
+    off = (table.sign[0] * np.take(P, table.pq[0], axis=-1)
+           + table.sign[1] * np.take(P, table.pq[1], axis=-1))
+    diag = np.take(P, table.diag_pq[0], axis=-1)
     for pq in table.diag_pq[1:]:
-        out += np.take(P, pq, axis=-1)
-    return out
+        diag += np.take(P, pq, axis=-1)
+    return off, diag
 
 
 def _class_sum(nmodes: int, x, y, weights=None, shift=None) -> np.ndarray:
@@ -222,12 +222,10 @@ def _class_sum(nmodes: int, x, y, weights=None, shift=None) -> np.ndarray:
     zero.  J is at most twice a basis dimension, so the (J, classes + 2^n)
     values, summed at once, stay below 2 MB at n = 12."""
     keep = slice(None) if weights is None else np.asarray(weights) != 0
-    table = _product_table(nmodes)
-    P = _products(np.asarray(x)[keep], np.asarray(y)[keep])
-    diag = _diagonal_sums(table, P)
+    off, diag = _class_values(_product_table(nmodes), np.asarray(x)[keep], np.asarray(y)[keep])
     if shift is not None:
         diag -= np.asarray(shift)[keep, None]
-    values = np.concatenate([_off_diagonal_sums(table, P), diag], axis=-1)
+    values = np.concatenate([off, diag], axis=-1)
     if weights is not None:
         values *= np.asarray(weights)[keep, None]
     return values.sum(axis=0)  # row by row: numpy sums pairwise only along the fast axis
@@ -253,32 +251,25 @@ def _batch_rows(nmodes: int) -> int:
     return max(1, _BATCH_ENTRIES // max(2 ** nmodes, 4 * nmodes ** 2))
 
 
-def _anticommutator(nmodes: int, x, y, shift):
-    """{A, B} - shift I on the classes, as scipy's A @ B + B @ A - shift * I:
-    the off-diagonal class values and the diagonal, each bit for bit up to
-    the sign of exact zeros.  x and y are rows of shape (..., 2n) and shift
-    broadcasts against their leading shape."""
-    table = _product_table(nmodes)
-    pxy, pyx = _products(x, y), _products(y, x)
-    off = _off_diagonal_sums(table, pxy) + _off_diagonal_sums(table, pyx)
-    diag = _diagonal_sums(table, pxy) + _diagonal_sums(table, pyx)
-    return off, diag - np.asarray(shift)[..., None]
-
-
 def _anticommutator_deviations(nmodes: int, x, y, shift) -> np.ndarray:
     """Largest |entry| of {A, B} - shift I for each row of x, y (shape
     (rows, 2n)) and entry of shift, equal to `charge.max_abs` of scipy's
-    A @ B + B @ A - shift * I.  The rows are reduced `_batch_rows(n)` at a
-    time, which bounds every temporary to `_BATCH_ENTRIES` entries."""
+    A @ B + B @ A - shift * I: the class values of A B and of B A added,
+    bit for bit up to the sign of exact zeros.  The rows are reduced
+    `_batch_rows(n)` at a time, which bounds every temporary to
+    `_BATCH_ENTRIES` entries; the off-diagonal classes and the diagonal are
+    reduced apart, as one row of both would be classes + 2^n entries wide."""
     x, y = np.asarray(x), np.asarray(y)
     shift = np.broadcast_to(shift, x.shape[:1])
+    table = _product_table(nmodes)
     out = np.empty(x.shape[0])
     step = _batch_rows(nmodes)
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
-        off, diag = _anticommutator(nmodes, x[rows], y[rows], shift[rows])
-        out[rows] = np.maximum(np.max(np.abs(off), axis=-1, initial=0.0),
-                               np.max(np.abs(diag), axis=-1))
+        off_xy, diag_xy = _class_values(table, x[rows], y[rows])
+        off_yx, diag_yx = _class_values(table, y[rows], x[rows])
+        out[rows] = np.maximum(np.max(np.abs(off_xy + off_yx), axis=-1, initial=0.0),
+                               np.max(np.abs(diag_xy + diag_yx - shift[rows, None]), axis=-1))
     return out
 
 

@@ -36,16 +36,11 @@ class AntiUnitary:
     """Anti-unitary involution v -> U conj(v) on C^dim."""
 
     def __init__(self, U):
-        if sparse.issparse(U):
-            U = U.tocsr().astype(complex)
-            n = U.shape[0]
-            eye = sparse.identity(n, dtype=complex, format="csr")
-        else:
-            U = np.asarray(U, dtype=complex)
-            n = U.shape[0]
-            eye = np.eye(n)
+        U = U.tocsr().astype(complex) if sparse.issparse(U) else np.asarray(U, dtype=complex)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError(f"U must be square, got shape {U.shape}")
+        n = U.shape[0]
+        eye = sparse.identity(n, dtype=complex, format="csr") if sparse.issparse(U) else np.eye(n)
         # `not <` so that NaN deviations are rejected too
         if not abs(U.conj().T @ U - eye).max() < UNITARITY_TOL:
             raise ValueError("U is not unitary")

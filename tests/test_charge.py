@@ -373,7 +373,8 @@ def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
             charge.vacuum_norm(model6, basis, 3)
             charge.eigenvector_witness(model6, basis, 1)
     assert fock._product_table.cache_info().misses == 1
-    # mode counts 6, 8 and 12; its adjoint check subtracts sparse matrices
+    # mode counts 6, 8 and 12; its adjoint check subtracts one pair of sparse
+    # matrices per mode count
     assert suites.run_car_check(suites.ExperimentConfig()).ok
     assert fock._product_table.cache_info().misses == 3
     assert fock._jw_pattern.cache_info().currsize == 3

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from conftest import assert_bitwise_csr, sorted_csr
-from fockcharge import fock
+from fockcharge import fock, suites
 from fockcharge.charge import max_abs
 from fockcharge.involution import AntiUnitary
 
@@ -20,11 +20,21 @@ def anti(A, B):
 
 def oracle_anticommutator(A, B, shift=0.0):
     """{A, B} - shift I by scipy's sparse products and adds: the values
-    `fock._anticommutator` reproduces bit for bit."""
+    `table_anticommutator` reproduces bit for bit."""
     out = anti(A, B)
     if shift:
         out = out - shift * sparse.identity(A.shape[0], format="csr")
     return out
+
+
+def table_anticommutator(n, x, y, shift=0.0):
+    """{A, B} - shift I on the classes of G.G, read through the shared
+    reduction `fock._class_values` of A B and of B A, as
+    `fock._anticommutator_deviations` adds them."""
+    table = fock._product_table(n)
+    off_xy, diag_xy = fock._class_values(table, x, y)
+    off_yx, diag_yx = fock._class_values(table, y, x)
+    return np.concatenate([off_xy + off_yx, diag_xy + diag_yx - shift])
 
 
 # the car-check's twelve anticommutators {A(f), B(g)} - shift I
@@ -190,7 +200,7 @@ def test_anticommutator_table_matches_sparse_oracle_bitwise(n):
                 expected = oracle_anticommutator(A, B, shift)
                 dev = max_abs(expected)
                 assert fock._anticommutator_deviations(n, [x], [y], shift)[0] == dev, name
-                values = np.concatenate(fock._anticommutator(n, x, y, shift))
+                values = table_anticommutator(n, x, y, shift)
                 assert_bitwise_csr(fock._table_matrix(n, values), sorted_csr(expected))
                 xs.append(x)
                 ys.append(y)
@@ -211,6 +221,58 @@ def test_anticommutator_batches_bound_their_temporaries(n):
     classes = fock._product_table(n).pq.shape[1]
     assert rows >= 1
     assert rows * max(4 * n * n, classes, 2 ** n) <= 2 ** 14
+
+
+def car_checks():
+    """The car-check's values at the default seed, by check name."""
+    result = suites.run_car_check(suites.ExperimentConfig())
+    return {c.name: c for c in result.checks}
+
+
+def test_car_adjoint_builds_one_operator_pair_per_mode_count(monkeypatch):
+    """car/adjoint compares coefficient rows per pair and builds Psi*(f) and
+    Psi(f) once for each of the mode counts 6, 8 and 12."""
+    calls = []
+    build = fock._jw_operator
+    monkeypatch.setattr(fock, "_jw_operator", lambda *a: calls.append(a) or build(*a))
+    checks = car_checks()
+    assert len(calls) == 6
+    assert checks["car/adjoint"].value == 0.0 and all(c.passed for c in checks.values())
+
+
+@pytest.mark.parametrize("mode", [0, -1], ids=["particle", "antiparticle"])
+def test_car_adjoint_fails_on_a_flipped_lowering_sign(monkeypatch, mode):
+    """The pattern side: one mode lowered with the wrong sign breaks
+    Psi*(f) = Psi(f)^dagger.  The anticommutators read the product table,
+    not the pattern, so no other check sees it."""
+    pattern = fock._jw_pattern
+
+    def flipped(n):
+        indptr, indices, pos, sign = pattern(n)
+        return indptr, indices, pos, np.where(pos == n + mode % n, -sign, sign)
+
+    monkeypatch.setattr(fock, "_jw_pattern", flipped)
+    failed = [name for name, c in car_checks().items() if not c.passed]
+    assert failed == ["car/adjoint"]
+
+
+def test_car_adjoint_fails_on_b_off_the_conjugate_of_b_star(monkeypatch):
+    """The coefficient side, per pair: the first f's b(f) row is b*(f)'s,
+    unconjugated.  The operators built on the mode count's last f never see
+    it, so the row comparison must."""
+    ladder = fock._ladder_coeffs
+    calls = []
+
+    def unconjugated(model, f):
+        out = ladder(model, f)
+        if not calls:
+            n, d = model.n, model.d_plus
+            out[1, n:n + d] = out[0, :d]
+        calls.append(f)
+        return out
+
+    monkeypatch.setattr(fock, "_ladder_coeffs", unconjugated)
+    assert not car_checks()["car/adjoint"].passed
 
 
 @pytest.mark.parametrize("n, classes", [(2, 4), (6, 100), (8, 196), (12, 484)])

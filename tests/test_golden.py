@@ -45,10 +45,10 @@ DIGESTS = {
         "80466a2b161df2df8aa741b7557d1a73aceeacffba86dfe73e9737fb369e6061",  # seed 2024
     ),
     "cbasis": (
-        "873271a48c7780a2be0265d7401cd49f2b46a8cf6a813b195c8cf46a81bca0d7",  # seed 0
-        "37b5a88d2a7386975f06a8dbb96436b4bc447fd2f5e76481e14f8e455e12e347",  # seed 1
-        "ccbf0939840ef18908966a4d2e1458f1be5a8f86a8cccd8bf5ba2a0996010c70",  # seed 2
-        "1db7febf2fdcb3a1928111cddc6526bc83ded8f606ad4ca96e170db1183e8f55",  # seed 2024
+        "33b51626134ac37b2789c7eeb5fbc6ec2e6084d98eef21a16e197c1193d89e06",  # seed 0
+        "ed4110438f716db2027309d2f3ec9d734728eeb677788218476628da6968bb66",  # seed 1
+        "458b422dbbbe9418b38d9ddad0a81c83fa65880255a42b42e2d2095dcdc67e26",  # seed 2
+        "c1e221d1fad0c8012ef4f515930eb26f6bd798f8595cbbf84b8c8abd42af515b",  # seed 2024
     ),
     "qtilde": (
         "8fe38837ff35454f62c85dfcbd37e022f0b9aef6f39fd9a7aab939788a3dc456",  # seed 0

@@ -54,6 +54,14 @@ def test_non_square_rejected():
         inv.make_involution(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("U", [1.0, np.ones(2), np.ones((2, 2, 2))],
+                         ids=["scalar", "vector", "3-d"])
+def test_non_matrix_rejected_before_its_shape_is_read(U):
+    # a 0-d array has no shape[0]: the shape is checked first
+    with pytest.raises(ValueError, match="U must be square"):
+        inv.make_involution(U)
+
+
 def test_classify_examples():
     C = inv.make_involution(np.eye(2))
     assert inv.classify(np.array([1.0, 0.0]), C) == inv.PARALLEL
