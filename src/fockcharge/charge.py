@@ -12,13 +12,15 @@ number-operator variant Q~ = sum_j (b*(f_j) b(f_j) - c*(f_j) c(f_j)),
 summed the same way, the total charge, the toy vacuum norm |Q^J Omega|^2
 by a Fock route and a trace route (`vacuum_norm`), the spectral /
 additivity / commutation checks, the eigenvector witness and the four-sum
-decomposition of the truncated-charge sector norm.  The Fock route of
-`vacuum_norm` (the sum of b*(f_i) c*(f_i)) and the witness's
-sum_i Psi*(f_i) Psi(f_i) read the same table.  Every Wick term keeps the
-total charge n_p - n_a, so `spectrum_deviation` solves the charge-sector
-blocks (at most 70 x 70 at n = 8) instead of the full 2^n matrix, and adds
-the off-sector Frobenius norm as a Weyl bound; one dense solve of the full
-matrix is the oracle in the tests.
+decomposition of the truncated-charge sector norm, each correction sum one
+contraction of a Gram matrix of stacked Fock states.  The pair operator
+sum_i b*(f_i) c*(f_i), which `vacuum_norm` applies to Omega and the
+decomposition to psi, and the witness's sum_i Psi*(f_i) Psi(f_i) read the
+same table.  Every Wick term keeps the total charge n_p - n_a, so
+`spectrum_deviation` solves the charge-sector blocks (at most 70 x 70 at
+n = 8) instead of the full 2^n matrix, and adds the off-sector Frobenius
+norm as a Weyl bound; one dense solve of the full matrix is the oracle in
+the tests.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ __all__ = [
     "c_invariant_subspace",
     "aligned_subspace",
     "q_subspace",
-    "truncated_q",
     "vacuum_norm",
     "q_tilde",
     "q_total",
@@ -122,12 +123,6 @@ def q_subspace(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
     return q_weighted(model, basis, np.ones(basis.dim))
 
 
-def truncated_q(model: ToyModel, basis: SubspaceBasis, J: int) -> sparse.csr_matrix:
-    """Partial sum of the first J terms of the charge series."""
-    _check_J(basis, J)
-    return q_weighted(model, basis, np.arange(basis.dim) < J)
-
-
 def _check_J(basis: SubspaceBasis, J: int) -> None:
     if not 0 <= J <= basis.dim:
         raise ValueError(f"J must lie in [0, {basis.dim}], got {J}")
@@ -140,11 +135,18 @@ def vacuum_norm(model: ToyModel, basis: SubspaceBasis, J: int):
     first J basis vectors F."""
     _check_J(basis, J)
     F = basis.vectors[:, :J]
-    bs, _, cs, _ = fock._ladder_rows(model, F)
-    vec = fock._table_matrix(model.n, fock._class_sum(model.n, bs, cs)) @ fock.vacuum(model)
+    vec = _pair_operator(model, fock._ladder_rows(model, F)) @ fock.vacuum(model)
     M = F.conj().T @ model.p_plus @ F
     return (float(np.vdot(vec, vec).real),
             float((np.trace(M) - np.trace(M @ M)).real))
+
+
+def _pair_operator(model: ToyModel, rows) -> sparse.csr_matrix:
+    """sum_i b*(f_i) c*(f_i) on the class table, from the `fock._ladder_rows`
+    stacks of the f_i: Q^J's part that raises both particle and antiparticle
+    number by one."""
+    bs, _, cs, _ = rows
+    return fock._table_matrix(model.n, fock._class_sum(model.n, bs, cs))
 
 
 def q_tilde(model: ToyModel, basis: SubspaceBasis) -> sparse.csr_matrix:
@@ -301,7 +303,7 @@ def state_from_creators(model: ToyModel, particles, antiparticles) -> np.ndarray
     return psi
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionResult:
     sector_norm: float
     sums_direct: tuple
@@ -310,9 +312,11 @@ class DecompositionResult:
     residual_kernel: float
     route_deviation: float
 
-    def combination(self, sums) -> float:
-        s1, s2, s3, s4 = sums
-        return s1 - s2 - s3 + s4
+
+def _gram(model: ToyModel, states) -> np.ndarray:
+    """[a, b] = <x_a, x_b> over a list of Fock states x_a (which may be empty)."""
+    X = np.reshape(states, (len(states), model.fock_dim))
+    return X.conj() @ X.T
 
 
 def sector_norm_decomposition(model: ToyModel, basis: SubspaceBasis, J: int,
@@ -329,11 +333,12 @@ def sector_norm_decomposition(model: ToyModel, basis: SubspaceBasis, J: int,
     one-particle kernels P-+ P_A P+- P_A P-+ (P_A the projector onto the
     first J basis vectors) against overlaps of states with one creator
     removed.  Every sum is evaluated both directly on the Fock space and
-    through the kernels; the reported residuals compare the sector norm
-    against the combination from either route.
+    through the kernels, each correction sum as one contraction of a Gram
+    matrix of stacked states; the reported residuals compare the sector
+    norm against the combination from either route.
     """
-    particles = [np.asarray(g, dtype=complex) for g in particles]
-    antiparticles = [np.asarray(h, dtype=complex) for h in antiparticles]
+    _check_J(basis, J)
+    particles, antiparticles = list(particles), list(antiparticles)
     n0, m0 = len(particles), len(antiparticles)
     psi0 = state_from_creators(model, particles, antiparticles)
     norm2 = float(np.vdot(psi0, psi0).real)
@@ -341,81 +346,46 @@ def sector_norm_decomposition(model: ToyModel, basis: SubspaceBasis, J: int,
         raise ValueError("state built from the creators vanishes")
 
     F = basis.vectors[:, :J]
-    P_A = F @ F.conj().T
-    Pp, Pm = model.p_plus, model.p_minus
+    fock_norm, trace_norm = vacuum_norm(model, basis, J)
 
     # ---- direct route (Fock matrices) -------------------------------------
-    b_ops = [fock.annihilator_b(model, basis.vectors[:, i]) for i in range(J)]
-    c_ops = [fock.annihilator_c(model, basis.vectors[:, i]) for i in range(J)]
-    bc_psi = [b_ops[i].conj().T @ (c_ops[i].conj().T @ psi0) for i in range(J)]
-    w = np.sum(bc_psi, axis=0) if J else np.zeros_like(psi0)
+    rows = fock._ladder_rows(model, F)
+    w = _pair_operator(model, rows) @ psi0
     sector_norm = float(np.vdot(w, w).real)
-
-    Mp_f = F.conj().T @ Pp @ F  # toy M+ restricted to the first J vectors
-    Mm_f = F.conj().T @ Pm @ F
-    fock_norm, trace_norm = vacuum_norm(model, basis, J)
-    s1_direct, s1_kernel = fock_norm * norm2, trace_norm * norm2
-
-    c_psi = [c_ops[i] @ psi0 for i in range(J)]
-    b_psi = [b_ops[i] @ psi0 for i in range(J)]
-    cb_psi = [c_ops[i] @ b_psi[i] for i in range(J)]
-    s2_direct = 0.0 + 0.0j
-    s3_direct = 0.0 + 0.0j
-    s4_direct = 0.0 + 0.0j
-    for i in range(J):
-        for j in range(J):
-            s2_direct += Mp_f[i, j] * np.vdot(c_psi[j], c_psi[i])
-            s3_direct += Mm_f[j, i] * np.vdot(b_psi[j], b_psi[i])
-            s4_direct += np.vdot(cb_psi[j], cb_psi[i])
+    b_psi = [fock._jw_operator(model, row) @ psi0 for row in rows[1]]
+    c_ops = [fock._jw_operator(model, row) for row in rows[3]]
+    c_psi = [c @ psi0 for c in c_ops]
+    cb_psi = [c @ x for c, x in zip(c_ops, b_psi)]
+    Mp_f = F.conj().T @ model.p_plus @ F  # toy M+ restricted to the first J vectors
+    Mm_f = F.conj().T @ model.p_minus @ F
+    sums_direct = tuple(np.real([fock_norm * norm2,
+                                 np.sum(Mp_f.T * _gram(model, c_psi)),
+                                 np.sum(Mm_f * _gram(model, b_psi)),
+                                 np.sum(_gram(model, cb_psi))]).tolist())
 
     # ---- kernel route ------------------------------------------------------
-    K_minus = Pm @ P_A @ Pp @ P_A @ Pm
-    K_plus = Pp @ P_A @ Pm @ P_A @ Pp
-    K_pm = Pp @ P_A @ Pm  # and its adjoint Pm P_A Pp
+    # the creators as columns, the k-th times (-1)^k, the sign of removing it
+    G = np.reshape(particles, (n0, model.n)).T * (-1.0) ** np.arange(n0)
+    H = np.reshape(antiparticles, (m0, model.n)).T * (-1.0) ** np.arange(m0)
+    P_A = F @ F.conj().T
+    K_pm = model.p_plus @ P_A @ model.p_minus  # K- = K_pm* K_pm, K+ = K_pm K_pm*
+    KH, KG = K_pm @ H, K_pm.conj().T @ G
+    z = (G.conj().T @ KH).ravel()
 
-    phi_c = [state_from_creators(model, particles,
-                                 antiparticles[:k] + antiparticles[k + 1:])
-             for k in range(m0)]
-    phi_b = [state_from_creators(model, particles[:u] + particles[u + 1:],
-                                 antiparticles)
-             for u in range(n0)]
-    phi_bc = [[state_from_creators(model, particles[:u] + particles[u + 1:],
-                                   antiparticles[:k] + antiparticles[k + 1:])
-               for k in range(m0)] for u in range(n0)]
+    without_g = [particles[:u] + particles[u + 1:] for u in range(n0)]
+    without_h = [antiparticles[:k] + antiparticles[k + 1:] for k in range(m0)]
+    phi_c = [state_from_creators(model, particles, hs) for hs in without_h]
+    phi_b = [state_from_creators(model, gs, antiparticles) for gs in without_g]
+    phi_bc = [state_from_creators(model, gs, hs) for gs in without_g for hs in without_h]
+    sums_kernel = tuple(np.real([trace_norm * norm2,
+                                 np.sum((KH.conj().T @ KH) * _gram(model, phi_c).T),
+                                 np.sum((KG.conj().T @ KG) * _gram(model, phi_b)),
+                                 z @ _gram(model, phi_bc) @ z.conj()]).tolist())
 
-    s2_kernel = 0.0 + 0.0j
-    for k in range(m0):
-        for l in range(m0):
-            kern = np.vdot(antiparticles[k], K_minus @ antiparticles[l])
-            s2_kernel += (-1) ** (k + l) * kern * np.vdot(phi_c[l], phi_c[k])
+    def residual(sums):
+        s1, s2, s3, s4 = sums
+        return abs(sector_norm - (s1 - s2 - s3 + s4))
 
-    s3_kernel = 0.0 + 0.0j
-    for u in range(n0):
-        for v in range(n0):
-            kern = np.vdot(particles[v], K_plus @ particles[u])
-            s3_kernel += (-1) ** (u + v) * kern * np.vdot(phi_b[v], phi_b[u])
-
-    s4_kernel = 0.0 + 0.0j
-    for u in range(n0):
-        for k in range(m0):
-            for v in range(n0):
-                for l in range(m0):
-                    kern = (np.vdot(particles[v], K_pm @ antiparticles[l])
-                            * np.vdot(antiparticles[k], K_pm.conj().T @ particles[u]))
-                    s4_kernel += ((-1) ** (u + v + k + l) * kern
-                                  * np.vdot(phi_bc[v][l], phi_bc[u][k]))
-
-    sums_direct = tuple(float(np.real(s)) for s in (s1_direct, s2_direct, s3_direct, s4_direct))
-    sums_kernel = tuple(float(np.real(s)) for s in (s1_kernel, s2_kernel, s3_kernel, s4_kernel))
-    res = DecompositionResult(
-        sector_norm=sector_norm,
-        sums_direct=sums_direct,
-        sums_kernel=sums_kernel,
-        residual_direct=0.0,
-        residual_kernel=0.0,
-        route_deviation=float(max(abs(a - b) for a, b in zip(sums_direct, sums_kernel))),
-    )
-    res.residual_direct = abs(sector_norm - res.combination(sums_direct))
-    res.residual_kernel = abs(sector_norm - res.combination(sums_kernel))
-    return res
-
+    return DecompositionResult(sector_norm, sums_direct, sums_kernel,
+                               residual(sums_direct), residual(sums_kernel),
+                               max(abs(a - b) for a, b in zip(sums_direct, sums_kernel)))

@@ -58,7 +58,6 @@ __all__ = [
     "field_adjoint",
     "normal_ordered_density",
     "sector_labels",
-    "sector_mask",
 ]
 
 
@@ -448,9 +447,3 @@ def sector_labels(model: ToyModel):
     occ = _jw_terms(model.n)[0]
     return (occ[:, :model.d_plus].sum(axis=1, dtype=np.int64),
             occ[:, model.d_plus:].sum(axis=1, dtype=np.int64))
-
-
-def sector_mask(model: ToyModel, n: int, m: int) -> np.ndarray:
-    """Boolean mask of the (n, m) particle/antiparticle sector."""
-    n_p, n_a = sector_labels(model)
-    return (n_p == n) & (n_a == m)

@@ -67,10 +67,6 @@ class Shell:
     def count(self) -> int:
         return self.modes.shape[0]
 
-    def prefix_counts(self):
-        """Mode counts of the nested sub-shells 0..K."""
-        return [(2 * k + 1) ** 3 for k in range(self.K + 1)]
-
 
 def enumerate_shell(K: int) -> Shell:
     if K < 0:

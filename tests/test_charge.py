@@ -412,13 +412,18 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
      "unitary"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),
+    (lambda model, basis: charge.sector_norm_decomposition(model, basis, 3, [], []),
+     "J must lie in"),
+    (lambda model, basis: charge.sector_norm_decomposition(model, basis, -1, [], []),
+     "J must lie in"),
     # a spectrum with a different number of clusters is infinitely far off
     (lambda model, basis: charge.spectrum_deviation(
         model, np.diag(np.arange(model.fock_dim) % 2.0), [0.0, 1.0, 2.0]), None),
     (lambda model, basis: charge.spectrum_deviation(model, np.diag([0.0, 1.0]), [0.0, 1.0]),
      r"expected a \(64, 64\) matrix"),
 ], ids=["basis-shape", "weight-count", "non-unitary-rotation", "witness-j-above",
-        "witness-j-below", "spectrum-count-mismatch", "spectrum-wrong-shape"])
+        "witness-j-below", "decomposition-J-above", "decomposition-J-below",
+        "spectrum-count-mismatch", "spectrum-wrong-shape"])
 def test_unusable_inputs_rejected(call, message, model6, rng):
     basis = charge.random_subspace(model6, 2, rng)
     if message is None:
@@ -428,14 +433,17 @@ def test_unusable_inputs_rejected(call, message, model6, rng):
             call(model6, basis)
 
 
+def truncated_q(model, basis, J):
+    """Q^J, the first J terms of the charge series, as 0/1 weights."""
+    return charge.q_weighted(model, basis, np.arange(basis.dim) < J)
+
+
 def test_truncated_q(model6, rng):
     basis = charge.random_subspace(model6, 3, rng)
-    assert max_abs(charge.truncated_q(model6, basis, 0)) == 0.0
-    assert max_abs(charge.truncated_q(model6, basis, 3)
+    assert max_abs(truncated_q(model6, basis, 0)) == 0.0
+    assert max_abs(truncated_q(model6, basis, 3)
                    - charge.q_subspace(model6, basis)) < 1e-13
     for bad in (-1, 4):
-        with pytest.raises(ValueError):
-            charge.truncated_q(model6, basis, bad)
         with pytest.raises(ValueError):
             charge.vacuum_norm(model6, basis, bad)
 
@@ -446,7 +454,7 @@ def test_truncated_vacuum_norm_gram_identity(model8, rng):
     omega = fock.vacuum(model8)
     assert charge.vacuum_norm(model8, basis, 0) == (0.0, 0.0)
     for J in (1, 3, 5):
-        QJ = charge.truncated_q(model8, basis, J)
+        QJ = truncated_q(model8, basis, J)
         val = float(np.vdot(QJ @ omega, QJ @ omega).real)
         F = basis.vectors[:, :J]
         Mt = F.conj().T @ model8.p_plus @ F
@@ -471,15 +479,19 @@ def test_decomposition_cases(model8, rng):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         return v / np.linalg.norm(v)
 
-    cases = [([], []), ([vec()], []), ([vec()], [vec()]), ([vec(), vec()], [vec()])]
+    # two antiparticles make the kernel route's (-1)^(k+l) signs matter
+    cases = [([], []), ([vec()], []), ([vec()], [vec()]), ([vec(), vec()], [vec()]),
+             ([vec(), vec()], [vec(), vec()])]
     for gs, hs in cases:
-        r = charge.sector_norm_decomposition(model8, basis, 4, gs, hs)
-        assert r.residual_direct < 1e-10
-        assert r.residual_kernel < 1e-10
-        assert r.route_deviation < 1e-10
+        for J in (0, 4):
+            r = charge.sector_norm_decomposition(model8, basis, J, gs, hs)
+            assert r.residual_direct < 1e-10
+            assert r.residual_kernel < 1e-10
+            assert r.route_deviation < 1e-10
     # vacuum case: corrections vanish and sum1 is the vacuum norm itself
-    r = charge.sector_norm_decomposition(model8, basis, 4, [], [])
-    assert max(abs(x) for x in r.sums_kernel[1:]) < 1e-14
+    for J in (0, 4):
+        r = charge.sector_norm_decomposition(model8, basis, J, [], [])
+        assert max(abs(x) for x in r.sums_direct[1:] + r.sums_kernel[1:]) < 1e-14
 
 
 def test_decomposition_matches_sector_projection(model8, rng):
@@ -488,9 +500,10 @@ def test_decomposition_matches_sector_projection(model8, rng):
     g = rng.normal(size=8) + 1j * rng.normal(size=8)
     h = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi = charge.state_from_creators(model8, [g], [h])
-    QJ = charge.truncated_q(model8, basis, 4)
+    QJ = truncated_q(model8, basis, 4)
     out = QJ @ psi
-    mask = fock.sector_mask(model8, 2, 2)
+    n_p, n_a = fock.sector_labels(model8)
+    mask = (n_p == 2) & (n_a == 2)
     sector_norm = float(np.vdot(out[mask], out[mask]).real)
     r = charge.sector_norm_decomposition(model8, basis, 4, [g], [h])
     assert abs(sector_norm - r.sector_norm) < 1e-10 * max(1.0, sector_norm)

@@ -81,10 +81,10 @@ DIGESTS = {
         "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 2024
     ),
     "decomposition": (
-        "cc84fd535f9964f57114fb330bdbf91cbe23b7080257ecb5bdf28f290d708a20",  # seed 0
-        "489b7dc45984a9b66d3c1d507d45b4aca6aa397c10542a8d98fbb43acb8f6ba4",  # seed 1
-        "352f8e319ec81fd9cfa84b41ca53fceffb2a6892e25dc31aca1979f6e3412ee3",  # seed 2
-        "bc45b0e93251fd0133ffa6f210635800f176c5292c53559031f8f95e85404024",  # seed 2024
+        "b46cf55b3233096912b47f7cfc7a0a1a95d5843a95a6c183aec9a5acb767f034",  # seed 0
+        "6b3e7b61e42eb21d3b7830e03478abfd2672481d810795b68a939dfd5b9830b2",  # seed 1
+        "3701cd92f9b166f20a1d7b42c0811a5b64b3cbfc4d9a2060b7002c45660d8423",  # seed 2
+        "e5dcbf4cd5aff45deff67f76c142358249ce9f7afe49e9c6e30f800f390d9788",  # seed 2024
     ),
     "oracle-equivalence": (
         "ea4c6d51b85631e60fb99cb252b8f42ebfe959015c530ed0bb3620cb98a84aec",  # seed 0
