@@ -24,7 +24,11 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   blocks read through pi L onto those of L, so only (fixed, fixed),
   (fixed, L), (L, L) and (L, pi L) are read from the suite, once for the
   top shell and both bases, in row blocks that every sub-shell sums its
-  tiles of: no spinor matrix and no n x n array is formed;
+  tiles of: no spinor matrix and no n x n array is formed.  The Grams are
+  symmetric, so on L's index (L, L) is symmetric and (L, pi L) is too up
+  to eps_t: X_t(pi L_j, L_i) = X_t(L_i, pi L_j) = eps_t X_t(pi L_i, L_j),
+  the mirror applied to both modes.  That group is read as its lower
+  triangle, each strip below the diagonal counted for its mirror image;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, in closed form on the Grams' 1d factors (`AxisFactors.fro2`).
@@ -66,7 +70,7 @@ __all__ = [
 PRODUCT = "product"
 C_INVARIANT = "c_invariant"
 MAX_TAIL = 0.10
-_ROW_BLOCK = 256  # rows of the top shell the trace route gathers at a time
+_ROW_BLOCK = 64  # rows of the top shell the trace route gathers at a time
 
 
 @dataclass
@@ -154,28 +158,46 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     return sparse.hstack(groups, format="csc")
 
 
-def _block_grams(suite: GramMatrices, col_sets, rows, row_counts, col_counts) -> np.ndarray:
+def _block_grams(suite: GramMatrices, col_sets, rows, row_counts, col_counts,
+                 signs=None) -> np.ndarray:
     """D[k] = <Z_a, Z_b> of the scalar blocks Z_a, the four `suite.terms` at
     (cols, rows) for each of the col_sets (of one size), cut to sub-shell k:
     their first row_counts[k] rows and col_counts[k] columns.  Each layer's
     rows (sub-shell k less k-1) are read _ROW_BLOCK at a time and transposed
-    (the Grams are symmetric), so each column sub-shell is a leading slice; a
-    tile of row layer kr and column layer kc adds into D[max(kr, kc)]."""
+    (the Grams are symmetric), so each column sub-shell is a leading slice.
+
+    Without `signs` every column is read: a tile of row layer kr and column
+    layer kc adds into D[max(kr, kc)].  With `signs` every Z_a is square and
+    Z_a[j, i] = s_a Z_a[i, j]; for (L, pi L) x L, s = 1 on L by Gram
+    symmetry and eps_t on pi L, as X_t(pi L_j, L_i) = X_t(L_i, pi L_j) =
+    eps_t X_t(pi L_i, L_j).  Then Z_a[j, i] Z_b[j, i] = s_a s_b Z_a[i, j]
+    Z_b[i, j], and only the lower triangle is read: a row block p0..p1 adds
+    its square (columns p0..p1) whole and the strip below it (columns
+    0..p0) weighted 1 + s_a s_b, the strip and its mirror above the
+    diagonal, all of it into the row block's layer.
+    """
     T, ncol = 4 * len(col_sets), col_sets[0].size
     D = np.zeros((len(row_counts), T, T))
     buf = np.empty(T * ncol * min(_ROW_BLOCK, rows.size))
     row_edges = [0] + list(row_counts)
+    strip = None if signs is None else 1.0 + np.outer(signs, signs)
     for kr in range(len(row_counts)):
         # the columns of sub-shell kr, then each later column layer
         col_edges = [0] + list(col_counts[kr:])
         for p0 in range(row_edges[kr], row_edges[kr + 1], _ROW_BLOCK):
-            rb = rows[p0:min(p0 + _ROW_BLOCK, row_edges[kr + 1])]
-            Z = buf[:T * ncol * rb.size].reshape(len(col_sets), 4, ncol, rb.size)
+            p1 = min(p0 + _ROW_BLOCK, row_edges[kr + 1])
+            if strip is None:
+                tiles = [(c0, c1, k, 1.0) for k, (c0, c1)
+                         in enumerate(zip(col_edges, col_edges[1:]), start=kr)]
+            else:
+                tiles = [(p0, p1, kr, 1.0), (0, p0, kr, strip)]
+            stop, rb = max(c1 for _, c1, _, _ in tiles), rows[p0:p1]
+            Z = buf[:T * stop * rb.size].reshape(len(col_sets), 4, stop, rb.size)
             for cols, Zc in zip(col_sets, Z):
-                suite.terms(cols[:, None], rb, out=Zc)
-            for k, (c0, c1) in enumerate(zip(col_edges, col_edges[1:]), start=kr):
+                suite.terms(cols[:stop, None], rb, out=Zc)
+            for c0, c1, k, weight in tiles:
                 seg = Z[..., c0:c1, :].reshape(T, -1)
-                D[k] += seg @ seg.T
+                D[k] += weight * (seg @ seg.T)
     return np.cumsum(D, axis=0)
 
 
@@ -206,13 +228,13 @@ def _frame_fro2(suite: GramMatrices, K: int) -> dict:
     are read once, and each basis contracts them with its own spin
     cross-Gram.
     """
+    terms, fro2 = m_plus_terms(), {}
     fixed, L, pL = _shell_frame(K)
     ones = [1] * (K + 1)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
     grams = [_block_grams(suite, [fixed], fixed, ones, ones),
              _block_grams(suite, [L], fixed, ones, half),
-             _block_grams(suite, [L, pL], L, half, half)]
-    terms, fro2 = m_plus_terms(), {}
+             _block_grams(suite, [L, pL], L, half, half, signs=[1.0] * 4 + [e for _, e in terms])]
     for kind, frame in FRAMES.items():
         ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for Y, e in terms))
         # (L, fixed) shares the Gram of its transpose (fixed, L)

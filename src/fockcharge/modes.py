@@ -21,7 +21,6 @@ from .spinor import conjugation_matrix
 __all__ = [
     "Shell",
     "axis_factor",
-    "mode_ft",
     "enumerate_shell",
     "shell_conjugation",
 ]
@@ -38,21 +37,6 @@ def axis_factor(q):
     x2 = (np.pi * arr[small]) ** 2
     out[small] = 2.0 * np.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
     return out if np.ndim(q) else float(out[0])
-
-
-def mode_ft(k, p, center=(0.0, 0.0, 0.0)):
-    """Fourier transform of the scalar cube mode phi_k at momenta p.
-
-    `p` may be a single 3-vector or an (N, 3) array.  The center enters only
-    through the phase e^{-i p.x0}.
-    """
-    k = np.asarray(k, dtype=float)
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    x0 = np.asarray(center, dtype=float)
-    value = np.prod(axis_factor(k[None, :] - p), axis=1) / (2.0 * np.pi) ** 3
-    phase = np.exp(-1j * (p @ x0))
-    out = phase * value
-    return out if out.shape[0] > 1 else complex(out[0])
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 MAX_EFFECTIVE_NODES = 1e9
-_BLOCK_BYTES = 2 ** 21  # bound on gram_suite's per-block temporary
+_BLOCK_BYTES = 2 ** 18  # bound on gram_suite's per-block temporary
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Dirac gamma algebra, the relativistic energy function, momentum-space
-spectral projectors and the charge-conjugation matrix.
+"""Dirac gamma algebra and the charge-conjugation matrix.
 
 Conventions: standard Dirac representation with beta = diag(1, 1, -1, -1),
 inner products conjugate-linear in the first argument, natural units
@@ -14,8 +13,6 @@ import numpy as np
 __all__ = [
     "GammaSet",
     "gamma_matrices",
-    "energy",
-    "spectral_projector",
     "conjugation_matrix",
 ]
 
@@ -58,32 +55,6 @@ def gamma_matrices() -> GammaSet:
     for m in alpha + (gamma0,):
         m.setflags(write=False)
     return GammaSet(gamma0, gamma1, gamma2, gamma3, alpha, gamma0)
-
-
-def energy(p, m: float) -> float:
-    """Energy lambda(p) = sqrt(|p|^2 + m^2) of momentum p at mass m >= 0."""
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
-    p = np.asarray(p, dtype=float)
-    return float(np.sqrt(np.dot(p, p) + m * m))
-
-
-def spectral_projector(p, m: float, sign: int) -> np.ndarray:
-    """Momentum-space projector onto the positive/negative energy subspace,
-
-        Lambda^{+-}(p) = 1/2 +- (m beta + alpha . p) / (2 lambda(p)).
-
-    `sign` is +1 or -1.  Undefined at the singular point m = 0, p = 0.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    lam = energy(p, m)
-    if lam == 0.0:
-        raise ValueError("spectral projector undefined at m = 0, p = 0 (lambda = 0)")
-    g = gamma_matrices()
-    p = np.asarray(p, dtype=float)
-    h = m * g.beta + sum(p[a] * g.alpha[a] for a in range(3))
-    return 0.5 * np.eye(4, dtype=complex) + sign * h / (2.0 * lam)
 
 
 @lru_cache(maxsize=1)

@@ -572,6 +572,9 @@ def run_decomposition(cfg: ExperimentConfig) -> SuiteResult:
         "b*c*": ([_random_vec(rng, 8, True)], [_random_vec(rng, 8, True)]),
         "b*b*c*": ([_random_vec(rng, 8, True), _random_vec(rng, 8, True)],
                    [_random_vec(rng, 8, True)]),
+        # two antiparticles, so the kernel route's (-1)^(k+l) signs matter
+        "b*c*c*": ([_random_vec(rng, 8, True)],
+                   [_random_vec(rng, 8, True), _random_vec(rng, 8, True)]),
     }
     checks = []
     vac_corrections = 0.0  # largest correction sum of either route at either J

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fockcharge import charge, fock
+from fockcharge import charge, fock, modes, spinor
 
 
 @pytest.fixture
@@ -31,6 +31,49 @@ def random_unitary(rng, d):
 def random_involution(rng, d):
     W = random_unitary(rng, d)
     return W @ W.T
+
+
+def mode_ft(k, p, center=(0.0, 0.0, 0.0)):
+    """Fourier transform of the scalar cube mode phi_k at momenta p, the
+    product of the axis factors D(k_s - p_s) over (2 pi)^3: the node-by-node
+    oracle for the quadrature's folded pair tables.
+
+    `p` may be a single 3-vector or an (N, 3) array.  The center enters only
+    through the phase e^{-i p.x0}.
+    """
+    k = np.asarray(k, dtype=float)
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    x0 = np.asarray(center, dtype=float)
+    value = np.prod(modes.axis_factor(k[None, :] - p), axis=1) / (2.0 * np.pi) ** 3
+    out = np.exp(-1j * (p @ x0)) * value
+    return out if out.shape[0] > 1 else complex(out[0])
+
+
+def energy(p, m):
+    """Energy lambda(p) = sqrt(|p|^2 + m^2) of momentum p at mass m >= 0."""
+    if m < 0:
+        raise ValueError(f"mass must be non-negative, got {m}")
+    p = np.asarray(p, dtype=float)
+    return float(np.sqrt(np.dot(p, p) + m * m))
+
+
+def spectral_projector(p, m, sign):
+    """Momentum-space projector onto the positive/negative energy subspace,
+
+        Lambda^{+-}(p) = 1/2 +- (m beta + alpha . p) / (2 lambda(p)),
+
+    the node-by-node oracle for `quadrature.m_plus`.  `sign` is +1 or -1.
+    Undefined at the singular point m = 0, p = 0.
+    """
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    lam = energy(p, m)
+    if lam == 0.0:
+        raise ValueError("spectral projector undefined at m = 0, p = 0 (lambda = 0)")
+    g = spinor.gamma_matrices()
+    p = np.asarray(p, dtype=float)
+    h = m * g.beta + sum(p[a] * g.alpha[a] for a in range(3))
+    return 0.5 * np.eye(4, dtype=complex) + sign * h / (2.0 * lam)
 
 
 def dense_gram(suite, name):

@@ -160,13 +160,14 @@ def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, cap
 
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
-    # the K=4 run below peaks near 8.4 MB of traced allocations, most of it
-    # one row block of the trace route.  One dense K=4 spinor matrix adds
-    # 136 MB (complex) or 68 MB (real) to it, and a dense K=3 one 30 MB
-    # (complex) or 15 MB (real), so a 20 MB bound catches each of them
-    # however it is built; the test above refuses the dense oracles by name
-    # at any K.  The small run first loads what the run imports lazily, so
-    # the bound counts the run alone.
+    # the K=4 run below peaks near 3.2 MB of traced allocations, most of it
+    # the suite's two accumulators and one 64-row block of the trace route
+    # (1.5 MB each).  One dense K=4 spinor matrix adds 136 MB (complex) or
+    # 68 MB (real) to it, and a dense K=3 one 30 MB (complex) or 15 MB
+    # (real), so a 12 MB bound catches each of them however it is built;
+    # the test above refuses the dense oracles by name at any K.  The small
+    # run first loads what the run imports lazily, so the bound counts the
+    # run alone.
     run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
     tracemalloc.start()
     try:
@@ -176,7 +177,7 @@ def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and "FAIL" not in out
-    assert peak < 20 * 2 ** 20
+    assert peak < 12 * 2 ** 20
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):

@@ -89,7 +89,9 @@ def test_trace_series_matches_dense_oracle(K):
 def test_small_row_blocks_match_default_and_dense_oracle(block, small_suite, monkeypatch):
     # the row blocks restart at each layer; layers 1 and 2 hold 13 and 49
     # rows of L, so 5 and 7 rows leave a short block at the end of each and
-    # 1 row makes every row its own block
+    # 1 row makes every row its own block.  The (L, pi L) x L triangle reads
+    # the same blocks: a single-row square at 1 row, and below every block
+    # but the first a strip from column 0 up to the block
     default = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
     monkeypatch.setattr(dv, "_ROW_BLOCK", block)
     both = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
@@ -97,6 +99,51 @@ def test_small_row_blocks_match_default_and_dense_oracle(block, small_suite, mon
         for a, b, c in zip(series.S, ref.S, dense):
             assert abs(a - b) <= 1e-13 * abs(b)
             assert abs(a - c) <= 1e-12 * abs(c)
+
+
+SIGNS = [1.0] * 4 + [e for _, e in quad.m_plus_terms()]  # Z_a[j, i] = s_a Z_a[i, j]
+
+
+def _full_square_block_grams(suite, col_sets, rows, counts):
+    # the oracle of a symmetric group's Grams: each sub-shell's whole square
+    # of every scalar block, read at once, no triangle, blocks or cumsum
+    D = []
+    for n in counts:
+        Z = np.concatenate([suite.terms(cols[:n, None], rows[:n]) for cols in col_sets])
+        Z = Z.reshape(len(Z), -1)
+        D.append(Z @ Z.T)
+    return np.array(D)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_triangle_block_grams_match_full_square_read(K):
+    # the (L, pi L) x L group read as a lower triangle, its strips weighted
+    # 1 + s_a s_b, against the full square of every sub-shell
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    _, L, pL = dv._shell_frame(K)
+    half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
+    got = dv._block_grams(suite, [L, pL], L, half, half, signs=SIGNS)
+    want = _full_square_block_grams(suite, [L, pL], L, half)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_trace_route_reads_the_triangle_of_the_symmetric_group(monkeypatch):
+    # at K=4 with 64-row blocks the (L, pi L) x L group fills 76,738 of the
+    # 364^2 = 132,496 entries of each column set's square, and the (fixed,
+    # fixed) and (L, fixed) groups 365 more: a full-square read fails
+    K = 4
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    filled = []
+    terms = quad.GramMatrices.terms
+
+    def counted(self, rows, cols, out=None):
+        filled.append(np.broadcast(rows, cols).size)
+        return terms(self, rows, cols, out)
+
+    monkeypatch.setattr(quad.GramMatrices, "terms", counted)
+    dv.vacuum_series_trace([K], 1.0, SMALL_GRID, suite=suite)
+    square = (((2 * K + 1) ** 3 - 1) // 2) ** 2
+    assert sum(filled) <= 0.6 * 2 * square
 
 
 def _product_frame_order(K):

@@ -81,10 +81,10 @@ DIGESTS = {
         "935e0150d01b6c61def214fff6e19e912ffc62ce26a14752765436b56aabe2cb",  # seed 2024
     ),
     "decomposition": (
-        "b46cf55b3233096912b47f7cfc7a0a1a95d5843a95a6c183aec9a5acb767f034",  # seed 0
-        "6b3e7b61e42eb21d3b7830e03478abfd2672481d810795b68a939dfd5b9830b2",  # seed 1
-        "3701cd92f9b166f20a1d7b42c0811a5b64b3cbfc4d9a2060b7002c45660d8423",  # seed 2
-        "e5dcbf4cd5aff45deff67f76c142358249ce9f7afe49e9c6e30f800f390d9788",  # seed 2024
+        "d87624fe6e443c29f85c354627188c803dbccf5f76e4980e5617b04d835d45cc",  # seed 0
+        "f851e38b1f4b93497b3ca388c184727810e91514eda3e9cb8c8f20c619acb2d8",  # seed 1
+        "20ced7983b3b484739024a38cf6c2c891b8f30d892c8bf471f7e67b0ce44f523",  # seed 2
+        "c9c1137b2056028690f948be10ee94df770973fe6ae6672226ce4d8fd21f934e",  # seed 2024
     ),
     "oracle-equivalence": (
         "ea4c6d51b85631e60fb99cb252b8f42ebfe959015c530ed0bb3620cb98a84aec",  # seed 0
@@ -97,17 +97,17 @@ DIGESTS = {
 
 HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "40",
                  "--panels", "2", "--order", "6", "--no-timestamp"]
-HEADLINE_DIGEST = "9ccd01a203396e5cf5e19367f5df885f6de8732b9c1c791d26da523f5f23aaac"
+HEADLINE_DIGEST = "3542a291ca0708423154f087c0ed03663fd52fbd27c069a63990c7c69b20525d"
 
 # vacuum-divergence at the ends of the mass range and on small, non-default
 # grids: m = 0 drops the mass term, m = 10 weights it most
 SMALL_GRID_DIGESTS = {
     ("--m", "0", "--shells", "3", "--cutoff", "20", "--panels", "1", "--order", "4"):
-        "0cb81dce1fc7144ed9fee09abef289b1a2ae975330b3a0063ebd03a3107df6aa",
+        "420c5ac60e9172c139c3f8583d6a82c5749b7da54aefdc23187725ba4d89f91d",
     ("--m", "0.1", "--shells", "2", "--cutoff", "12", "--panels", "1", "--order", "4"):
-        "35d2267e600a3a5573e30ec62a6eab31dc2c88b72889ff8a704e5b7d600cc689",
+        "26fee9444eaa97a385d6b230569ea5b07cab66ac70a56a69c4ce62db3fefbf3b",
     ("--m", "10", "--shells", "5", "--cutoff", "20"):
-        "244881b29e7c1101bd7b0ec77f33371d47d56f8ce36c7dd7dfa33bd8a8bcdf6d",
+        "f50a62ce78587fd0000ee04bba5c69c2d35bd80387f166b6c4df49f32b0e77a7",
 }
 
 recorded_versions_only = pytest.mark.skipif(

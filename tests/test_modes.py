@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import mode_ft
 from fockcharge import involution as inv
 from fockcharge import modes
 from fockcharge.divergence import c_invariant_transform
@@ -15,11 +16,11 @@ def test_axis_factor_value_and_taylor_guard():
 
 
 def test_mode_ft_at_own_momentum():
-    assert abs(modes.mode_ft((1, -2, 0), np.array([1.0, -2.0, 0.0])) - 1.0) < 1e-14
+    assert abs(mode_ft((1, -2, 0), np.array([1.0, -2.0, 0.0])) - 1.0) < 1e-14
 
 
 def test_mode_ft_vanishes_at_integer_offsets():
-    val = modes.mode_ft((1, 0, 2), np.array([3.0, 1.0, -1.0]))
+    val = mode_ft((1, 0, 2), np.array([3.0, 1.0, -1.0]))
     assert abs(val) < 1e-30
 
 
@@ -28,8 +29,8 @@ def test_mode_ft_translation_covariance(rng):
     x0 = np.array([0.7, -2.0, 3.1])
     for _ in range(5):
         p = rng.normal(size=3)
-        centered = modes.mode_ft(k, p)
-        shifted = modes.mode_ft(k, p, center=x0)
+        centered = mode_ft(k, p)
+        shifted = mode_ft(k, p, center=x0)
         assert abs(shifted - np.exp(-1j * p @ x0) * centered) == 0.0
 
 

