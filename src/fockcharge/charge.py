@@ -24,6 +24,7 @@ the tests.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -182,10 +183,22 @@ def q_weighted(model: ToyModel, basis: SubspaceBasis, weights) -> sparse.csr_mat
 
 def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitaries) -> float:
     """Largest matrix deviation between Q built from (f_j) and from a rotated
-    basis g_j = sum_i U_ij f_i, over the d x d unitaries U; Q of (f_j) is
-    built once."""
-    Q = q_subspace(model, basis)
-    return max(max_abs(Q - q_subspace(model, _rotated(model, basis, U))) for U in unitaries)
+    basis g_j = sum_i U_ij f_i, over the d x d unitaries U (at least one).
+
+    One class sum covers (f_j) and every rotated basis: the densities of
+    all their columns are reduced at once, and each basis's rows summed in
+    j order as `q_subspace` sums them.  The deviation is the largest
+    |v_U - v| over the class values, which equals `max_abs(Q - Q_U)` of
+    the gathered matrices exactly: every class is a stored entry of G.G,
+    a - 0 = a, and entries pruned as zero cannot raise a maximum."""
+    rotated = [_rotated(model, basis, U).vectors for U in unitaries]
+    if not rotated:
+        raise ValueError("need at least one unitary")
+    x, y, shift = fock._density_rows(model, np.hstack([basis.vectors, *rotated]))
+    per_basis = (len(rotated) + 1, basis.dim)
+    values = fock._class_sum(model.n, x.reshape(*per_basis, -1), y.reshape(*per_basis, -1),
+                             shift=shift.reshape(per_basis))
+    return float(np.max(np.abs(values[1:] - values[0])))
 
 
 def _rotated(model: ToyModel, basis: SubspaceBasis, unitary) -> SubspaceBasis:
@@ -262,13 +275,24 @@ def _sector_spectrum(model: ToyModel, matrix):
     if dense.shape != (model.fock_dim, model.fock_dim):
         raise ValueError(f"expected a ({model.fock_dim}, {model.fock_dim}) matrix, "
                          f"got {dense.shape}")
-    n_p, n_a = fock.sector_labels(model)
-    q = n_p - n_a
-    blocks = [np.flatnonzero(q == c) for c in np.unique(q)]
+    blocks, off_sector_idx = _sector_index(model.n, model.d_plus)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
                                   for idx in blocks])
-    off_sector = float(np.linalg.norm(dense[q[:, None] != q[None, :]]))
+    off_sector = float(np.linalg.norm(dense.ravel()[off_sector_idx]))
     return eigenvalues, off_sector
+
+
+@lru_cache(maxsize=16)
+def _sector_index(nmodes: int, d_plus: int):
+    """``(blocks, off_sector)``, read-only: the basis states of each charge
+    sector n_p - n_a in ascending charge, and the flat (row-major) indices
+    of the (2^n, 2^n) entries between two different sectors.  The first d+
+    modes are the particle modes (`fock.sector_labels`)."""
+    occ = fock._jw_terms(nmodes)[0]
+    q = occ[:, :d_plus].sum(axis=1, dtype=np.int64) - occ[:, d_plus:].sum(axis=1, dtype=np.int64)
+    blocks = fock._read_only(*(np.flatnonzero(q == c) for c in np.unique(q)))
+    off_sector, = fock._read_only(np.flatnonzero(q[:, None] != q[None, :]))
+    return blocks, off_sector
 
 
 def eigenvector_witness(model: ToyModel, basis: SubspaceBasis, j: int):

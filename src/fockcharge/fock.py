@@ -19,20 +19,24 @@ builder is one gather and one CSR constructor call: its row of
 coefficients on G's terms, with zeros on the terms it lacks (for the field
 operators the sum of two rows), gathered onto the pattern, zeros dropped.
 
-Products of these operators go through one cached table per mode count,
-read off the same layout in closed form.  Every builder's operator is G
-with zero coefficients on its absent terms, and each stored entry of G.G
-is a fixed ordered sum of coefficient products, in the order scipy's
-sparse product adds them.  The entries fall into few classes of equal
-sums, and one reduction, `_class_values`, reads the class values of A.B
-for stacked coefficient rows off the 2n x 2n table of coefficient
-products.  The Wick sums of `charge` (the densities :Psi*(f) Psi(f): of
-the weighted charge, the products of the number-operator charge, the
-ladder products of the vacuum norm and the eigenvector witness) are one
-batched class sum of it, gathered onto the pattern once where a matrix is
-needed; the car-check's anticommutators add its values for A.B and B.A,
-in batches of at most 2^14 complex entries per temporary.  Both come out
-bit for bit as by scipy's products.  The cached arrays are read-only.
+Products of these operators go through a table of G.G per mode count,
+read off the same layout in closed form and cached in two parts.  Every
+builder's operator is G with zero coefficients on its absent terms, and
+each stored entry of G.G is a fixed ordered sum of coefficient products,
+in the order scipy's sparse product adds them.  The entries fall into few
+classes of equal sums (`_product_classes`), and one reduction,
+`_class_values`, reads the class values of A.B for stacked coefficient
+rows off the 2n x 2n table of coefficient products.  The Wick sums of
+`charge` (the densities :Psi*(f) Psi(f): of the weighted charge, the
+products of the number-operator charge, the ladder products of the vacuum
+norm and the eigenvector witness) are one batched class sum of it,
+gathered onto G.G's CSR pattern (`_product_pattern`, the other part) once
+where a matrix is needed.  The car-check's anticommutators add its values
+for A.B and B.A and need no pattern: every row's off-diagonal classes, in
+batches of at most 2^14 complex entries per temporary, and the 2^n-entry
+diagonal only for the rows with a nonzero product of a mode raised and
+lowered; of the others every diagonal entry is exactly -shift.  Both come
+out bit for bit as by scipy's products.  The cached arrays are read-only.
 The Kronecker-product, sum-of-adds builders and the sparse products are
 kept in the tests as the exact oracles.
 """
@@ -109,9 +113,9 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-class _ProductTable(NamedTuple):
-    """The stored entries of G.G, for G = `_jw_pattern(n)`,
-    sorted into classes of equal sums.
+class _ProductClasses(NamedTuple):
+    """The stored entries of G.G, for G = `_jw_pattern(n)`, sorted into
+    classes of equal sums.
 
     Every operator the toy suites multiply is G with zero coefficients on its
     absent terms, so an entry (r, c) of a product A B sums the same terms
@@ -124,34 +128,29 @@ class _ProductTable(NamedTuple):
     pair of modes, 4 for adjacent ones, numbered by first term, its sign,
     second term, its sign.  A diagonal entry has n terms, one per mode in
     the order of G's row, all with sign +1, and is a class of its own.
+    Where the classes sit in G.G is `_product_pattern`.
 
-    indptr, indices : the CSR pattern of G.G, indices sorted in each row
-    cls : class of each stored entry; the off-diagonal classes come first,
-        the diagonal entry of row r is class ``pq.shape[1] + r``
     pq, sign : the two terms of each off-diagonal class as flat indices into
         the 2n x 2n table of products x[p] y[q] (`_products`) and their signs
-    diag_pq : the n terms of each diagonal entry (one column per row)
+    diag_pq : the n terms of each diagonal entry (one column per row), each a
+        mode raised and lowered: p and q = p +- n
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    cls: np.ndarray
     pq: np.ndarray
     sign: np.ndarray
     diag_pq: np.ndarray
 
 
-# rows of G.G classed at once; bounds the builder's temporaries
+# rows of G.G classed at once; bounds the pattern builder's temporaries
 _TABLE_BLOCK = 128
 
 
-@lru_cache(maxsize=16)
-def _product_table(nmodes: int) -> _ProductTable:
-    """The read-only class table of G.G for mode count nmodes, read off
-    the bit layout `_jw_terms(nmodes)`."""
-    occ, before, term = _jw_terms(nmodes)
-    dim, width = 2 ** nmodes, 2 * nmodes
-    # flat codes of (i, j, occupied i, occupied j, parity of modes i..j-1)
+def _off_diagonal_classes(nmodes: int):
+    """``(class_of, pq, neg)``: the class of each flat code of (i, j,
+    occupied i, occupied j, parity of modes i..j-1), -1 where i < j fails or
+    the parity of adjacent modes is not mode i's occupation, and each
+    class's two terms and sign bits, in class order."""
+    width = 2 * nmodes
     i, j, oi, oj, q = np.indices((nmodes, nmodes, 2, 2, 2)).reshape(5, -1)
     is_class = (i < j) & ((j > i + 1) | (q == oi))
     ti, tj = i + nmodes * (1 - oi), j + nmodes * (1 - oj)   # the G terms of modes i, j
@@ -159,9 +158,32 @@ def _product_table(nmodes: int) -> _ProductTable:
     pq = np.where(oi == 1, [via_i, via_j], [via_j, via_i])[:, is_class]
     neg = np.where(oi == 1, [1 - q, q], [q, 1 - q])[:, is_class]
     by_terms = np.lexsort((neg[1], pq[1], neg[0], pq[0]))
-    class_of = np.empty(is_class.size, dtype=np.int32)
+    class_of = np.full(is_class.size, -1, dtype=np.int32)
     class_of[np.flatnonzero(is_class)[by_terms]] = np.arange(by_terms.size)
+    return class_of, np.take(pq, by_terms, axis=1), np.take(neg, by_terms, axis=1)
 
+
+@lru_cache(maxsize=16)
+def _product_classes(nmodes: int) -> _ProductClasses:
+    """The read-only classes of G.G for mode count nmodes, read off the bit
+    layout `_jw_terms(nmodes)`: all that a class reduction reads."""
+    term = _jw_terms(nmodes)[2]
+    width = 2 * nmodes
+    _, pq, neg = _off_diagonal_classes(nmodes)
+    diag_pq = np.ascontiguousarray((term * width + (term + nmodes) % width).T)
+    return _ProductClasses(*_read_only(pq, 1.0 - 2.0 * neg, diag_pq))
+
+
+@lru_cache(maxsize=16)
+def _product_pattern(nmodes: int):
+    """The read-only CSR pattern of G.G, ``(indptr, indices, cls)``, indices
+    sorted in each row: the class of each stored entry, the off-diagonal
+    classes of `_product_classes` first, the diagonal entry of row r class
+    ``classes + r``.  Only a class sum gathered onto a matrix
+    (`_table_matrix`) reads it."""
+    occ, before, _ = _jw_terms(nmodes)
+    dim = 2 ** nmodes
+    class_of, pq, _ = _off_diagonal_classes(nmodes)
     pair_i, pair_j = np.triu_indices(nmodes, 1)
     flip = (1 << (nmodes - 1 - pair_i)) ^ (1 << (nmodes - 1 - pair_j))
     indices = np.empty((dim, 1 + pair_i.size), dtype=np.int32)
@@ -175,13 +197,10 @@ def _product_table(nmodes: int) -> _ProductTable:
         col = np.hstack([r ^ flip, r])
         by_col = np.argsort(col, axis=1)
         indices[rows] = np.take_along_axis(col, by_col, axis=1)
-        entry_cls = np.hstack([class_of[code], by_terms.size + r])
+        entry_cls = np.hstack([class_of[code], pq.shape[1] + r])
         cls[rows] = np.take_along_axis(entry_cls, by_col, axis=1)
     indptr = np.arange(0, indices.size + 1, indices.shape[1], dtype=np.int32)
-    diag_pq = np.ascontiguousarray((term * width + (term + nmodes) % width).T)
-    return _ProductTable(*_read_only(
-        indptr, indices.ravel(), cls.ravel(), np.take(pq, by_terms, axis=1),
-        1.0 - 2.0 * np.take(neg, by_terms, axis=1), diag_pq))
+    return _read_only(indptr, indices.ravel(), cls.ravel())
 
 
 def _products(x, y) -> np.ndarray:
@@ -189,7 +208,7 @@ def _products(x, y) -> np.ndarray:
     written in real arithmetic as scipy's complex multiply: numpy's complex
     multiply may fuse a multiply-add and leave a rounding residue where
     scipy gives an exact zero.  Takes rows of shape (..., 2n) and returns
-    each table flat, shape (..., 4n^2), as `_ProductTable` indexes it."""
+    each table flat, shape (..., 4n^2), as `_ProductClasses` indexes it."""
     x, y = np.asarray(x), np.asarray(y)
     xr, xi = x.real[..., :, None], x.imag[..., :, None]
     yr, yi = y.real[..., None, :], y.imag[..., None, :]
@@ -199,42 +218,55 @@ def _products(x, y) -> np.ndarray:
     return P.reshape(P.shape[:-2] + (P.shape[-2] * P.shape[-1],))
 
 
-def _class_values(table: _ProductTable, x, y):
-    """The class values ``(off, diag)`` of A B for each row of coefficients
-    x of A and y of B (shape (..., 2n)): each off-diagonal class's two terms
-    added in order, and each diagonal entry's n terms added in ascending k."""
-    P = _products(x, y)
-    off = (table.sign[0] * np.take(P, table.pq[0], axis=-1)
-           + table.sign[1] * np.take(P, table.pq[1], axis=-1))
-    diag = np.take(P, table.diag_pq[0], axis=-1)
-    for pq in table.diag_pq[1:]:
+def _off_values(classes: _ProductClasses, P) -> np.ndarray:
+    """Each off-diagonal class's two terms, signed and added in order, from
+    the `_products` tables P (shape (..., 4n^2))."""
+    return (classes.sign[0] * np.take(P, classes.pq[0], axis=-1)
+            + classes.sign[1] * np.take(P, classes.pq[1], axis=-1))
+
+
+def _diag_values(classes: _ProductClasses, P) -> np.ndarray:
+    """Each diagonal entry's n terms added in ascending k, from the
+    `_products` tables P (shape (..., 4n^2))."""
+    diag = np.take(P, classes.diag_pq[0], axis=-1)
+    for pq in classes.diag_pq[1:]:
         diag += np.take(P, pq, axis=-1)
-    return off, diag
+    return diag
+
+
+def _class_values(classes: _ProductClasses, x, y):
+    """The class values ``(off, diag)`` of A B for each row of coefficients
+    x of A and y of B (shape (..., 2n))."""
+    P = _products(x, y)
+    return _off_values(classes, P), _diag_values(classes, P)
 
 
 def _class_sum(nmodes: int, x, y, weights=None, shift=None) -> np.ndarray:
     """Class values of sum_j w_j (A_j B_j - shift_j I), A_j and B_j with the
-    coefficient rows x[j], y[j] (shape (J, 2n)), added in j order: bit for
-    bit, up to the sign of exact zeros, scipy's series of products, shifted
-    identities, scalings and adds.  The weights default to 1, the shifts to
-    0; rows of weight 0 are dropped before the products, and no rows sum to
-    zero.  J is at most twice a basis dimension, so the (J, classes + 2^n)
-    values, summed at once, stay below 2 MB at n = 12."""
+    coefficient rows x[..., j, :], y[..., j, :] (shape (..., J, 2n)), added
+    in j order: bit for bit, up to the sign of exact zeros, scipy's series
+    of products, shifted identities, scalings and adds.  Leading axes hold
+    separate sums, each added as it would be alone.  The weights (J,)
+    default to 1, the shifts (..., J) to 0; rows of weight 0 are dropped
+    before the products, and no rows sum to zero.  A charge's J is at most
+    twice its basis dimension, so its (J, classes + 2^n) values, summed at
+    once, stay below 2 MB at n = 12."""
     keep = slice(None) if weights is None else np.asarray(weights) != 0
-    off, diag = _class_values(_product_table(nmodes), np.asarray(x)[keep], np.asarray(y)[keep])
+    off, diag = _class_values(_product_classes(nmodes), np.asarray(x)[..., keep, :],
+                              np.asarray(y)[..., keep, :])
     if shift is not None:
-        diag -= np.asarray(shift)[keep, None]
+        diag -= np.asarray(shift)[..., keep, None]
     values = np.concatenate([off, diag], axis=-1)
     if weights is not None:
         values *= np.asarray(weights)[keep, None]
-    return values.sum(axis=0)  # row by row: numpy sums pairwise only along the fast axis
+    return values.sum(axis=-2)  # row by row: numpy sums pairwise only along the fast axis
 
 
 def _table_matrix(nmodes: int, values) -> sparse.csr_matrix:
     """CSR matrix of class values gathered onto the pattern of G.G, without
     explicit zeros; it owns its index arrays."""
-    table = _product_table(nmodes)
-    op = sparse.csr_matrix((values[table.cls], table.indices.copy(), table.indptr.copy()),
+    indptr, indices, cls = _product_pattern(nmodes)
+    op = sparse.csr_matrix((values[cls], indices.copy(), indptr.copy()),
                            shape=(2 ** nmodes, 2 ** nmodes))
     op.eliminate_zeros()
     return op
@@ -244,31 +276,48 @@ def _table_matrix(nmodes: int, values) -> sparse.csr_matrix:
 _BATCH_ENTRIES = 2 ** 14
 
 
-def _batch_rows(nmodes: int) -> int:
-    """Rows per anticommutator batch: a row's widest temporary is its 2n x 2n
-    product table or its 2^n diagonal, whichever is larger."""
-    return max(1, _BATCH_ENTRIES // max(2 ** nmodes, 4 * nmodes ** 2))
+def _batch_rows(nmodes: int) -> tuple:
+    """Rows per anticommutator batch, ``(off, diag)``: a row's widest
+    temporary is its 2n x 2n product table, or else its off-diagonal class
+    values in an off-diagonal batch and its 2^n diagonal in a diagonal one."""
+    widths = (_product_classes(nmodes).pq.shape[1], 2 ** nmodes)
+    return tuple(max(1, _BATCH_ENTRIES // max(4 * nmodes ** 2, w)) for w in widths)
 
 
 def _anticommutator_deviations(nmodes: int, x, y, shift) -> np.ndarray:
     """Largest |entry| of {A, B} - shift I for each row of x, y (shape
     (rows, 2n)) and entry of shift, equal to `charge.max_abs` of scipy's
     A @ B + B @ A - shift * I: the class values of A B and of B A added,
-    bit for bit up to the sign of exact zeros.  The rows are reduced
-    `_batch_rows(n)` at a time, which bounds every temporary to
-    `_BATCH_ENTRIES` entries; the off-diagonal classes and the diagonal are
-    reduced apart, as one row of both would be classes + 2^n entries wide."""
+    bit for bit up to the sign of exact zeros.
+
+    The off-diagonal classes are read for every row, the 2^n-entry diagonal
+    only for a row with a nonzero diagonal product: a diagonal term is
+    x[p] y[q] with p and q raising and lowering one mode, B A's are
+    y[q] x[p], the same 2n products, and where they are all exact zeros
+    every diagonal entry is +-0 - shift, of absolute value |shift|.  Both
+    passes take `_batch_rows(n)` rows at a time, which bounds every
+    temporary to `_BATCH_ENTRIES` entries."""
     x, y = np.asarray(x), np.asarray(y)
     shift = np.broadcast_to(shift, x.shape[:1])
-    table = _product_table(nmodes)
+    classes = _product_classes(nmodes)
+    width = 2 * nmodes
+    same_mode = np.arange(width) * width + (np.arange(width) + nmodes) % width
+    off_step, diag_step = _batch_rows(nmodes)
     out = np.empty(x.shape[0])
-    step = _batch_rows(nmodes)
-    for lo in range(0, x.shape[0], step):
-        rows = slice(lo, lo + step)
-        off_xy, diag_xy = _class_values(table, x[rows], y[rows])
-        off_yx, diag_yx = _class_values(table, y[rows], x[rows])
-        out[rows] = np.maximum(np.max(np.abs(off_xy + off_yx), axis=-1, initial=0.0),
-                               np.max(np.abs(diag_xy + diag_yx - shift[rows, None]), axis=-1))
+    has_diag = np.empty(x.shape[0], dtype=bool)
+    for lo in range(0, x.shape[0], off_step):
+        rows = slice(lo, lo + off_step)
+        P_xy, P_yx = _products(x[rows], y[rows]), _products(y[rows], x[rows])
+        off = _off_values(classes, P_xy) + _off_values(classes, P_yx)
+        out[rows] = np.max(np.abs(off), axis=-1, initial=0.0)
+        has_diag[rows] = np.any(P_xy[:, same_mode] != 0, axis=-1)
+    out[~has_diag] = np.maximum(out[~has_diag], np.abs(shift[~has_diag]))
+    diag_rows = np.flatnonzero(has_diag)
+    for lo in range(0, diag_rows.size, diag_step):
+        rows = diag_rows[lo:lo + diag_step]
+        diag = (_diag_values(classes, _products(x[rows], y[rows]))
+                + _diag_values(classes, _products(y[rows], x[rows])))
+        out[rows] = np.maximum(out[rows], np.max(np.abs(diag - shift[rows, None]), axis=-1))
     return out
 
 

@@ -63,16 +63,26 @@ def classify(g, C: AntiUnitary) -> str:
     """Trichotomy for a nonzero vector g: Cg parallel to g, orthogonal to g,
     or neither (generic)."""
     g = np.asarray(g, dtype=complex)
+    return _classify(g, C.apply(g))
+
+
+def _classify(g, cg) -> str:
+    """`classify` of g, given cg = Cg."""
     norm2 = np.vdot(g, g).real
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")
-    cg = C.apply(g)
     overlap = np.vdot(g, cg)
-    if np.linalg.norm(cg - (overlap / norm2) * g) < CLASSIFY_TOL * np.sqrt(norm2):
+    if _norm(cg - (overlap / norm2) * g) < CLASSIFY_TOL * np.sqrt(norm2):
         return PARALLEL
     if abs(overlap) < CLASSIFY_TOL * norm2:
         return ORTHOGONAL
     return GENERIC
+
+
+def _norm(v):
+    """Euclidean norm of a complex vector, by numpy's own formula for one:
+    `np.linalg.norm(v)` bit for bit, without its dispatch."""
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
@@ -107,6 +117,7 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
             raise ValueError("seed basis is not orthonormal")
 
     out = np.zeros((n, n), dtype=complex, order="F")
+    out_h = np.zeros((n, n), dtype=complex)  # row k: the conjugate of column k of out
     count = 0
 
     def emit(vec):
@@ -114,24 +125,25 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
         vec = 0.5 * (vec + C.apply(vec))  # exact projection onto {Cv = v}
         # C-fixed vectors have real mutual inner products, so real
         # coefficients suffice and cannot leave the C-fixed subspace
-        P = out[:, :count]
+        P, PH = out[:, :count], out_h[:count]
         for _ in range(2):
-            if P.shape[1]:
-                vec = vec - P @ (P.conj().T @ vec).real
-        out[:, count] = vec / np.linalg.norm(vec)
+            if count:
+                vec = vec - P @ (PH @ vec).real
+        out[:, count] = vec / _norm(vec)
+        np.conjugate(out[:, count], out=out_h[count])
         count += 1
 
     for j in range(n):
         g = seeds[:, j].copy()
-        P = out[:, :count]
+        P, PH = out[:, :count], out_h[:count]
         for _ in range(2):
-            if P.shape[1]:
-                g -= P @ (P.conj().T @ g)
-        nrm = np.linalg.norm(g)
+            if count:
+                g -= P @ (PH @ g)
+        nrm = _norm(g)
         if nrm >= RANK_TOL:  # otherwise the seed already sits in the span
             g /= nrm
             cg = C.apply(g)
-            kind = classify(g, C)
+            kind = _classify(g, cg)
             if kind == PARALLEL:
                 theta = np.angle(np.vdot(g, cg))
                 emit(np.exp(0.5j * theta) * g)
@@ -142,8 +154,8 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
                 alpha = np.sqrt(complex(np.vdot(g, cg)))
                 u = alpha * g + np.conj(alpha) * cg
                 v = 1j * alpha * g - 1j * np.conj(alpha) * cg
-                emit(u / np.linalg.norm(u))
-                emit(v / np.linalg.norm(v))
+                emit(u / _norm(u))
+                emit(v / _norm(v))
         if count == n:
             break
 

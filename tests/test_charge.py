@@ -172,19 +172,57 @@ def test_basis_independence(model6, rng):
     assert charge.q_basis_independence_check(model6, basis, [np.eye(3), perm]) < 1e-12
 
 
+def oracle_basis_independence(model, basis, unitaries):
+    """One charge per rotated basis, each subtracted from the unrotated one
+    as sparse matrices: the deviation the one class sum reproduces."""
+    Q = charge.q_subspace(model, basis)
+    return max(max_abs(Q - charge.q_subspace(model, charge._rotated(model, basis, U)))
+               for U in unitaries)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2024])
+def test_basis_independence_class_sum_matches_sparse_oracle(seed):
+    """The batched check equals the per-rotation sparse route exactly, over
+    the suite's 100 rotations of a d = 3 basis at n = 6 and one of them
+    alone; the identity gives exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    model = fock.random_model(6, rng)
+    basis = charge.random_subspace(model, 3, rng)
+    unitaries = [np.eye(3)] + [random_unitary(rng, 3) for _ in range(100)]
+    check = charge.q_basis_independence_check(model, basis, unitaries)
+    assert check == oracle_basis_independence(model, basis, unitaries) > 0.0
+    assert (charge.q_basis_independence_check(model, basis, unitaries[7:8])
+            == oracle_basis_independence(model, basis, unitaries[7:8]))
+    assert charge.q_basis_independence_check(model, basis, unitaries[:1]) == 0.0
+    with pytest.raises(ValueError, match="unitary"):
+        charge.q_basis_independence_check(model, basis, [])
+    with pytest.raises(ValueError, match="unitary"):
+        charge.q_basis_independence_check(model, basis, [np.eye(3), 2 * np.eye(3)])
+
+
 def test_spectrum_builds_the_unrotated_charge_once(monkeypatch):
-    """run_spectrum's 100 basis rotations share one unrotated Q: 50 + 12
-    spectra, one unrotated and 100 rotated charges."""
+    """run_spectrum builds a charge only for its 50 + 12 spectra: its 100
+    basis rotations are one class sum, with no charge and no CSR matrix."""
     calls = []
     q_subspace = charge.q_subspace
+    check = charge.q_basis_independence_check
 
     def counted(*args):
         calls.append(args)
         return q_subspace(*args)
 
+    def without_csr(*args):
+        def forbidden(*_, **__):
+            raise AssertionError("the basis-independence check builds no CSR matrix")
+        with monkeypatch.context() as no_csr:
+            no_csr.setattr(sparse.csr_matrix, "__init__", forbidden)
+            no_csr.setattr(charge, "q_subspace", forbidden)
+            return check(*args)
+
     monkeypatch.setattr(charge, "q_subspace", counted)
+    monkeypatch.setattr(charge, "q_basis_independence_check", without_csr)
     assert suites.run_spectrum(suites.ExperimentConfig(seed=4)).ok
-    assert len(calls) == 163
+    assert len(calls) == 62
 
 
 def test_orthogonal_additivity_and_commutation(model6, rng):
@@ -364,7 +402,8 @@ def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
     monkeypatch.setattr(fock, "normal_ordered_density", forbidden)
     monkeypatch.setattr(sparse.csr_matrix, "_matmul_sparse", forbidden)
     fock._jw_pattern.cache_clear()
-    fock._product_table.cache_clear()
+    fock._product_classes.cache_clear()
+    fock._product_pattern.cache_clear()
     with monkeypatch.context() as no_sums:
         no_sums.setattr(sparse.csr_matrix, "_binopt", forbidden)
         for _ in range(2):
@@ -372,11 +411,15 @@ def test_q_weighted_is_one_gather_per_density(model6, rng, monkeypatch):
             assert_bitwise_csr(charge.q_tilde(model6, basis), expected_tilde)
             charge.vacuum_norm(model6, basis, 3)
             charge.eigenvector_witness(model6, basis, 1)
-    assert fock._product_table.cache_info().misses == 1
+    assert fock._product_classes.cache_info().misses == 1
+    assert fock._product_pattern.cache_info().misses == 1
     # mode counts 6, 8 and 12; its adjoint check subtracts one pair of sparse
-    # matrices per mode count
+    # matrices per mode count, and it gathers no class values onto G.G, so
+    # it builds the classes but no pattern of G.G, at n = 12 or elsewhere
     assert suites.run_car_check(suites.ExperimentConfig()).ok
-    assert fock._product_table.cache_info().misses == 3
+    assert fock._product_classes.cache_info().misses == 3
+    assert fock._product_pattern.cache_info().misses == 1
+    assert fock._product_pattern.cache_info().currsize == 1
     assert fock._jw_pattern.cache_info().currsize == 3
 
 

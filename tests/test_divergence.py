@@ -262,7 +262,8 @@ def traced_peak(run):
     """Peak traced bytes of run(), from cold Fock pattern caches."""
     fock._jw_terms.cache_clear()
     fock._jw_pattern.cache_clear()
-    fock._product_table.cache_clear()
+    fock._product_classes.cache_clear()
+    fock._product_pattern.cache_clear()
     tracemalloc.start()
     try:
         run()
@@ -276,19 +277,25 @@ def test_product_table_build_memory():
     # the builder classes G.G's entries in blocks of rows; the n = 12 table
     # and bit layout hold 3.1 MB, and one block of all 4096 rows would
     # take 13.9 MB
-    assert traced_peak(lambda: fock._product_table(12)) < 8e6
+    assert traced_peak(lambda: (fock._product_pattern(12), fock._product_classes(12))) < 8e6
 
 
 def test_jordan_wigner_tables_build_memory():
     # the n = 12 bit layout, pattern and table hold 3.7 MB; 512-row blocks
     # would take the build to 5.4 MB, 128-row blocks keep it at 4.8 MB
-    assert traced_peak(lambda: (fock._jw_pattern(12), fock._product_table(12))) < 5.5e6
+    assert traced_peak(lambda: (fock._jw_pattern(12), fock._product_pattern(12),
+                                fock._product_classes(12))) < 5.5e6
 
 
 def test_car_check_memory():
-    # 15.5 MB with sparse products of freshly built operators
+    # 15.5 MB with sparse products of freshly built operators, 5.5 MB with
+    # the whole G.G table built at n = 12 and a diagonal gathered for every
+    # row; 4.05 MB with the classes alone and diagonals only for the rows
+    # with a nonzero diagonal product.  Gathering the 60 n = 12 diagonals
+    # in one batch would take it to 14.8 MB, building the G.G pattern as
+    # well to 6.0 MB.
     config = suites.ExperimentConfig(seed=1)
-    assert traced_peak(lambda: suites.run_car_check(config)) < 15.5e6
+    assert traced_peak(lambda: suites.run_car_check(config)) < 4.5e6
 
 
 def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng):

@@ -31,9 +31,9 @@ def table_anticommutator(n, x, y, shift=0.0):
     """{A, B} - shift I on the classes of G.G, read through the shared
     reduction `fock._class_values` of A B and of B A, as
     `fock._anticommutator_deviations` adds them."""
-    table = fock._product_table(n)
-    off_xy, diag_xy = fock._class_values(table, x, y)
-    off_yx, diag_yx = fock._class_values(table, y, x)
+    classes = fock._product_classes(n)
+    off_xy, diag_xy = fock._class_values(classes, x, y)
+    off_yx, diag_yx = fock._class_values(classes, y, x)
     return np.concatenate([off_xy + off_yx, diag_xy + diag_yx - shift])
 
 
@@ -147,8 +147,8 @@ def test_cached_patterns_are_read_only(model6, rng):
     """A matrix that shares a cached pattern's arrays cannot rewrite them in
     place, so the later operators of that mode count stay intact."""
     pattern = fock._jw_pattern(6)
-    table = fock._product_table(6)
-    for arr in (*fock._jw_terms(6), *pattern, *table):
+    table = fock._product_pattern(6)
+    for arr in (*fock._jw_terms(6), *pattern, *table, *fock._product_classes(6)):
         assert not arr.flags.writeable
     for indptr, indices, *_ in (pattern, table):
         shared = sparse.csr_matrix((np.zeros(indices.size), indices, indptr),
@@ -206,21 +206,69 @@ def test_anticommutator_table_matches_sparse_oracle_bitwise(n):
                 ys.append(y)
                 shifts.append(shift)
                 expected_devs.append(dev)
-    rows = len(xs) - 1  # 71: at n = 8 a 64-row batch and 7, at n = 12 17 of 4 and 3
+    # 71 rows, 17 of them with a nonzero diagonal product: at n = 8
+    # off-diagonal batches of 64 and 7, at n = 12 of 28, 28 and 15, and
+    # diagonal batches of 4, 4, 4, 4 and 1
+    rows = len(xs) - 1
     if n == 12:
-        assert fock._batch_rows(n) == 4 and rows // 4 > 1 and rows % 4 != 0
+        assert fock._batch_rows(n) == (28, 4) and rows % 28 != 0 and 17 % 4 != 0
     stacked = fock._anticommutator_deviations(n, xs[:rows], ys[:rows], shifts[:rows])
     assert np.array_equal(stacked, expected_devs[:rows])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
-def test_anticommutator_batches_bound_their_temporaries(n):
-    """A batch's widest temporaries, its product tables, class sums and
-    diagonals, hold at most 2**14 complex entries."""
-    rows = fock._batch_rows(n)
-    classes = fock._product_table(n).pq.shape[1]
-    assert rows >= 1
-    assert rows * max(4 * n * n, classes, 2 ** n) <= 2 ** 14
+def test_anticommutator_batches_bound_their_temporaries(n, monkeypatch):
+    """A batch's widest temporaries, its product tables, off-diagonal class
+    values and diagonals, hold at most 2**14 complex entries: in the
+    off-diagonal pass over every row and in the diagonal pass over the rows
+    with a nonzero diagonal product, here all of them."""
+    off_rows, diag_rows = fock._batch_rows(n)
+    classes = fock._product_classes(n).pq.shape[1]
+    assert off_rows >= 1 and diag_rows >= 1
+    assert off_rows * max(4 * n * n, classes) <= 2 ** 14
+    assert diag_rows * max(4 * n * n, 2 ** n) <= 2 ** 14
+    sizes = {}
+
+    def recorded(name):
+        reduce = getattr(fock, name)
+
+        def wrapped(*args):
+            out = reduce(*args)
+            sizes.setdefault(name, []).append(out.size)
+            return out
+        return wrapped
+
+    for name in ("_products", "_off_values", "_diag_values"):
+        monkeypatch.setattr(fock, name, recorded(name))
+    rng = np.random.default_rng(n)
+    x, y = (rng.normal(size=(2 * off_rows + 1, 2 * n)) + 1j * rng.normal(size=(2 * off_rows + 1, 2 * n))
+            for _ in range(2))
+    fock._anticommutator_deviations(n, x, y, 0.5)
+    assert sorted(sizes) == ["_diag_values", "_off_values", "_products"]
+    assert max(max(s) for s in sizes.values()) <= 2 ** 14
+
+
+def test_car_check_gathers_a_diagonal_for_three_of_twelve_rows(monkeypatch):
+    """Only the three CAR kinds of a pair have a nonzero diagonal product;
+    the other nine deviations read no 2^n diagonal.  Over the car-check's
+    100 pairs 300 rows gather one, for A B and for B A."""
+    gathered = []
+    diag_values = fock._diag_values
+    monkeypatch.setattr(fock, "_diag_values",
+                        lambda classes, P: gathered.append(P.shape[0]) or diag_values(classes, P))
+    rng = np.random.default_rng(6)
+    model = fock.random_model(6, rng)
+    of, og = (operators(model, rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(2))
+    with_diagonal = []
+    for name, a, b, _ in CAR_CHECKS:
+        gathered.clear()
+        fock._anticommutator_deviations(6, [of[a][1]], [og[b][1]], 0.0)
+        if gathered:
+            with_diagonal.append(name)
+    assert with_diagonal == ["b*b-car", "c*c-car", "Psi*Psi-car"]
+    gathered.clear()
+    assert all(c.passed for c in car_checks().values())
+    assert sum(gathered) == 2 * 3 * 100
 
 
 def car_checks():
@@ -280,17 +328,19 @@ def test_product_table_shape(n, classes):
     """Two terms per off-diagonal class, n per diagonal entry, and one
     stored entry of G.G per pair of states that differ in no mode or in
     two; every class is used."""
-    table = fock._product_table(n)
+    table = fock._product_classes(n)
+    indptr, _, cls = fock._product_pattern(n)
     assert table.pq.shape == table.sign.shape == (2, classes)
     assert table.diag_pq.shape == (n, 2 ** n)
-    assert np.array_equal(np.diff(table.indptr), np.full(2 ** n, 1 + n * (n - 1) // 2))
-    uses = np.bincount(table.cls)
+    assert np.array_equal(np.diff(indptr), np.full(2 ** n, 1 + n * (n - 1) // 2))
+    uses = np.bincount(cls)
     assert np.all(uses[:classes] > 0) and np.array_equal(uses[classes:], np.ones(2 ** n))
 
 
-# SHA-256 of the dtype, shape and bytes of every array of `_jw_pattern(n)`
-# and `_product_table(n)`, recorded when the table was built by expanding
-# every product of G.G and sorting the entries into classes
+# SHA-256 of the dtype, shape and bytes of every array of `_jw_pattern(n)`,
+# `_product_pattern(n)` and `_product_classes(n)`, in that order, recorded
+# when the table was built by expanding every product of G.G and sorting
+# the entries into classes
 JW_TABLE_DIGESTS = {
     2: "1fd10b753f0bbb22346f4c87b608909f15b21a25d8e687819440b64689e1cc47",
     4: "a1f2104fbbabfa8a9531508c520f932f8f8379eeab12f08f4341a547666d469a",
@@ -315,14 +365,18 @@ def test_jordan_wigner_tables_match_recorded_digests(n):
     """The closed forms of the bit layout give G's pattern and the G.G class
     table array for array: integers and exact signs, so every toy operator
     built on them keeps its bits."""
-    tables = [*fock._jw_pattern(n), *fock._product_table(n)]
+    tables = [*fock._jw_pattern(n), *fock._product_pattern(n), *fock._product_classes(n)]
     assert arrays_digest(tables) == JW_TABLE_DIGESTS[n]
 
 
 def test_product_table_reads_the_bit_layout_not_the_pattern():
-    for cached in (fock._jw_terms, fock._jw_pattern, fock._product_table):
+    """Both cached parts of the G.G table read the bit layout, not G's
+    pattern, and the classes build without the G.G pattern."""
+    for cached in (fock._jw_terms, fock._jw_pattern, fock._product_classes, fock._product_pattern):
         cached.cache_clear()
-    fock._product_table(8)
+    fock._product_classes(8)
+    assert fock._product_pattern.cache_info().misses == 0
+    fock._product_pattern(8)
     assert fock._jw_pattern.cache_info().misses == 0
     assert fock._jw_terms.cache_info().misses == 1
 

@@ -4,7 +4,7 @@ from scipy import sparse
 
 from conftest import random_involution, random_unitary
 from fockcharge import involution as inv
-from fockcharge import modes
+from fockcharge import modes, suites
 
 
 def test_plain_conjugation_is_valid():
@@ -152,3 +152,68 @@ def test_seed_basis_of_wrong_shape_rejected(shape):
     C = inv.make_involution(np.eye(2))
     with pytest.raises(ValueError, match="seed basis must be 2x2"):
         inv.c_invariant_onb(C, np.eye(*shape))
+
+
+def oracle_c_invariant_onb(C, seeds):
+    """The Gram-Schmidt walk of `inv.c_invariant_onb` with every step
+    written out: the adjoint of the emitted vectors conjugated per pass,
+    `classify` applying C again, `np.linalg.norm` for every norm."""
+    n = C.dim
+    out = np.zeros((n, n), dtype=complex, order="F")
+    count = 0
+
+    def emit(vec):
+        nonlocal count
+        vec = 0.5 * (vec + C.apply(vec))
+        P = out[:, :count]
+        for _ in range(2):
+            if P.shape[1]:
+                vec = vec - P @ (P.conj().T @ vec).real
+        out[:, count] = vec / np.linalg.norm(vec)
+        count += 1
+
+    for j in range(n):
+        g = seeds[:, j].copy()
+        P = out[:, :count]
+        for _ in range(2):
+            if P.shape[1]:
+                g -= P @ (P.conj().T @ g)
+        nrm = np.linalg.norm(g)
+        if nrm >= inv.RANK_TOL:
+            g /= nrm
+            cg = C.apply(g)
+            kind = inv.classify(g, C)
+            if kind == inv.PARALLEL:
+                emit(np.exp(0.5j * np.angle(np.vdot(g, cg))) * g)
+            elif kind == inv.ORTHOGONAL:
+                emit((g + cg) / np.sqrt(2.0))
+                emit(1j * (g - cg) / np.sqrt(2.0))
+            else:
+                alpha = np.sqrt(complex(np.vdot(g, cg)))
+                u = alpha * g + np.conj(alpha) * cg
+                v = 1j * alpha * g - 1j * np.conj(alpha) * cg
+                emit(u / np.linalg.norm(u))
+                emit(v / np.linalg.norm(v))
+        if count == n:
+            break
+    assert count == n
+    return np.ascontiguousarray(out)
+
+
+def test_c_invariant_onb_matches_the_written_out_walk(rng):
+    """Bit for bit the oracle's bases, on the cbasis suite's kinds of input:
+    random involutions of dimensions 1 to 16 from the standard seeds, the
+    footnote's adversarial seeds and permuted random seeds."""
+    cases = []
+    for dim in range(1, 17):
+        cases.append((inv.make_involution(random_involution(rng, dim)), np.eye(dim, dtype=complex)))
+    cases.append((inv.make_involution(np.eye(8)), suites._footnote_seed_basis()))
+    C = inv.make_involution(random_involution(rng, 8))
+    base = random_unitary(rng, 8)
+    cases += [(C, base[:, rng.permutation(8)]) for _ in range(5)]
+    for C, seeds in cases:
+        F = inv.c_invariant_onb(C, seeds)
+        assert np.array_equal(F, oracle_c_invariant_onb(C, seeds))
+        assert F.flags.c_contiguous
+    # the default seeds are the standard basis
+    assert np.array_equal(inv.c_invariant_onb(cases[5][0]), oracle_c_invariant_onb(*cases[5]))
