@@ -37,7 +37,8 @@ The scalar route never reads the accumulators the trace route's Grams come
 from, so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
 assembly, the four-spin reduction of |R|^2, where the mass enters
 `GramMatrices.terms`, the mirror fold and the basis algebra; not the 1d
-quadrature both share.  The honest quadrature M+, weight-one Gram
+quadrature both share, nor the sign of a mirrored pair's accumulator slot,
+which a squared norm cannot see (the tests' unfolded oracle does).  The honest quadrature M+, weight-one Gram
 included, enters only `mplus_diagonal`, which reads its diagonal off the
 same frames; `c_invariant_transform` (a sparse frame) and the dense M+
 (`quadrature.m_plus`) are oracles for the tests.  On complete shells the
@@ -70,7 +71,7 @@ __all__ = [
 PRODUCT = "product"
 C_INVARIANT = "c_invariant"
 MAX_TAIL = 0.10
-_ROW_BLOCK = 64  # rows of the top shell the trace route gathers at a time
+_ROW_BLOCK = 32  # rows of the top shell the trace route gathers at a time
 
 
 @dataclass
@@ -163,8 +164,9 @@ def _block_grams(suite: GramMatrices, col_sets, rows, row_counts, col_counts,
     """D[k] = <Z_a, Z_b> of the scalar blocks Z_a, the four `suite.terms` at
     (cols, rows) for each of the col_sets (of one size), cut to sub-shell k:
     their first row_counts[k] rows and col_counts[k] columns.  Each layer's
-    rows (sub-shell k less k-1) are read _ROW_BLOCK at a time and transposed
-    (the Grams are symmetric), so each column sub-shell is a leading slice.
+    rows (sub-shell k less k-1) are read _ROW_BLOCK = 32 at a time into one
+    buffer (0.75 MB for (L, pi L) x L at K=4) and transposed (the Grams are
+    symmetric), so each column sub-shell is a leading slice.
 
     Without `signs` every column is read: a tile of row layer kr and column
     layer kc adds into D[max(kr, kc)].  With `signs` every Z_a is square and

@@ -9,8 +9,9 @@ grid is a tensor product of identical 1d panels.  Two savings make the big
 shells cheap:
 
 * pair folding: per axis the two modes enter through the symmetric product
-  D(a - p) D(a' - p), so only pairs a <= a' are tabulated, and every weight
-  is even or odd in each coordinate, so each axis folds onto its positive nodes;
+  D(a - p) D(a' - p), so only pairs a <= a' are tabulated, once per mirror
+  class {(a, a'), (-a', -a)} as D is even, and every weight is even or odd
+  in each coordinate, so each axis folds onto its positive nodes;
 * a separable weight: 1/lambda = sum_r c_r exp(-a_r m^2) prod_s exp(-a_r p_s^2),
   a double exponential sum of 60 to 125 terms (Takahasi and Mori, Publ. RIMS
   9, 1974), so every Gram is a rank-R sum of products of 1d factors
@@ -21,12 +22,13 @@ unit period in each k_s - p_s; Gauss-Legendre of moderate order per panel
 then converges fast.  Accumulation order is fixed by the node and term
 ordering, so results are reproducible run to run.
 
-A Gram suite keeps its Grams in two pair-compressed npair^3 accumulators
-and reads them at any modes: `GramMatrices.terms` gives (m G0, G1, G2, G3),
-the Kronecker partners of the spin factors `m_plus_terms` in R = M+ - I/2,
-and `GramMatrices.one` the weight-one Gram.  The scalar route reads |R|_F^2
-off the 1d factors (`AxisFactors.fro2`).  The series needs only R, as
-S_J = n - |R_J|_F^2; the dense M+ (`m_plus`, `ideal_m_plus`) is a test oracle.
+A Gram suite keeps its Grams in two nf^2 (2 nf) accumulators over the nf
+mirror classes of per-axis pairs and reads them at any modes: `terms` gives
+(m G0, G1, G2, G3), the Kronecker partners of the spin factors
+`m_plus_terms` in R = M+ - I/2, and `one` the weight-one Gram.  The scalar
+route reads |R|_F^2 off the 1d factors (`AxisFactors.fro2`).  The series
+needs only R, as S_J = n - |R_J|_F^2; the dense M+ (`m_plus`,
+`ideal_m_plus`) is a test oracle.
 """
 
 from dataclasses import dataclass, field
@@ -123,23 +125,26 @@ def mass_squared(m: float) -> float:
 
 
 def _axis_tables(K: int, grid: QuadGrid):
-    """Even/odd folded pair tables over the positive half-axis.
-
-    Returns (E, Ox, xp, PI), PI[a, a'] the index of the unordered pair
-    a <= a' in the list of pairs, where for the pair r = (a, a')
+    """Even/odd folded pair tables over the positive half-axis, one row per
+    mirror class: D is even, so the unordered pair a <= a' and its mirror
+    (-a', -a) share their E row and have opposite Ox rows; the pairs with
+    a + a' <= 0 stand for the nf = (npair + K + 1) / 2 classes.  Returns (E,
+    Ox, xp, PI), PI[a, a'] = 2 class + mirrored, where for a class r = (a, a')
       E[r, i]  = B(a, x_i) B(a', x_i) + B(a, -x_i) B(a', -x_i)
       Ox[r, i] = x_i * (B(a, x_i) B(a', x_i) - B(a, -x_i) B(a', -x_i))
     with B(a, x) = sqrt(w) D(a - x) / (2 pi).
     """
-    N = grid.nodes_per_axis
+    N, M = grid.nodes_per_axis, 2 * K + 1
     xp, wp = grid.nodes[N // 2:], grid.weights[N // 2:]
     offsets = np.arange(-K, K + 1, dtype=float)
     sq = np.sqrt(wp)
     Bp = sq[None, :] * axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
     Bm = sq[None, :] * axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
-    a, b = np.triu_indices(offsets.size)
-    PI = np.empty((offsets.size,) * 2, dtype=np.min_scalar_type(a.size - 1))
-    PI[a, b] = PI[b, a] = np.arange(a.size)
+    a, b = np.triu_indices(M)
+    a, b = a[a + b < M], b[a + b < M]
+    PI = np.empty((M, M), dtype=np.min_scalar_type(2 * a.size - 1))
+    PI[a, b] = PI[b, a] = 2 * np.arange(a.size)
+    PI[M - 1 - b, M - 1 - a] = PI[M - 1 - a, M - 1 - b] = PI[a, b] + (a + b < M - 1)
     prod_p = Bp[a] * Bp[b]
     prod_m = Bm[a] * Bm[b]
     return prod_p + prod_m, xp[None, :] * (prod_p - prod_m), xp, PI
@@ -162,29 +167,30 @@ def _inverse_sqrt_terms(x_min: float, x_max: float):
 
 @dataclass
 class AxisFactors:
-    """The 1d factors of a shell's Grams: with the per-axis pairs
-    p_s = PI[k_s(i) + K, k_s(j) + K] of modes i, j, G0_ij = sum_r chat_r
-    g[p1, r] g[p2, r] g[p3, r], G3_ij the same with h[p3, r] last and
-    one_ij = g1d[p1] g1d[p2] g1d[p3]; g1 and g2 are g3 with the axes
-    relabelled, since 1/lambda is symmetric under permuting the axes."""
+    """The 1d factors of a shell's Grams: with the per-axis pair codes
+    PI[k_s(i) + K, k_s(j) + K] = 2 q_s + e_s of modes i, j (class q_s,
+    mirrored bit e_s), G0_ij = sum_r chat_r g[q1, r] g[q2, r] g[q3, r], G3_ij
+    the same with (-1)^e3 h[q3, r] last and one_ij = g1d[q1] g1d[q2] g1d[q3];
+    g1 and g2 are g3 with the axes relabelled, since 1/lambda is symmetric
+    under permuting the axes."""
 
     shell: Shell
     m: float
     grid: QuadGrid
-    pair_index: np.ndarray = field(repr=False)  # PI, (2K+1, 2K+1)
-    g1d: np.ndarray = field(repr=False)         # (npair,) 1d weight-one Gram
-    g: np.ndarray = field(repr=False)           # (npair, R)
-    h: np.ndarray = field(repr=False)           # (npair, R)
+    pair_index: np.ndarray = field(repr=False)  # PI, (2K+1, 2K+1), 2 class + mirrored
+    g1d: np.ndarray = field(repr=False)         # (nf,) 1d weight-one Gram
+    g: np.ndarray = field(repr=False)           # (nf, R)
+    h: np.ndarray = field(repr=False)           # (nf, R)
     chat: np.ndarray = field(repr=False)        # (R,)
 
     def fro2(self, k: int) -> float:
         """sum_{i,j<=n} [(m G0_ij)^2 + sum_s Gs_ij^2] over the first
-        n = (2k+1)^3 modes: with the sub-shell's pairs p, each counted w_p
+        n = (2k+1)^3 modes: with the sub-shell's pair classes p, each counted w_p
         times, it factors per axis into I_gg = g_p^T diag(w) g_p and I_hh, so
         it is (m chat)^T I_gg^3 (m chat) + 3 chat^T (I_gg^2 I_hh) chat in
         elementwise powers (g1..g3 add up equally), finite wherever m^2 is."""
         sub = slice(self.shell.K - k, self.shell.K + k + 1)
-        p, w = np.unique(self.pair_index[sub, sub], return_counts=True)
+        p, w = np.unique(self.pair_index[sub, sub] >> 1, return_counts=True)
         I_gg, I_hh = (np.dot(F[p].T, w[:, None] * F[p]) for F in (self.g, self.h))
         mc, T = self.m * self.chat, I_gg * I_gg
         I_hh *= T
@@ -196,10 +202,11 @@ class AxisFactors:
 class GramMatrices(AxisFactors):
     """Weighted Gram matrices of a shell's modes, real symmetric in canonical
     shell order: weight 1, 1/lambda (G0) and p_s/lambda (G1..G3), stored
-    pair-compressed: G0 = acc0[p1, p2, p3], G3 = acc3[p1, p2, p3]."""
+    over the pair classes with the last axis signed, G0 = acc0[q1, q2, PI3]
+    and G3 = acc3[q1, q2, PI3]: odd slots copy (acc0) or negate (acc3)."""
 
-    acc0: np.ndarray = field(repr=False)        # (npair,)*3, weight 1/lambda
-    acc3: np.ndarray = field(repr=False)        # (npair,)*3, weight p3/lambda
+    acc0: np.ndarray = field(repr=False)        # (nf, nf, 2 nf), weight 1/lambda
+    acc3: np.ndarray = field(repr=False)        # (nf, nf, 2 nf), weight p3/lambda
 
     def _pairs(self, rows, cols) -> tuple:
         """Per-axis pairs (p1, p2, p3) of the modes (rows, cols); a column of
@@ -212,23 +219,24 @@ class GramMatrices(AxisFactors):
 
     def one(self, rows, cols) -> np.ndarray:
         """The weight-one Gram at the modes (rows, cols), read as `terms` reads."""
-        return np.prod(self.g1d[np.stack(self._pairs(rows, cols))], axis=0)
+        return np.prod(self.g1d[np.stack(self._pairs(rows, cols)) >> 1], axis=0)
 
     def terms(self, rows, cols, out=None) -> np.ndarray:
         """The stack (m G0, G1, G2, G3) at the modes (rows, cols), broadcast
         as in fancy indexing, into `out` if given; IndexError off the shell."""
         p = self._pairs(rows, cols)
+        q = [c >> 1 for c in p]
         out = np.empty((4,) + p[0].shape) if out is None else out
         n, flat = len(self.acc0), np.empty(p[0].shape, dtype=np.int64)
         # Gs is acc3 with its odd (last) axis moved to place s (1/lambda is
         # symmetric under permuting the axes), so G0 and G3 share one flat
-        # index (p_i n + p_j) n + p_k.  It is in range on the shell's own
+        # index (q_i n + q_j) 2n + PI_k.  It is in range on the shell's own
         # pairs, so the takes clip, as a raising one writes through a copy
         for (i, j, k), reads in (((0, 1, 2), ((self.acc0, 0), (self.acc3, 3))),
                                  ((2, 1, 0), ((self.acc3, 1),)), ((0, 2, 1), ((self.acc3, 2),))):
-            np.multiply(p[i], n, dtype=np.int64, out=flat)
-            flat += p[j]
-            flat *= n
+            np.multiply(q[i], n, dtype=np.int64, out=flat)
+            flat += q[j]
+            flat *= 2 * n
             flat += p[k]
             for acc, t in reads:
                 acc.take(flat, out=out[t], mode="clip")
@@ -252,15 +260,18 @@ def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:
 def gram_suite(shell: Shell, m: float, grid: QuadGrid) -> GramMatrices:
     """All weighted Gram matrices of a shell: acc0 = sum_r chat_r g_r (x) g_r
     (x) g_r and acc3 the same with h_r last, on the factors of `axis_factors`,
-    in blocks of the first pair index of at most _BLOCK_BYTES."""
+    written to the even slots of the last axis and copied (acc0) or negated
+    (acc3) into the odd ones, in blocks of at most _BLOCK_BYTES."""
     f = axis_factors(shell, m, grid)
-    (npair, R), g, cg = f.g.shape, f.g, f.g * f.chat
-    acc0, acc3 = np.empty((npair,) * 3), np.empty((npair,) * 3)
-    rows = max(1, _BLOCK_BYTES // (8 * npair * R))
-    for p in range(0, npair, rows):
+    (nf, R), g, cg = f.g.shape, f.g, f.g * f.chat
+    acc0, acc3 = np.empty((nf, nf, 2 * nf)), np.empty((nf, nf, 2 * nf))
+    rows = max(1, _BLOCK_BYTES // (8 * nf * R))
+    for p in range(0, nf, rows):
         U = (cg[p:p + rows, None, :] * g[None, :, :]).reshape(-1, R)
-        np.matmul(U, g.T, out=acc0[p:p + rows].reshape(-1, npair))
-        np.matmul(U, f.h.T, out=acc3[p:p + rows].reshape(-1, npair))
+        for acc, F, odd in ((acc0, g, np.positive), (acc3, f.h, np.negative)):
+            slots = acc[p:p + rows].reshape(-1, nf, 2)
+            np.matmul(U, F.T, out=slots[..., 0])
+            odd(slots[..., 0], out=slots[..., 1])
     return GramMatrices(**vars(f), acc0=acc0, acc3=acc3)
 
 

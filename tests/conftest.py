@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fockcharge import charge, fock, modes, spinor
+from fockcharge import charge, fock, modes, quadrature as quad, spinor
 
 
 @pytest.fixture
@@ -90,21 +90,106 @@ def dense_gram(suite, name):
 def table_gather(suite, name, rows, cols):
     """Entries G[rows, cols] of the Gram `name`, with the index arrays
     broadcast against each other as in fancy indexing: the oracle for
-    `GramMatrices.terms` and `one`, reading p_i, p_j of the flat accumulator index
-    together from an (M^2, M^2) table and p_k by a second 2-d read."""
+    `GramMatrices.terms` and `one`, reading the classes q_i, q_j of the flat
+    accumulator index together from an (M^2, M^2) table and the signed pair
+    code of axis k by a second 2-d read."""
     a, PI = suite.shell.modes + suite.shell.K, suite.pair_index.astype(int)
     if name == "one":
-        g = suite.g1d[PI]
+        g = suite.g1d[PI >> 1]
         return (g[a[rows, 0], a[cols, 0]] * g[a[rows, 1], a[cols, 1]]
                 * g[a[rows, 2], a[cols, 2]])
     acc, (i, j, k) = {"g0": (suite.acc0, (0, 1, 2)), "g1": (suite.acc3, (2, 1, 0)),
                       "g2": (suite.acc3, (0, 2, 1)), "g3": (suite.acc3, (0, 1, 2))}[name]
-    M, npair = PI.shape[0], acc.shape[0]
-    T = (PI[:, None, :, None] * npair + PI[None, :, None, :]) * npair
+    M, nf, Q = PI.shape[0], acc.shape[0], PI >> 1
+    T = (Q[:, None, :, None] * nf + Q[None, :, None, :]) * 2 * nf
     c = a[:, i] * M + a[:, j]
     flat = T.reshape(M * M, M * M)[c[rows], c[cols]]
     flat += PI[a[rows, k], a[cols, k]]
     return acc.take(flat)
+
+
+# ---------------------------------------------------------------------------
+# the unfolded Gram assembly: one table row and one accumulator entry per
+# unordered pair a <= a', no mirror classes
+
+
+@dataclasses.dataclass
+class UnfoldedGrams:
+    shell: modes.Shell
+    m: float
+    pair_index: np.ndarray   # PI[a, a'], the pair's place in np.triu_indices order
+    g1d: np.ndarray          # (npair,)
+    acc0: np.ndarray         # (npair,)*3, weight 1/lambda
+    acc3: np.ndarray         # (npair,)*3, weight p3/lambda
+
+
+def unfolded_axis_tables(K, grid):
+    """(E, Ox, xp, PI) of `quadrature._axis_tables` with a row for every
+    unordered pair a <= a' of offsets, PI[a, a'] its row."""
+    N, M = grid.nodes_per_axis, 2 * K + 1
+    xp, wp = grid.nodes[N // 2:], grid.weights[N // 2:]
+    offsets = np.arange(-K, K + 1, dtype=float)
+    sq = np.sqrt(wp)
+    Bp = sq[None, :] * modes.axis_factor(offsets[:, None] - xp[None, :]) / (2 * np.pi)
+    Bm = sq[None, :] * modes.axis_factor(offsets[:, None] + xp[None, :]) / (2 * np.pi)
+    a, b = np.triu_indices(M)
+    PI = np.empty((M, M), dtype=int)
+    PI[a, b] = PI[b, a] = np.arange(a.size)
+    prod_p, prod_m = Bp[a] * Bp[b], Bm[a] * Bm[b]
+    return prod_p + prod_m, xp[None, :] * (prod_p - prod_m), xp, PI
+
+
+def unfolded_grams(shell, m, grid):
+    """The Gram suite of a shell as two (npair,)*3 accumulators over every
+    unordered pair, acc0 = sum_r chat_r g_r (x) g_r (x) g_r and acc3 with
+    h_r last, on the exponential sum of `quadrature.axis_factors`: the
+    oracle for the mirror-folded accumulators."""
+    E, Ox, xp, PI = unfolded_axis_tables(shell.K, grid)
+    x2, m2 = xp ** 2, quad.mass_squared(m)
+    a, c = quad._inverse_sqrt_terms(3.0 * x2.min() + m2, 3.0 * x2.max() + m2)
+    phi = np.exp(-x2[:, None] * a[None, :])
+    g, h, chat = E @ phi, Ox @ phi, c * np.exp(-a * m2)
+    U = (g * chat)[:, None, :] * g[None, :, :]
+    return UnfoldedGrams(shell, float(m), PI, E.sum(axis=1), U @ g.T, U @ h.T)
+
+
+def shell_permutation(shell):
+    """Positions of the canonically ordered shell modes inside the plain
+    product enumeration over (k1, k2, k3)."""
+    M = 2 * shell.K + 1
+    a = shell.modes + shell.K
+    return (a[:, 0] * M + a[:, 1]) * M + a[:, 2]
+
+
+def unfold(acc, PI, perm):
+    """(npair,)*3 accumulator -> (M^3, M^3) Gram in canonical shell order."""
+    M = PI.shape[0]
+    I1 = PI[:, None, None, :, None, None]
+    I2 = PI[None, :, None, None, :, None]
+    I3 = PI[None, None, :, None, None, :]
+    G = acc[I1, I2, I3].reshape(M ** 3, M ** 3)
+    return G[np.ix_(perm, perm)]
+
+
+def unfolded_dense(oracle, name):
+    """The full n x n Gram `name` ("one", "g0".."g3") of an `UnfoldedGrams`,
+    G1 and G2 being G3 with its odd axis moved to the first or second place."""
+    PI, perm = oracle.pair_index, shell_permutation(oracle.shell)
+    if name == "one":
+        g = oracle.g1d[PI]
+        return np.kron(np.kron(g, g), g)[np.ix_(perm, perm)]
+    acc = {"g0": oracle.acc0, "g1": oracle.acc3.transpose(2, 1, 0),
+           "g2": oracle.acc3.transpose(0, 2, 1), "g3": oracle.acc3}[name]
+    return unfold(acc, PI, perm)
+
+
+def folded_at_pair_triples(acc, PI):
+    """A mirror-folded accumulator read at every triple of unordered pairs,
+    (npair,)*3 in np.triu_indices order: the pair classes on the first two
+    axes and the signed pair code on the last, as `GramMatrices.terms` reads."""
+    code = PI[np.triu_indices(PI.shape[0])].astype(int)
+    q = code >> 1
+    return acc[q[:, None, None], q[None, :, None], code[None, None, :]]
 
 
 def dense_spectrum_deviation(model, matrix, expected):

@@ -160,11 +160,13 @@ def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, cap
 
 
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
-    # the K=4 run below peaks near 3.2 MB of traced allocations, most of it
-    # the suite's two accumulators and one 64-row block of the trace route
-    # (1.5 MB each).  One dense K=4 spinor matrix adds 136 MB (complex) or
-    # 68 MB (real) to it, and a dense K=3 one 30 MB (complex) or 15 MB
-    # (real), so a 12 MB bound catches each of them however it is built;
+    # the K=4 run below peaks near 1.5 MB of traced allocations, most of it
+    # the suite's two mirror-folded accumulators (0.5 MB together) and one
+    # 32-row block of the trace route (0.75 MB); unfolded accumulators and
+    # 64-row blocks took it to 3.2 MB.  One dense K=4 spinor matrix adds
+    # 136 MB (complex) or 68 MB (real) to it, and a dense K=3 one 30 MB
+    # (complex) or 15 MB (real), so a 12 MB bound catches each of them
+    # however it is built;
     # the test above refuses the dense oracles by name at any K.  The small
     # run first loads what the run imports lazily, so the bound counts the
     # run alone.
@@ -178,6 +180,22 @@ def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
         tracemalloc.stop()
     assert code == 0 and "FAIL" not in out
     assert peak < 12 * 2 ** 20
+
+
+def test_vacuum_divergence_k8_peak_memory_holds_folded_accumulators(capsys):
+    # the K=8 run peaks near 22.5 MB of traced allocations, 17 MB of it the
+    # two accumulators over the 81 mirror classes of per-axis pairs; over
+    # all 153 pairs they held 57 MB and the run peaked at 66.4 MB
+    run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["vacuum-divergence", "--shells", "8", "--cutoff", "16",
+                                "--panels", "1", "--order", "4", "--no-timestamp"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "FAIL" not in out
+    assert peak < 24 * 2 ** 20
 
 
 def test_summary_lines_and_csv(tmp_path, capsys):

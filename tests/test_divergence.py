@@ -128,9 +128,10 @@ def test_triangle_block_grams_match_full_square_read(K):
 
 
 def test_trace_route_reads_the_triangle_of_the_symmetric_group(monkeypatch):
-    # at K=4 with 64-row blocks the (L, pi L) x L group fills 76,738 of the
-    # 364^2 = 132,496 entries of each column set's square, and the (fixed,
-    # fixed) and (L, fixed) groups 365 more: a full-square read fails
+    # at K=4 with 32-row blocks the (L, pi L) x L group fills 71,682 of the
+    # 364^2 = 132,496 entries of each column set's square (76,738 with
+    # 64-row blocks), and the (fixed, fixed) and (L, fixed) groups 365 more:
+    # a full-square read fails
     K = 4
     suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     filled = []
@@ -337,16 +338,16 @@ def test_scalar_route_matches_dense_sub_block_sums(m):
 @pytest.mark.parametrize("name", ["acc0", "acc3"])
 def test_route_check_covers_the_accumulators(name):
     # the scalar route reads only the suite's 1d factors, so the largest
-    # accumulator entry off by 1e-5 relative opens a gap above the CLI's 1e-6
-    # tolerance; its mirror image moves with it, so the trace route's fold
-    # still holds and the gap comes from the accumulators alone
+    # class entry of an accumulator off by 1e-5 relative, in both of its
+    # signed slots, opens a gap above the CLI's 1e-6 tolerance; the slots
+    # stay a copy (acc0) or a negation (acc3) of each other, so the trace
+    # route's mirror fold still holds and the gap comes from the class
+    # entry alone
     suite = quad.gram_suite(modes.enumerate_shell(2), 1.0, SMALL_GRID)
-    acc, PI = getattr(suite, name), suite.pair_index
-    a, b = np.triu_indices(PI.shape[0])
-    mirror = PI[PI.shape[0] - 1 - b, PI.shape[0] - 1 - a]  # pair (a, a') -> (-a', -a)
-    entry = tuple(int(p) for p in np.unravel_index(np.argmax(np.abs(acc)), acc.shape))
-    for e in {entry, tuple(int(mirror[p]) for p in entry)}:
-        acc[e] *= 1.0 + 1e-5
+    acc = getattr(suite, name)
+    even = acc[..., ::2]
+    q0, q1, q2 = np.unravel_index(np.argmax(np.abs(even)), even.shape)
+    acc[q0, q1, 2 * q2:2 * q2 + 2] *= 1.0 + 1e-5
     tr, _ = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=suite)
     sc = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=suite)
     assert max(abs(a - b) / abs(b) for a, b in zip(tr.S, sc.S)) > 1e-6
@@ -359,7 +360,7 @@ def test_scalar_route_without_suite_reads_the_same_factors(small_suite):
 
 
 def test_scalar_route_without_suite_builds_no_accumulators():
-    # two K=8 accumulators would hold 28.6 MB each
+    # two K=8 accumulators would hold 8.5 MB each
     grid = quad.build_grid(40, 2, 6)
     tracemalloc.start()
     try:

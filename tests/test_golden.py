@@ -97,17 +97,17 @@ DIGESTS = {
 
 HEADLINE_ARGV = ["vacuum-divergence", "--m", "1", "--shells", "4", "--cutoff", "40",
                  "--panels", "2", "--order", "6", "--no-timestamp"]
-HEADLINE_DIGEST = "3542a291ca0708423154f087c0ed03663fd52fbd27c069a63990c7c69b20525d"
+HEADLINE_DIGEST = "17dd17aaa26f1f92cb41398f6ad87b1ea2436e183b8670d1099278775e659fe2"
 
 # vacuum-divergence at the ends of the mass range and on small, non-default
 # grids: m = 0 drops the mass term, m = 10 weights it most
 SMALL_GRID_DIGESTS = {
     ("--m", "0", "--shells", "3", "--cutoff", "20", "--panels", "1", "--order", "4"):
-        "420c5ac60e9172c139c3f8583d6a82c5749b7da54aefdc23187725ba4d89f91d",
+        "c6a163e27cf5b4a3a3dc744b3087ac4a14508fa8a8f51b4f589db9f939ee1d8e",
     ("--m", "0.1", "--shells", "2", "--cutoff", "12", "--panels", "1", "--order", "4"):
-        "26fee9444eaa97a385d6b230569ea5b07cab66ac70a56a69c4ce62db3fefbf3b",
+        "31a304acc072e7307ee24f5a60d63ce841fd4254f4315405f69c2b267d7cd103",
     ("--m", "10", "--shells", "5", "--cutoff", "20"):
-        "f50a62ce78587fd0000ee04bba5c69c2d35bd80387f166b6c4df49f32b0e77a7",
+        "e9488e5cc996cd401ed80d2833fb27802d3036c594511cd2755371cf5f41921b",
 }
 
 recorded_versions_only = pytest.mark.skipif(

@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import dense_gram, mode_ft, spectral_projector, table_gather
+from conftest import (dense_gram, folded_at_pair_triples, mode_ft, spectral_projector,
+                      table_gather, unfolded_axis_tables, unfolded_dense, unfolded_grams)
 from fockcharge import divergence, modes, quadrature as quad
 
 GS = ("g1", "g2", "g3")
@@ -63,12 +65,13 @@ def test_folded_assembly_matches_naive_reference():
 
 
 def plane_loop_accumulators(K, m, grid):
-    """acc0 and acc3 by the direct plane loop: 1/lambda evaluated on every
-    plane of positive 3d nodes, contracted with the folded pair tables.
-    Since D is even, the pairs (a, a') and (-a', -a) share their E row, so
-    each plane is contracted over one pair of each such class (`reps`) and
-    `cls` gives every pair the position of its class in `reps`."""
-    E, Ox, xp, PI = quad._axis_tables(K, grid)
+    """acc0 and acc3 over every triple of unordered pairs by the direct plane
+    loop: 1/lambda evaluated on every plane of positive 3d nodes, contracted
+    with the unfolded pair tables.  Since D is even, the pairs (a, a') and
+    (-a', -a) share their E row, so each plane is contracted over one pair
+    of each such class (`reps`) and `cls` gives every pair the position of
+    its class in `reps`."""
+    E, Ox, xp, PI = unfolded_axis_tables(K, grid)
     M = PI.shape[0]
     a, b = np.triu_indices(M)
     mirror = PI[M - 1 - b, M - 1 - a]
@@ -98,6 +101,7 @@ def test_exponential_sum_matches_plane_loop(K, grid_args, masses):
     for m in masses:
         suite = quad.gram_suite(shell, m, grid)
         for acc, ref in zip((suite.acc0, suite.acc3), plane_loop_accumulators(K, m, grid)):
+            acc = folded_at_pair_triples(acc, suite.pair_index)
             assert np.max(np.abs(acc - ref)) < 1e-13 * np.max(np.abs(ref)), m
 
 
@@ -149,72 +153,112 @@ def test_gram_suite_memory_stays_near_its_accumulators():
     assert peak < suite.acc0.nbytes + suite.acc3.nbytes + 16 * 2 ** 20
 
 
-def oracle_fro2(suite, k):
+def oracle_fro2(oracle, k):
     """sum_{i,j<=n} [(m g0_ij)^2 + sum_s gs_ij^2] over the first
-    n = (2k+1)^3 modes, summed over pair triples of the accumulators with a
-    pair a != a' counted twice; g1..g3 add up equally on the sub-shell."""
+    n = (2k+1)^3 modes, summed over pair triples of the unfolded
+    accumulators with a pair a != a' counted twice; g1..g3 add up equally on
+    the sub-shell."""
     a, b = np.triu_indices(2 * k + 1)
-    sub = np.ix_(*[suite.pair_index[a + suite.shell.K - k, b + suite.shell.K - k]] * 3)
+    K = oracle.shell.K
+    sub = np.ix_(*[oracle.pair_index[a + K - k, b + K - k]] * 3)
     w = np.where(a == b, 1.0, 2.0)
-    T = (suite.m * suite.acc0[sub]) ** 2 + 3.0 * suite.acc3[sub] ** 2
+    T = (oracle.m * oracle.acc0[sub]) ** 2 + 3.0 * oracle.acc3[sub] ** 2
     return float(w @ (T @ w) @ w)
 
 
 @pytest.mark.parametrize("K, m", [(4, m) for m in MASSES] + [(8, 1.0)])
 def test_closed_form_fro2_matches_pair_triple_sum(K, m):
-    # the scalar route's closed form on the 1d factors against the pair-triple
-    # sum of the accumulators, every sub-shell, across the mass range
-    suite = quad.gram_suite(modes.enumerate_shell(K), m, quad.build_grid(*HEADLINE_GRID))
+    # the scalar route's closed form on the 1d factors, whose pair classes
+    # are counted off the folded pair codes, against the pair-triple sum of
+    # the unfolded accumulators, every sub-shell, across the mass range
+    shell, grid = modes.enumerate_shell(K), quad.build_grid(*HEADLINE_GRID)
+    factors, oracle = quad.axis_factors(shell, m, grid), unfolded_grams(shell, m, grid)
     for k in range(K + 1):
-        ref = oracle_fro2(suite, k)
-        assert abs(suite.fro2(k) - ref) <= 1e-13 * ref, (k, ref)
+        ref = oracle_fro2(oracle, k)
+        assert abs(factors.fro2(k) - ref) <= 1e-13 * ref, (k, ref)
 
 
-def shell_permutation(shell):
-    """Positions of the canonically ordered shell modes inside the plain
-    product enumeration over (k1, k2, k3)."""
-    K, M = shell.K, 2 * shell.K + 1
-    a = shell.modes + K
-    return (a[:, 0] * M + a[:, 1]) * M + a[:, 2]
+def relative_deviation(got, want):
+    """max |got - want| relative to max |want|; an all-zero `want` (m G0 at
+    m = 0, the Gs at K = 0) must be matched exactly."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
 
 
-def unfold(acc, PI, perm):
-    """Pair-compressed (npair, npair, npair) accumulator -> (M^3, M^3) Gram
-    in canonical shell order."""
-    M = PI.shape[0]
-    I1 = PI[:, None, None, :, None, None]
-    I2 = PI[None, :, None, None, :, None]
-    I3 = PI[None, None, :, None, None, :]
-    G = acc[I1, I2, I3].reshape(M ** 3, M ** 3)
-    return G[np.ix_(perm, perm)]
+def max_oracle_deviation(suite, oracle):
+    """Largest relative deviation of `terms` and `one`, read at every mode
+    pair, from the unfolded oracle, Gram by Gram."""
+    idx = np.arange(suite.shell.count)
+    got = [*suite.terms(idx[:, None], idx), suite.one(idx[:, None], idx)]
+    want = [suite.m * unfolded_dense(oracle, "g0"),
+            *(unfolded_dense(oracle, name) for name in GS + ("one",))]
+    return max(relative_deviation(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("K", [0, 1, 2])
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
 def test_gather_matches_unfolded_accumulators(K):
-    # the on-demand gather against the dense unfolding of the accumulators,
-    # G1 and G2 being G3 with its odd axis moved to the first or second place
-    shell = modes.enumerate_shell(K)
-    suite = quad.gram_suite(shell, 0.7, quad.build_grid(4, 1, 4))
-    PI, perm = suite.pair_index, shell_permutation(shell)
-    g1d = suite.g1d[PI]
-    oracle = {
-        "one": np.kron(np.kron(g1d, g1d), g1d)[np.ix_(perm, perm)],
-        "g0": unfold(suite.acc0, PI, perm),
-        "g1": unfold(suite.acc3.transpose(2, 1, 0), PI, perm),
-        "g2": unfold(suite.acc3.transpose(0, 2, 1), PI, perm),
-        "g3": unfold(suite.acc3, PI, perm),
-    }
-    for name, G in oracle.items():
-        assert np.array_equal(dense_gram(suite, name), G), name
+    # the folded accumulators, read by `terms` and `one` at every mode pair,
+    # against the unfolded assembly over every unordered pair, across the
+    # mass range
+    shell, grid = modes.enumerate_shell(K), quad.build_grid(6, 1, 4)
+    for m in MASSES:
+        suite, oracle = quad.gram_suite(shell, m, grid), unfolded_grams(shell, m, grid)
+        assert max_oracle_deviation(suite, oracle) <= 1e-13, m
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_accumulators_hold_one_entry_per_mirror_class(K):
+    # nf classes on the even axes and a signed slot per class on the last:
+    # the npair unordered pairs, K + 1 of them (-a, a) their own mirror, make
+    # nf = (npair + K + 1) / 2 classes, 25 of the 45 pairs at K = 4
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, quad.build_grid(6, 1, 4))
+    nf = ((2 * K + 1) * (K + 1) + K + 1) // 2
+    assert suite.acc0.shape == suite.acc3.shape == (nf, nf, 2 * nf)
+    assert suite.g.shape[0] == suite.h.shape[0] == suite.g1d.size == nf
+    assert suite.pair_index.dtype == np.min_scalar_type(2 * nf - 1)
+    # the odd slots are exact copies (acc0) and negations (acc3)
+    assert np.array_equal(suite.acc0[..., 1::2], suite.acc0[..., ::2])
+    assert np.array_equal(suite.acc3[..., 1::2], -suite.acc3[..., ::2])
+    # a pair and its mirror (-a', -a) share their class, with opposite bits
+    # unless the pair is its own mirror
+    PI, M = suite.pair_index.astype(int), 2 * K + 1
+    mirror = PI[::-1, ::-1].T
+    assert np.array_equal(PI >> 1, mirror >> 1)
+    own = np.add.outer(np.arange(M), np.arange(M)) == M - 1
+    assert np.array_equal((PI ^ mirror) & 1, np.where(own, 0, 1))
+    assert np.unique(PI >> 1).size == nf
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_flipped_mirror_bit_fails_the_unfolded_oracle(K):
+    # one off-diagonal pair read with its mirrored bit flipped (both of its
+    # entries in PI) reads the other signed slot, so its Gs entries change
+    # sign: the oracle comparison above fails for every such pair that is
+    # not its own mirror, while the routes' squares cannot see it
+    grid = quad.build_grid(6, 1, 4)
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, grid)
+    oracle = unfolded_grams(suite.shell, 1.0, grid)
+    assert max_oracle_deviation(suite, oracle) <= 1e-13
+    M = 2 * K + 1
+    for a, b in zip(*np.triu_indices(M, 1)):
+        if a + b == M - 1:
+            continue
+        flipped = suite.pair_index.copy()
+        flipped[a, b] ^= 1
+        flipped[b, a] ^= 1
+        broken = dataclasses.replace(suite, pair_index=flipped)
+        assert max_oracle_deviation(broken, oracle) > 1e-3, (a, b)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3])
 def test_pairs_and_take_match_the_table_gather(K):
     # `terms` (also into a given buffer) and `one`, in the two-stage outer
     # read, a permuted and strided outer read and the elementwise read,
-    # against the (M^2, M^2) table gather, bit for bit
-    shell = modes.enumerate_shell(K)
-    suite = quad.gram_suite(shell, 0.7, quad.build_grid(6, 1, 4))
+    # against the (M^2, M^2) table gather of the folded layout, bit for
+    # bit, and against the unfolded oracle
+    shell, grid = modes.enumerate_shell(K), quad.build_grid(6, 1, 4)
+    suite, oracle = quad.gram_suite(shell, 0.7, grid), unfolded_grams(shell, 0.7, grid)
+    dense = {name: unfolded_dense(oracle, name) for name in ("one", "g0") + GS}
+    dense["g0"] *= suite.m
     idx = np.arange(shell.count)
     perm = np.random.default_rng(K).permutation(shell.count)
     for rows, cols in ((idx[:, None], idx), (perm[:, None], idx[::2]), (perm, idx)):
@@ -223,7 +267,10 @@ def test_pairs_and_take_match_the_table_gather(K):
         out = np.empty_like(expected)
         assert np.array_equal(suite.terms(rows, cols), expected), rows.shape
         assert suite.terms(rows, cols, out) is out and np.array_equal(out, expected)
-        assert np.array_equal(suite.one(rows, cols), table_gather(suite, "one", rows, cols))
+        one = table_gather(suite, "one", rows, cols)
+        assert np.array_equal(suite.one(rows, cols), one)
+        for got, name in zip([*expected, one], ("g0",) + GS + ("one",)):
+            assert relative_deviation(got, dense[name][rows, cols]) <= 1e-13, name
 
 
 def test_pairs_reject_modes_off_the_suite_shell():
