@@ -23,24 +23,29 @@ quantity; they differ only in how they reduce |R_J|_F^2:
   X_t(pi r, pi r') = eps_t X_t(r, r') (eps +1 for G0, -1 for Gs) folds the
   blocks read through pi L onto those of L, so only (fixed, fixed),
   (fixed, L), (L, L) and (L, pi L) are read from the suite, once for the
-  top shell and both bases, in row blocks that every sub-shell sums its
-  tiles of: no spinor matrix and no n x n array is formed.  The Grams are
-  symmetric, so on L's index (L, L) is symmetric and (L, pi L) is too up
-  to eps_t: X_t(pi L_j, L_i) = X_t(L_i, pi L_j) = eps_t X_t(pi L_i, L_j),
-  the mirror applied to both modes.  That group is read as its lower
-  triangle, each strip below the diagonal counted for its mirror image;
+  top shell and both bases: no spinor matrix and no n x n array is
+  formed.  (fixed, fixed) and (L, fixed) are the zero mode's row, read
+  once and cut into L's layers.  The Grams are symmetric, so on L's index
+  (L, L) is symmetric and (L, pi L) is too up to eps_t:
+  X_t(pi L_j, L_i) = X_t(L_i, pi L_j) = eps_t X_t(pi L_i, L_j), the mirror
+  applied to both modes.  That group is read as its lower triangle in row
+  blocks, each strip below the diagonal counted for its mirror image.
+  The route takes the mass and the grid from its suite;
 * scalar route: |R_J|_F^2 = sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
   the four-spin reduction with tr(Gamma_w Gamma_w') = 4 delta written in by
   hand, in closed form on the Grams' 1d factors (`AxisFactors.fro2`).
+  This route alone is given m and the grid, to build the factors when no
+  suite is passed and to check one that is.
 
 The scalar route never reads the accumulators the trace route's Grams come
 from, so the routes' agreement (`trace-vs-scalar-rel`) checks the accumulator
 assembly, the four-spin reduction of |R|^2, where the mass enters
 `GramMatrices.terms`, the mirror fold and the basis algebra; not the 1d
 quadrature both share, nor the sign of a mirrored pair's accumulator slot,
-which a squared norm cannot see (the tests' unfolded oracle does).  The honest quadrature M+, weight-one Gram
-included, enters only `mplus_diagonal`, which reads its diagonal off the
-same frames; `c_invariant_transform` (a sparse frame) and the dense M+
+which a squared norm cannot see (the tests' unfolded oracle does).  The
+honest quadrature M+, weight-one Gram included, enters only
+`mplus_diagonal`, which reads its diagonal off the same frames;
+`c_invariant_transform` (a sparse frame) and the dense M+
 (`quadrature.m_plus`) are oracles for the tests.  On complete shells the
 sums are basis independent; the basis matters for partial shells, which is
 why the series itself is basis sensitive.
@@ -54,7 +59,7 @@ from scipy import sparse
 from . import fock
 from .charge import SubspaceBasis, vacuum_norm
 from .modes import Shell, enumerate_shell
-from .quadrature import QuadGrid, GramMatrices, axis_factors, gram_suite, m_plus_terms
+from .quadrature import AxisFactors, QuadGrid, GramMatrices, axis_factors, m_plus_terms
 from .spinor import conjugation_matrix
 
 __all__ = [
@@ -82,8 +87,6 @@ class DivergenceSeries:
     mode_counts: list     # spinor mode count 4 (2K+1)^3 per shell
     S: list               # partial sums at the shell boundaries
     basis_kind: str
-    m: float
-    grid: str             # grid description string
     tail: float           # estimated quadrature mass loss at the top shell
 
     def increments(self):
@@ -159,48 +162,44 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     return sparse.hstack(groups, format="csc")
 
 
-def _block_grams(suite: GramMatrices, col_sets, rows, row_counts, col_counts,
-                 signs=None) -> np.ndarray:
+def _block_grams(suite: GramMatrices, col_sets, counts, signs) -> np.ndarray:
     """D[k] = <Z_a, Z_b> of the scalar blocks Z_a, the four `suite.terms` at
-    (cols, rows) for each of the col_sets (of one size), cut to sub-shell k:
-    their first row_counts[k] rows and col_counts[k] columns.  Each layer's
-    rows (sub-shell k less k-1) are read _ROW_BLOCK = 32 at a time into one
-    buffer (0.75 MB for (L, pi L) x L at K=4) and transposed (the Grams are
-    symmetric), so each column sub-shell is a leading slice.
-
-    Without `signs` every column is read: a tile of row layer kr and column
-    layer kc adds into D[max(kr, kc)].  With `signs` every Z_a is square and
-    Z_a[j, i] = s_a Z_a[i, j]; for (L, pi L) x L, s = 1 on L by Gram
-    symmetry and eps_t on pi L, as X_t(pi L_j, L_i) = X_t(L_i, pi L_j) =
-    eps_t X_t(pi L_i, L_j).  Then Z_a[j, i] Z_b[j, i] = s_a s_b Z_a[i, j]
-    Z_b[i, j], and only the lower triangle is read: a row block p0..p1 adds
-    its square (columns p0..p1) whole and the strip below it (columns
-    0..p0) weighted 1 + s_a s_b, the strip and its mirror above the
-    diagonal, all of it into the row block's layer.
+    (cols, rows) for each of the col_sets (of one size), rows = col_sets[0],
+    cut to sub-shell k: their first counts[k] rows and columns.  Every Z_a is
+    square and Z_a[j, i] = s_a Z_a[i, j]; for (L, pi L) x L, s = 1 on L by
+    Gram symmetry and eps_t on pi L, as X_t(pi L_j, L_i) = X_t(L_i, pi L_j)
+    = eps_t X_t(pi L_i, L_j).  Then Z_a[j, i] Z_b[j, i] = s_a s_b Z_a[i, j]
+    Z_b[i, j], and only the lower triangle is read.  Each layer's rows
+    (sub-shell k less k-1) are read _ROW_BLOCK = 32 at a time into one
+    buffer (0.75 MB at K=4) and transposed (the Grams are symmetric): a row
+    block p0..p1 adds its square (columns p0..p1) whole and the strip below
+    it (columns 0..p0) weighted 1 + s_a s_b, the strip and its mirror above
+    the diagonal, all of it into the row block's layer.
     """
-    T, ncol = 4 * len(col_sets), col_sets[0].size
-    D = np.zeros((len(row_counts), T, T))
-    buf = np.empty(T * ncol * min(_ROW_BLOCK, rows.size))
-    row_edges = [0] + list(row_counts)
-    strip = None if signs is None else 1.0 + np.outer(signs, signs)
-    for kr in range(len(row_counts)):
-        # the columns of sub-shell kr, then each later column layer
-        col_edges = [0] + list(col_counts[kr:])
-        for p0 in range(row_edges[kr], row_edges[kr + 1], _ROW_BLOCK):
-            p1 = min(p0 + _ROW_BLOCK, row_edges[kr + 1])
-            if strip is None:
-                tiles = [(c0, c1, k, 1.0) for k, (c0, c1)
-                         in enumerate(zip(col_edges, col_edges[1:]), start=kr)]
-            else:
-                tiles = [(p0, p1, kr, 1.0), (0, p0, kr, strip)]
-            stop, rb = max(c1 for _, c1, _, _ in tiles), rows[p0:p1]
-            Z = buf[:T * stop * rb.size].reshape(len(col_sets), 4, stop, rb.size)
+    rows, T = col_sets[0], 4 * len(col_sets)
+    D = np.zeros((len(counts), T, T))
+    buf = np.empty(T * rows.size * min(_ROW_BLOCK, rows.size))
+    edges = [0] + list(counts)
+    strip = 1.0 + np.outer(signs, signs)
+    for k in range(len(counts)):
+        for p0 in range(edges[k], edges[k + 1], _ROW_BLOCK):
+            p1 = min(p0 + _ROW_BLOCK, edges[k + 1])
+            Z = buf[:T * p1 * (p1 - p0)].reshape(len(col_sets), 4, p1, p1 - p0)
             for cols, Zc in zip(col_sets, Z):
-                suite.terms(cols[:stop, None], rb, out=Zc)
-            for c0, c1, k, weight in tiles:
+                suite.terms(cols[:p1, None], rows[p0:p1], out=Zc)
+            for c0, c1, weight in ((p0, p1, 1.0), (0, p0, strip)):
                 seg = Z[..., c0:c1, :].reshape(T, -1)
                 D[k] += weight * (seg @ seg.T)
     return np.cumsum(D, axis=0)
+
+
+def _zero_mode_grams(suite: GramMatrices, fixed, L, counts) -> tuple:
+    """The Grams of the four `suite.terms` on (fixed, fixed) and on (L,
+    fixed) cut to sub-shell k, L's first counts[k] modes, from one read of
+    the zero mode's row: L's layers are its segments, summed cumulatively."""
+    ff, fl = np.split(suite.terms(np.concatenate([fixed, L]), fixed), [fixed.size], axis=1)
+    fl = np.cumsum([Z @ Z.T for Z in np.split(fl, counts[:-1], axis=1)], axis=0)
+    return np.repeat((ff @ ff.T)[None], len(counts), axis=0), fl
 
 
 def _cross_gram(spins) -> np.ndarray:
@@ -232,11 +231,9 @@ def _frame_fro2(suite: GramMatrices, K: int) -> dict:
     """
     terms, fro2 = m_plus_terms(), {}
     fixed, L, pL = _shell_frame(K)
-    ones = [1] * (K + 1)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
-    grams = [_block_grams(suite, [fixed], fixed, ones, ones),
-             _block_grams(suite, [L], fixed, ones, half),
-             _block_grams(suite, [L, pL], L, half, half, signs=[1.0] * 4 + [e for _, e in terms])]
+    grams = [*_zero_mode_grams(suite, fixed, L, half),
+             _block_grams(suite, [L, pL], half, [1.0] * 4 + [e for _, e in terms])]
     for kind, frame in FRAMES.items():
         ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for Y, e in terms))
         # (L, fixed) shares the Gram of its transpose (fixed, L)
@@ -257,43 +254,37 @@ def checked_tail(grid: QuadGrid, kmax: int) -> float:
     return tail
 
 
-def _prepare(shells, m: float, grid: QuadGrid, suite: GramMatrices, build):
-    """Validate the shell radii, the grid and a precomputed suite; return
-    the radii, their mode counts n = (2K+1)^3, the tail estimate at the top
-    shell and the suite, or `build(top shell, m, grid)` when none is given."""
+def _prepare(shells, suite: AxisFactors) -> tuple:
+    """The shell radii, their mode counts n = (2K+1)^3 and the tail estimate
+    at the top shell, after checking that the radii are a non-empty,
+    strictly ascending list that `suite` covers, on a grid whose tail
+    estimate at the top shell stays below MAX_TAIL."""
     shells = [int(k) for k in shells]
     if not shells or any(k < 0 for k in shells):
         raise ValueError("need a non-empty list of shell radii >= 0")
     if sorted(set(shells)) != shells:
         raise ValueError("shell radii must be strictly ascending")
     kmax = shells[-1]
-    tail = checked_tail(grid, kmax)
-    if suite is not None and (suite.shell.K < kmax or suite.m != m):
-        raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
-                         f"at m={suite.m}, not shell {kmax} at m={m}")
-    if suite is not None and suite.grid.describe() != grid.describe():
-        raise ValueError(f"precomputed Gram suite was built on the grid "
-                         f"{suite.grid.describe()}, not {grid.describe()}")
-    if suite is None:
-        suite = build(enumerate_shell(kmax), m, grid)
-    return shells, [(2 * K + 1) ** 3 for K in shells], tail, suite
+    if suite.shell.K < kmax:
+        raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K}, "
+                         f"not shell {kmax}")
+    return shells, [(2 * K + 1) ** 3 for K in shells], checked_tail(suite.grid, kmax)
 
 
-def vacuum_series_trace(shells, m: float, grid: QuadGrid,
-                        suite: GramMatrices = None) -> tuple:
+def vacuum_series_trace(shells, suite: GramMatrices) -> tuple:
     """S_J per shell as n - |R_J|_F^2, R_J = V_J* M+ V_J - I/2, with |R_J|_F^2
     reduced through the Dirac cross-Gram of the frame; no spinor matrix.
+    The mass, the grid and the tail estimate are those of `suite`.
 
     Returns one series per basis in FRAMES: the plane-wave spinor modes
     ("product") and the invariant basis of the shell conjugation
     ("c_invariant"), the basis whose terms all carry weight 1/2.  Both read
     the top shell's scalar blocks once.
     """
-    shells, ns, tail, suite = _prepare(shells, m, grid, suite, gram_suite)
+    shells, ns, tail = _prepare(shells, suite)
     fro2 = _frame_fro2(suite, shells[-1])
     return tuple(DivergenceSeries(shells, [4 * n for n in ns],
-                                  [n - f[K] for n, K in zip(ns, shells)], kind,
-                                  float(m), grid.describe(), tail)
+                                  [n - f[K] for n, K in zip(ns, shells)], kind, tail)
                  for kind, f in fro2.items())
 
 
@@ -304,18 +295,25 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
 
         S = n - sum_{i,j<=n} [|m G0_ij|^2 + sum_s |Gs_ij|^2],
 
-    in closed form on the 1d factors (`AxisFactors.fro2`) of `suite`, or of
-    the top shell when none is given.  It reads no accumulator, no mirror
-    symmetry and not `GramMatrices.terms`, so the trace route's agreement
-    checks all three.
+    in closed form on the 1d factors (`AxisFactors.fro2`) of `suite`, which
+    must be built at m on grid, or of the top shell when none is given.  It
+    reads no accumulator, no mirror symmetry and not `GramMatrices.terms`,
+    so the trace route's agreement checks all three.
     """
-    shells, ns, tail, factors = _prepare(shells, m, grid, suite, axis_factors)
-    S = [n - factors.fro2(K) for n, K in zip(ns, shells)]
-    return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, float(m),
-                            grid.describe(), tail)
+    if suite is None:
+        suite = axis_factors(enumerate_shell(max(shells, default=0)), m, grid)
+    if suite.grid.describe() != grid.describe():
+        raise ValueError(f"precomputed Gram suite was built on the grid "
+                         f"{suite.grid.describe()}, not {grid.describe()}")
+    shells, ns, tail = _prepare(shells, suite)
+    if suite.m != m:
+        raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
+                         f"at m={suite.m}, not shell {shells[-1]} at m={m}")
+    S = [n - suite.fro2(K) for n, K in zip(ns, shells)]
+    return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, tail)
 
 
-def mplus_diagonal(suite: GramMatrices, basis_kind: str = PRODUCT) -> np.ndarray:
+def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
     """Diagonal of the honest (quadrature) M+ in the basis `basis_kind`, in
     frame order (`c_invariant_transform` order for "c_invariant"); for
     "c_invariant" the entries sit at 1/2 up to the quadrature tolerance.

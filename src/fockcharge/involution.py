@@ -14,7 +14,6 @@ from scipy import sparse
 __all__ = [
     "AntiUnitary",
     "make_involution",
-    "classify",
     "PARALLEL",
     "ORTHOGONAL",
     "GENERIC",
@@ -59,15 +58,9 @@ def make_involution(U) -> AntiUnitary:
     return AntiUnitary(U)
 
 
-def classify(g, C: AntiUnitary) -> str:
-    """Trichotomy for a nonzero vector g: Cg parallel to g, orthogonal to g,
-    or neither (generic)."""
-    g = np.asarray(g, dtype=complex)
-    return _classify(g, C.apply(g))
-
-
 def _classify(g, cg) -> str:
-    """`classify` of g, given cg = Cg."""
+    """Trichotomy for a nonzero vector g, given cg = Cg: Cg parallel to g,
+    orthogonal to g, or neither (generic)."""
     norm2 = np.vdot(g, g).real
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")

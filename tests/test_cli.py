@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from fockcharge import cli, divergence, quadrature, suites
+from fockcharge import cli, quadrature, suites
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -143,7 +143,7 @@ def test_vacuum_divergence_builds_no_dense_spinor_matrix(monkeypatch, capsys):
 
 def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, capsys):
     # the main grid's suite is the run's only one: the reference-grid probe
-    # reads 1d factors, so a second gram_suite, by either name, is refused
+    # reads 1d factors, so a second gram_suite is refused
     calls = []
     gram_suite = quadrature.gram_suite
 
@@ -152,8 +152,7 @@ def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, cap
         calls.append(args)
         return gram_suite(*args, **kwargs)
 
-    for module in (quadrature, divergence):
-        monkeypatch.setattr(module, "gram_suite", first_only)
+    monkeypatch.setattr(quadrature, "gram_suite", first_only)
     code, out, _ = run_cli(["vacuum-divergence", "--no-timestamp"] + FAST_ARGS, capsys)
     assert code == 0 and "FAIL" not in out
     assert len(calls) == 1

@@ -17,7 +17,7 @@ def small_suite():
 
 
 def test_routes_agree_on_product_basis(small_suite):
-    tr, _ = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    tr, _ = dv.vacuum_series_trace(SHELLS, small_suite)
     sc = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
     for a, b in zip(tr.S, sc.S):
         assert abs(a - b) / abs(b) < 1e-6
@@ -52,7 +52,7 @@ def test_single_c_invariant_mode_quarter():
 
 
 def test_c_invariant_route_matches_at_shell_boundaries(small_suite):
-    prod, ci = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    prod, ci = dv.vacuum_series_trace(SHELLS, small_suite)
     assert (prod.basis_kind, ci.basis_kind) == (dv.PRODUCT, dv.C_INVARIANT)
     for a, b in zip(prod.S, ci.S):
         assert abs(a - b) / abs(b) < 1e-8
@@ -79,7 +79,7 @@ def test_trace_series_matches_dense_oracle(K):
     # the Kronecker-frame route against tr(W_K) - |W_K|_F^2 on the dense M+
     suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     shells = list(range(K + 1))
-    both = dv.vacuum_series_trace(shells, 1.0, SMALL_GRID, suite=suite)
+    both = dv.vacuum_series_trace(shells, suite)
     for series, dense in zip(both, _dense_both(suite, shells)):
         for a, b in zip(series.S, dense):
             assert abs(a - b) <= 1e-12 * abs(b)
@@ -92,9 +92,9 @@ def test_small_row_blocks_match_default_and_dense_oracle(block, small_suite, mon
     # 1 row makes every row its own block.  The (L, pi L) x L triangle reads
     # the same blocks: a single-row square at 1 row, and below every block
     # but the first a strip from column 0 up to the block
-    default = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    default = dv.vacuum_series_trace(SHELLS, small_suite)
     monkeypatch.setattr(dv, "_ROW_BLOCK", block)
-    both = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=small_suite)
+    both = dv.vacuum_series_trace(SHELLS, small_suite)
     for series, ref, dense in zip(both, default, _dense_both(small_suite, SHELLS)):
         for a, b, c in zip(series.S, ref.S, dense):
             assert abs(a - b) <= 1e-13 * abs(b)
@@ -122,9 +122,24 @@ def test_triangle_block_grams_match_full_square_read(K):
     suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     _, L, pL = dv._shell_frame(K)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
-    got = dv._block_grams(suite, [L, pL], L, half, half, signs=SIGNS)
+    got = dv._block_grams(suite, [L, pL], half, SIGNS)
     want = _full_square_block_grams(suite, [L, pL], L, half)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_zero_mode_grams_match_whole_block_read(K):
+    # (fixed, fixed) and (L, fixed) from one read of the zero mode's row, cut
+    # into L's layers and summed, against each sub-shell's blocks read whole
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    fixed, L, _ = dv._shell_frame(K)
+    half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
+    ff, fl = dv._zero_mode_grams(suite, fixed, L, half)
+    for got, cols in ((ff, [fixed] * (K + 1)), (fl, [L[:n] for n in half])):
+        Zs = [suite.terms(c[:, None], fixed).reshape(4, -1) for c in cols]
+        want = np.array([Z @ Z.T for Z in Zs])
+        assert got.shape == want.shape == (K + 1, 4, 4)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
 
 
 def test_trace_route_reads_the_triangle_of_the_symmetric_group(monkeypatch):
@@ -142,7 +157,7 @@ def test_trace_route_reads_the_triangle_of_the_symmetric_group(monkeypatch):
         return terms(self, rows, cols, out)
 
     monkeypatch.setattr(quad.GramMatrices, "terms", counted)
-    dv.vacuum_series_trace([K], 1.0, SMALL_GRID, suite=suite)
+    dv.vacuum_series_trace([K], suite)
     square = (((2 * K + 1) ** 3 - 1) // 2) ** 2
     assert sum(filled) <= 0.6 * 2 * square
 
@@ -235,12 +250,10 @@ def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
         return terms(self, rows, cols, out)
 
     monkeypatch.setattr(quad.GramMatrices, "terms", counted)
-    top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], 1.0, SMALL_GRID,
-                                                           suite=small_suite)}
+    top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], small_suite)}
     top_only = len(calls)
     calls.clear()
-    every = {s.basis_kind: s for s in dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID,
-                                                             suite=small_suite)}
+    every = {s.basis_kind: s for s in dv.vacuum_series_trace(SHELLS, small_suite)}
     assert top_only > 0 and len(calls) == top_only
     assert every[kind].S[-1] == top[kind].S[0]
 
@@ -252,7 +265,7 @@ def test_trace_route_memory_below_one_dense_gram():
     suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
     tracemalloc.start()
     try:
-        dv.vacuum_series_trace(list(range(K + 1)), 1.0, SMALL_GRID, suite=suite)
+        dv.vacuum_series_trace(list(range(K + 1)), suite)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -348,7 +361,7 @@ def test_route_check_covers_the_accumulators(name):
     even = acc[..., ::2]
     q0, q1, q2 = np.unravel_index(np.argmax(np.abs(even)), even.shape)
     acc[q0, q1, 2 * q2:2 * q2 + 2] *= 1.0 + 1e-5
-    tr, _ = dv.vacuum_series_trace(SHELLS, 1.0, SMALL_GRID, suite=suite)
+    tr, _ = dv.vacuum_series_trace(SHELLS, suite)
     sc = dv.vacuum_series_scalar(SHELLS, 1.0, SMALL_GRID, suite=suite)
     assert max(abs(a - b) / abs(b) for a, b in zip(tr.S, sc.S)) > 1e-6
 
@@ -373,19 +386,19 @@ def test_scalar_route_without_suite_builds_no_accumulators():
 
 def test_growth_diagnostics_verdicts():
     grown = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                                [0.5, 8.0, 26.0, 54.0], dv.PRODUCT, 1.0, "g", 0.01)
+                                [0.5, 8.0, 26.0, 54.0], dv.PRODUCT, 0.01)
     rep = dv.growth_diagnostics(grown)
     assert rep["verdict"] == "no Cauchy convergence"
     assert len(rep["increments"]) == 4
     flat = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                               [1.0, 1.0, 1.0, 1.0], dv.PRODUCT, 1.0, "g", 0.01)
+                               [1.0, 1.0, 1.0, 1.0], dv.PRODUCT, 0.01)
     assert dv.growth_diagnostics(flat)["verdict"] == "converged"
     stalled = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                                  [0.0, 2.0, 2.4, 2.41], dv.PRODUCT, 1.0, "g", 0.01)
+                                  [0.0, 2.0, 2.4, 2.41], dv.PRODUCT, 0.01)
     assert dv.growth_diagnostics(stalled)["verdict"] == "converged"
     with pytest.raises(ValueError):
         dv.growth_diagnostics(dv.DivergenceSeries([0, 1], [4, 108], [0.5, 8.0],
-                                                  dv.PRODUCT, 1.0, "g", 0.01))
+                                                  dv.PRODUCT, 0.01))
 
 
 def test_toy_oracle_equivalence(model8, rng):
@@ -420,13 +433,19 @@ def test_shell_and_grid_validation():
         dv.mplus_diagonal(small, "bogus")
     with pytest.raises(ValueError, match="covers shell"):
         dv.vacuum_series_scalar([0, 1], 1.0, SMALL_GRID, suite=small)
-    # both routes read the mass from the suite, so it must be the one asked for
-    for route in (dv.vacuum_series_scalar, dv.vacuum_series_trace):
-        with pytest.raises(ValueError, match="at m=1.0, not shell 0 at m=2.0"):
-            route([0], 2.0, SMALL_GRID, suite=small)
+    with pytest.raises(ValueError, match="covers shell"):
+        dv.vacuum_series_trace([0, 1], small)
+    with pytest.raises(ValueError, match="ascending"):
+        dv.vacuum_series_trace([1, 0], small)
+    # the trace route takes mass and grid from the suite; the scalar route
+    # is given both, so the suite must be the one asked for
+    with pytest.raises(ValueError, match="at m=1.0, not shell 0 at m=2.0"):
+        dv.vacuum_series_scalar([0], 2.0, SMALL_GRID, suite=small)
     # a suite from another grid would carry that grid's values under this
     # grid's description and tail estimate
     coarse = quad.gram_suite(modes.enumerate_shell(1), 1.0, quad.build_grid(3, 1, 2))
-    for route in (dv.vacuum_series_scalar, dv.vacuum_series_trace):
-        with pytest.raises(ValueError, match="built on the grid cutoff=3"):
-            route([0, 1], 1.0, quad.build_grid(10, 1, 4), suite=coarse)
+    with pytest.raises(ValueError, match="built on the grid cutoff=3"):
+        dv.vacuum_series_scalar([0, 1], 1.0, quad.build_grid(10, 1, 4), suite=coarse)
+    # the suite's own grid is too coarse for its top shell
+    with pytest.raises(ValueError, match="tail"):
+        dv.vacuum_series_trace([0, 1], coarse)

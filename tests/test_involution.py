@@ -64,15 +64,16 @@ def test_non_matrix_rejected_before_its_shape_is_read(U):
 
 def test_classify_examples():
     C = inv.make_involution(np.eye(2))
-    assert inv.classify(np.array([1.0, 0.0]), C) == inv.PARALLEL
-    assert inv.classify(np.array([1.0, 1j]) / np.sqrt(2), C) == inv.ORTHOGONAL
-    assert inv.classify(np.array([2.0, 1j]) / np.sqrt(5), C) == inv.GENERIC
+    for g, kind in ((np.array([1.0, 0.0]), inv.PARALLEL),
+                    (np.array([1.0, 1j]) / np.sqrt(2), inv.ORTHOGONAL),
+                    (np.array([2.0, 1j]) / np.sqrt(5), inv.GENERIC)):
+        assert inv._classify(g, C.apply(g)) == kind
 
 
 def test_classify_rejects_zero_vector():
     C = inv.make_involution(np.eye(2))
     with pytest.raises(ValueError):
-        inv.classify(np.zeros(2), C)
+        inv._classify(np.zeros(2), C.apply(np.zeros(2)))
 
 
 def test_standard_basis_fixed_under_conjugation():
@@ -157,7 +158,7 @@ def test_seed_basis_of_wrong_shape_rejected(shape):
 def oracle_c_invariant_onb(C, seeds):
     """The Gram-Schmidt walk of `inv.c_invariant_onb` with every step
     written out: the adjoint of the emitted vectors conjugated per pass,
-    `classify` applying C again, `np.linalg.norm` for every norm."""
+    `_classify` on C applied again, `np.linalg.norm` for every norm."""
     n = C.dim
     out = np.zeros((n, n), dtype=complex, order="F")
     count = 0
@@ -182,7 +183,7 @@ def oracle_c_invariant_onb(C, seeds):
         if nrm >= inv.RANK_TOL:
             g /= nrm
             cg = C.apply(g)
-            kind = inv.classify(g, C)
+            kind = inv._classify(g, C.apply(g))
             if kind == inv.PARALLEL:
                 emit(np.exp(0.5j * np.angle(np.vdot(g, cg))) * g)
             elif kind == inv.ORTHOGONAL:
