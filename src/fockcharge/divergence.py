@@ -203,18 +203,19 @@ def _zero_mode_grams(suite: GramMatrices, fixed, L, counts) -> tuple:
 
 
 def _cross_gram(spins) -> np.ndarray:
-    P = np.stack([Q.ravel() for Q in spins])
+    P = spins.reshape(len(spins), -1)
     return P.conj() @ P.T
 
 
 def _folded_spins(T0, A, B, Y, e):
-    """Spin factors of one term (Y, e) on the folded blocks (fixed, fixed),
-    (fixed, L), (L, fixed), (L, L) and (L, pi L), the mirrored blocks added
-    with their parity e."""
+    """Spin factors of the terms (Y, e), stacked as Y (T, 4, 4) and e (T,),
+    on the folded blocks (fixed, fixed), (fixed, L), (L, fixed), (L, L) and
+    (L, pi L), the mirrored blocks added with their parity e: five stacks."""
+    e = e[:, None, None]
     AB = A + e * B
-    return (T0.conj().T @ Y @ T0, T0.conj().T @ Y @ AB, AB.conj().T @ Y @ T0,
-            A.conj().T @ Y @ A + e * (B.conj().T @ Y @ B),
-            A.conj().T @ Y @ B + e * (B.conj().T @ Y @ A))
+    T0h, ABh, Ah, Bh = (np.swapaxes(X.conj(), -1, -2) for X in (T0, AB, A, B))
+    return (T0h @ Y @ T0, T0h @ Y @ AB, ABh @ Y @ T0,
+            Ah @ Y @ A + e * (Bh @ Y @ B), Ah @ Y @ B + e * (Bh @ Y @ A))
 
 
 def _frame_fro2(suite: GramMatrices, K: int) -> dict:
@@ -229,16 +230,17 @@ def _frame_fro2(suite: GramMatrices, K: int) -> dict:
     are read once, and each basis contracts them with its own spin
     cross-Gram.
     """
-    terms, fro2 = m_plus_terms(), {}
+    Y, e = (np.array(t) for t in zip(*m_plus_terms()))
     fixed, L, pL = _shell_frame(K)
     half = [((2 * k + 1) ** 3 - 1) // 2 for k in range(K + 1)]
     grams = [*_zero_mode_grams(suite, fixed, L, half),
-             _block_grams(suite, [L, pL], half, [1.0] * 4 + [e for _, e in terms])]
+             _block_grams(suite, [L, pL], half, np.concatenate([np.ones(4), e]))]
+    fro2 = {}
     for kind, frame in FRAMES.items():
-        ff, fl, lf, ll, lm = zip(*(_folded_spins(*frame, Y, e) for Y, e in terms))
+        ff, fl, lf, ll, lm = _folded_spins(*frame, Y, e)
         # (L, fixed) shares the Gram of its transpose (fixed, L)
         spin_grams = [_cross_gram(ff), _cross_gram(fl) + _cross_gram(lf),
-                      _cross_gram(ll + lm)]
+                      _cross_gram(np.concatenate([ll, lm]))]
         # |sum_a Z_a (x) P_a|^2 = sum_ab <Z_a, Z_b> <P_a, P_b>
         fro2[kind] = sum(np.einsum("kab,ab->k", D, PP).real
                          for D, PP in zip(grams, spin_grams))
@@ -321,15 +323,20 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
     Read off the frame: column (l, c) of a group sum_u R_u (x) Q_u gives
     sum_t sum_uu' X_t[r_u[l], r_u'[l]] Re diag(Q_u* Y_t Q_u')[c] over the
     Kronecker terms of M+, the quadrature identity part (`suite.one`, I/2)
-    and then `suite.terms`, each block (u, u') read once: no spinor matrix.
+    and then `suite.terms`: no spinor matrix.  Only (fixed, fixed), (L, L)
+    and (L, pi L) are read; (pi L, L) reads the same slots as (L, pi L), and
+    (pi L, pi L) is eps_t (L, L) exactly, a copy or negation of the slot.
     """
-    Ys = [0.5 * np.eye(4)] + [Y for Y, _ in m_plus_terms()]
-    groups = [[([suite.one(r, r2), *suite.terms(r, r2)], Q, Q2) for r, Q in group for r2, Q2 in group]
-              for group in _frame(suite.shell.K, basis_kind)]
-    return np.concatenate([
-        sum(np.outer(Xs[t], np.diagonal(Q.conj().T @ Y @ Q2).real)
-            for t, Y in enumerate(Ys) for Xs, Q, Q2 in blocks).ravel()
-        for blocks in groups])
+    Y, eps = (np.array(t) for t in zip((0.5 * np.eye(4), 1.0), *m_plus_terms()))
+    (fixed, T0), (L, A), (pL, B) = [t for group in _frame(suite.shell.K, basis_kind) for t in group]
+    ff, ll, lm = (np.concatenate([suite.one(r, r2)[None], suite.terms(r, r2)])
+                  for r, r2 in ((fixed, fixed), (L, L), (L, pL)))
+    blocks = [[(ff, T0, T0)], [(ll, A, A), (lm, A, B), (lm, B, A), (eps[:, None] * ll, B, B)]]
+    # each block's five Re diag(Q* Y_t Q') come from one stacked product
+    groups = [[(X, np.diagonal(Q.conj().T @ Y @ Q2, axis1=1, axis2=2).real) for X, Q, Q2 in group]
+              for group in blocks]
+    return np.concatenate([sum(np.outer(X[t], d[t]) for t in range(len(Y)) for X, d in g).ravel()
+                           for g in groups])
 
 
 def growth_diagnostics(series: DivergenceSeries) -> dict:

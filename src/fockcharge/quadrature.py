@@ -25,7 +25,8 @@ ordering, so results are reproducible run to run.
 A Gram suite keeps its Grams in two nf^2 (2 nf) accumulators over the nf
 mirror classes of per-axis pairs and reads them at any modes: `terms` gives
 (m G0, G1, G2, G3), the Kronecker partners of the spin factors
-`m_plus_terms` in R = M+ - I/2, and `one` the weight-one Gram.  The scalar
+`m_plus_terms` in R = M+ - I/2, each flat index one read of an (M^2, M^2)
+class table plus one of the pair codes, and `one` the weight-one Gram.  The scalar
 route reads |R|_F^2 off the 1d factors (`AxisFactors.fro2`).  The series
 needs only R, as S_J = n - |R_J|_F^2; the dense M+ (`m_plus`,
 `ideal_m_plus`) is a test oracle.
@@ -203,45 +204,58 @@ class GramMatrices(AxisFactors):
     """Weighted Gram matrices of a shell's modes, real symmetric in canonical
     shell order: weight 1, 1/lambda (G0) and p_s/lambda (G1..G3), stored
     over the pair classes with the last axis signed, G0 = acc0[q1, q2, PI3]
-    and G3 = acc3[q1, q2, PI3]: odd slots copy (acc0) or negate (acc3)."""
+    and G3 = acc3[q1, q2, PI3]: odd slots copy (acc0) or negate (acc3).
+    Gs is acc3 with axis s signed (1/lambda is symmetric under permuting the
+    axes), so each layout (i, j, k) of `_LAYOUTS` reads the flat index
+    (q_i nf + q_j) 2 nf + PI_k, q = PI >> 1, as one read of class_table[x_i M
+    + x_j, y_i M + y_j] = (q[x_i, y_i] nf + q[x_j, y_j]) 2 nf (M = 2K + 1) at
+    the modes' codes a_i M + a_j plus one of PI at a_k; table and codes are
+    built from pair_index and shell, in the smallest dtype that holds them."""
 
     acc0: np.ndarray = field(repr=False)        # (nf, nf, 2 nf), weight 1/lambda
     acc3: np.ndarray = field(repr=False)        # (nf, nf, 2 nf), weight p3/lambda
+    class_table: np.ndarray = field(init=False, repr=False)  # (M^2, M^2)
+    codes: np.ndarray = field(init=False, repr=False)        # (3, 2, n)
 
-    def _pairs(self, rows, cols) -> tuple:
-        """Per-axis pairs (p1, p2, p3) of the modes (rows, cols); a column of
-        rows against 1d cols is read in two stages.  Raises IndexError on
-        modes off the shell, so every flat index built on them is in range."""
-        a, PI = self.shell.modes + self.shell.K, self.pair_index
-        if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
-            return tuple(PI[a[rows[:, 0], s]][:, a[cols, s]] for s in range(3))
-        return tuple(PI[a[rows, s], a[cols, s]] for s in range(3))
+    def __post_init__(self):
+        a, M, nf = self.shell.modes + self.shell.K, len(self.pair_index), len(self.acc0)
+        q = (self.pair_index >> 1).astype(np.min_scalar_type(self.acc0.size - 1))
+        table = (q[:, None, :, None] * nf + q[None, :, None, :]) * (2 * nf)
+        self.class_table = table.reshape(M * M, M * M)
+        self.codes = np.array([(a[:, i] * M + a[:, j], a[:, k]) for i, j, k in _LAYOUTS],
+                              dtype=np.min_scalar_type(M * M - 1))
 
     def one(self, rows, cols) -> np.ndarray:
-        """The weight-one Gram at the modes (rows, cols), read as `terms` reads."""
-        return np.prod(self.g1d[np.stack(self._pairs(rows, cols)) >> 1], axis=0)
+        """The weight-one Gram at the modes (rows, cols), broadcast as `terms`."""
+        a = self.shell.modes + self.shell.K
+        pairs = np.stack([self.pair_index[a[rows, s], a[cols, s]] for s in range(3)])
+        return np.prod(self.g1d[pairs >> 1], axis=0)
 
     def terms(self, rows, cols, out=None) -> np.ndarray:
         """The stack (m G0, G1, G2, G3) at the modes (rows, cols), broadcast
-        as in fancy indexing, into `out` if given; IndexError off the shell."""
-        p = self._pairs(rows, cols)
-        q = [c >> 1 for c in p]
-        out = np.empty((4,) + p[0].shape) if out is None else out
-        n, flat = len(self.acc0), np.empty(p[0].shape, dtype=np.int64)
-        # Gs is acc3 with its odd (last) axis moved to place s (1/lambda is
-        # symmetric under permuting the axes), so G0 and G3 share one flat
-        # index (q_i n + q_j) 2n + PI_k.  It is in range on the shell's own
-        # pairs, so the takes clip, as a raising one writes through a copy
-        for (i, j, k), reads in (((0, 1, 2), ((self.acc0, 0), (self.acc3, 3))),
-                                 ((2, 1, 0), ((self.acc3, 1),)), ((0, 2, 1), ((self.acc3, 2),))):
-            np.multiply(q[i], n, dtype=np.int64, out=flat)
-            flat += q[j]
-            flat *= 2 * n
-            flat += p[k]
-            for acc, t in reads:
+        as in fancy indexing, into `out` if given; IndexError off the shell,
+        from the codes, so every flat index is in range and the takes clip
+        (a raising take writes through a copy).  A column of rows against 1d
+        cols reads the columns of every layout first, then the rows."""
+        T, PI = self.class_table, self.pair_index
+        if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
+            r, c = self.codes[..., rows[:, 0]], self.codes[..., cols]
+            Tc = T.take(c[:, 0], axis=1).transpose(1, 0, 2).copy()
+            Pc = PI.take(c[:, 1], axis=1).transpose(1, 0, 2).copy()
+            flats = (Tc[l].take(r[l, 0], axis=0) + Pc[l].take(r[l, 1], axis=0) for l in range(3))
+        else:
+            r, c = self.codes[..., rows], self.codes[..., cols]
+            flats = (T[r[l, 0], c[l, 0]] + PI[r[l, 1], c[l, 1]] for l in range(3))
+        reads = (((self.acc0, 0), (self.acc3, 3)), ((self.acc3, 1),), ((self.acc3, 2),))
+        for flat, layout_reads in zip(flats, reads):
+            out = np.empty((4,) + flat.shape) if out is None else out
+            for acc, t in layout_reads:
                 acc.take(flat, out=out[t], mode="clip")
         out[0] *= self.m
         return out
+
+
+_LAYOUTS = ((0, 1, 2), (2, 1, 0), (0, 2, 1))  # (i, j, k) of G0 and G3, G1, G2
 
 
 def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:

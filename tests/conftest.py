@@ -87,25 +87,25 @@ def dense_gram(suite, name):
     return terms[("g0", "g1", "g2", "g3").index(name)]
 
 
-def table_gather(suite, name, rows, cols):
+def axis_pair_gather(suite, name, rows, cols):
     """Entries G[rows, cols] of the Gram `name`, with the index arrays
     broadcast against each other as in fancy indexing: the oracle for
-    `GramMatrices.terms` and `one`, reading the classes q_i, q_j of the flat
-    accumulator index together from an (M^2, M^2) table and the signed pair
-    code of axis k by a second 2-d read."""
-    a, PI = suite.shell.modes + suite.shell.K, suite.pair_index.astype(int)
+    `GramMatrices.terms` and `one`, reading the signed pair code p_s of each
+    axis (in two stages for a column of rows against 1-d columns), its class
+    q_s = p_s >> 1, and building the flat accumulator index
+    (q_i n + q_j) 2n + p_k per layout by integer arithmetic."""
+    a, PI = suite.shell.modes + suite.shell.K, suite.pair_index
+    if np.shape(rows)[1:] == (1,) and np.ndim(cols) == 1:
+        p = [PI[a[rows[:, 0], s]][:, a[cols, s]].astype(np.int64) for s in range(3)]
+    else:
+        p = [PI[a[rows, s], a[cols, s]].astype(np.int64) for s in range(3)]
+    q = [c >> 1 for c in p]
     if name == "one":
-        g = suite.g1d[PI >> 1]
-        return (g[a[rows, 0], a[cols, 0]] * g[a[rows, 1], a[cols, 1]]
-                * g[a[rows, 2], a[cols, 2]])
+        return suite.g1d[q[0]] * suite.g1d[q[1]] * suite.g1d[q[2]]
     acc, (i, j, k) = {"g0": (suite.acc0, (0, 1, 2)), "g1": (suite.acc3, (2, 1, 0)),
                       "g2": (suite.acc3, (0, 2, 1)), "g3": (suite.acc3, (0, 1, 2))}[name]
-    M, nf, Q = PI.shape[0], acc.shape[0], PI >> 1
-    T = (Q[:, None, :, None] * nf + Q[None, :, None, :]) * 2 * nf
-    c = a[:, i] * M + a[:, j]
-    flat = T.reshape(M * M, M * M)[c[rows], c[cols]]
-    flat += PI[a[rows, k], a[cols, k]]
-    return acc.take(flat)
+    n = acc.shape[0]
+    return acc.take((q[i] * n + q[j]) * 2 * n + p[k])
 
 
 # ---------------------------------------------------------------------------

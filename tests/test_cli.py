@@ -158,6 +158,20 @@ def test_vacuum_divergence_reference_probe_builds_no_gram_suite(monkeypatch, cap
     assert len(calls) == 1
 
 
+def test_oversized_shell_exits_2_before_building_a_suite(monkeypatch, capsys):
+    # shell 12 needs about 0.17 GB (two 77 MB accumulators, a 1.6 MB class
+    # table and a 16 MB row-block buffer): on a 100 MB machine the settings
+    # are refused, with the estimate, before any suite is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a Gram suite was built")
+
+    monkeypatch.setattr(suites, "_physical_memory", lambda: 100 * 10 ** 6)
+    monkeypatch.setattr(quadrature, "gram_suite", refused)
+    code, _, err = run_cli(["vacuum-divergence", "--shells", "12"], capsys)
+    assert code == 2
+    assert "shell 12 needs about 0.17 GB, more than the 0.10 GB of physical memory" in err
+
+
 def test_vacuum_divergence_peak_memory_below_dense_builds(capsys):
     # the K=4 run below peaks near 1.5 MB of traced allocations, most of it
     # the suite's two mirror-folded accumulators (0.5 MB together) and one

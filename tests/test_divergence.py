@@ -185,6 +185,31 @@ def test_mplus_diagonal_matches_dense_oracle(K):
         assert np.max(np.abs(diag - np.diagonal(dense).real)) < 1e-14
 
 
+def blockwise_mplus_diagonal(suite, basis_kind):
+    # every (u, u') block of each column group read through `one` and
+    # `terms`, each spin factor's diagonal taken apart, summed term-major
+    Ys = [0.5 * np.eye(4)] + [Y for Y, _ in quad.m_plus_terms()]
+    groups = [[([suite.one(r, r2), *suite.terms(r, r2)], Q, Q2)
+               for r, Q in group for r2, Q2 in group]
+              for group in dv._frame(suite.shell.K, basis_kind)]
+    return np.concatenate([
+        sum(np.outer(Xs[t], np.diagonal(Q.conj().T @ Y @ Q2).real)
+            for t, Y in enumerate(Ys) for Xs, Q, Q2 in blocks).ravel()
+        for blocks in groups])
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_folded_mplus_diagonal_matches_blockwise_read_bitwise(K):
+    # (pi L, L) and (pi L, pi L) are not read but taken from (L, pi L) and
+    # eps_t (L, L): the same slots, copied or negated, so no bit may move
+    shell = modes.enumerate_shell(K)
+    for m in (0.0, 0.1, 1.0, 10.0):
+        suite = quad.gram_suite(shell, m, SMALL_GRID)
+        for kind in dv.FRAMES:
+            assert np.array_equal(dv.mplus_diagonal(suite, kind),
+                                  blockwise_mplus_diagonal(suite, kind)), (m, kind)
+
+
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
 def test_shell_frame_matches_shell_conjugation(K):
     # the layer reversal and conjugation_matrix() rebuild U = P_pi (x) C
@@ -210,12 +235,13 @@ def test_folded_blocks_reproduce_frame_blocks(K):
         (fixed, T0), (L, A), (pL, B) = [t for group in dv._frame(K, kind) for t in group]
         Vf = np.kron(eye[:, fixed], T0)
         V2 = np.kron(eye[:, L], A) + np.kron(eye[:, pL], B)
-        spins = [dv._folded_spins(T0, A, B, Y, e) for Y, e in quad.m_plus_terms()]
+        Y, e = (np.array(t) for t in zip(*quad.m_plus_terms()))
+        spins = dv._folded_spins(T0, A, B, Y, e)
         folded = [(Vf, Vf, [(fixed, fixed, 0)]), (Vf, V2, [(fixed, L, 1)]),
                   (V2, Vf, [(L, fixed, 2)]), (V2, V2, [(L, L, 3), (L, pL, 4)])]
         for Vl, Vr, blocks in folded:
-            built = sum(np.kron(X, P[j]) for r, c, j in blocks
-                        for X, P in zip(suite.terms(r[:, None], c), spins))
+            built = sum(np.kron(X, P) for r, c, j in blocks
+                        for X, P in zip(suite.terms(r[:, None], c), spins[j]))
             assert np.max(np.abs(built - Vl.conj().T @ R @ Vr)) < 1e-14
 
 

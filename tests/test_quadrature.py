@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dense_gram, folded_at_pair_triples, mode_ft, spectral_projector,
-                      table_gather, unfolded_axis_tables, unfolded_dense, unfolded_grams)
+from conftest import (axis_pair_gather, dense_gram, folded_at_pair_triples, mode_ft,
+                      spectral_projector, unfolded_axis_tables, unfolded_dense, unfolded_grams)
 from fockcharge import divergence, modes, quadrature as quad
 
 GS = ("g1", "g2", "g3")
@@ -250,11 +250,11 @@ def test_flipped_mirror_bit_fails_the_unfolded_oracle(K):
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3])
-def test_pairs_and_take_match_the_table_gather(K):
+def test_class_table_read_matches_the_axis_pair_gather(K):
     # `terms` (also into a given buffer) and `one`, in the two-stage outer
     # read, a permuted and strided outer read and the elementwise read,
-    # against the (M^2, M^2) table gather of the folded layout, bit for
-    # bit, and against the unfolded oracle
+    # against the per-axis pair reads and flat-index arithmetic of the
+    # folded layout, bit for bit, and against the unfolded oracle
     shell, grid = modes.enumerate_shell(K), quad.build_grid(6, 1, 4)
     suite, oracle = quad.gram_suite(shell, 0.7, grid), unfolded_grams(shell, 0.7, grid)
     dense = {name: unfolded_dense(oracle, name) for name in ("one", "g0") + GS}
@@ -262,12 +262,12 @@ def test_pairs_and_take_match_the_table_gather(K):
     idx = np.arange(shell.count)
     perm = np.random.default_rng(K).permutation(shell.count)
     for rows, cols in ((idx[:, None], idx), (perm[:, None], idx[::2]), (perm, idx)):
-        expected = np.stack([table_gather(suite, name, rows, cols) for name in ("g0",) + GS])
+        expected = np.stack([axis_pair_gather(suite, name, rows, cols) for name in ("g0",) + GS])
         expected[0] *= suite.m
         out = np.empty_like(expected)
         assert np.array_equal(suite.terms(rows, cols), expected), rows.shape
         assert suite.terms(rows, cols, out) is out and np.array_equal(out, expected)
-        one = table_gather(suite, "one", rows, cols)
+        one = axis_pair_gather(suite, "one", rows, cols)
         assert np.array_equal(suite.one(rows, cols), one)
         for got, name in zip([*expected, one], ("g0",) + GS + ("one",)):
             assert relative_deviation(got, dense[name][rows, cols]) <= 1e-13, name
