@@ -51,6 +51,7 @@ sums are basis independent; the basis matters for partial shells, which is
 why the series itself is basis sensitive.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +255,23 @@ def checked_tail(grid: QuadGrid, kmax: int) -> float:
         raise ValueError(
             f"grid too small for shell {kmax}: tail estimate {tail:.3f} > {MAX_TAIL}")
     return tail
+
+
+def checked_suite_bytes(kmax: int) -> int:
+    """Bytes of the trace route's arrays at shell kmax, rejected above the
+    physical memory: the Gram suite's two accumulators, 32 nf^3 with nf =
+    (kmax+1)^2, its class table and the row-block buffer of `_block_grams`."""
+    nf, M = (kmax + 1) ** 2, 2 * kmax + 1
+    need = 32 * nf ** 3 + M ** 4 * np.min_scalar_type(2 * nf ** 3 - 1).itemsize
+    need += 32 * _ROW_BLOCK * (M ** 3 - 1)  # 8 doubles per block row and mode of L
+    if need > (have := _physical_memory()):
+        raise ValueError(f"shell {kmax} needs about {need / 1e9:.2f} GB, more than "
+                         f"the {have / 1e9:.2f} GB of physical memory")
+    return need
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _prepare(shells, suite: AxisFactors) -> tuple:

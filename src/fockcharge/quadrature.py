@@ -26,9 +26,9 @@ A Gram suite keeps its Grams in two nf^2 (2 nf) accumulators over the nf
 mirror classes of per-axis pairs and reads them at any modes: `terms` gives
 (m G0, G1, G2, G3), the Kronecker partners of the spin factors
 `m_plus_terms` in R = M+ - I/2, each flat index one read of an (M^2, M^2)
-class table plus one of the pair codes, and `one` the weight-one Gram.  The scalar
-route reads |R|_F^2 off the 1d factors (`AxisFactors.fro2`).  The series
-needs only R, as S_J = n - |R_J|_F^2; the dense M+ (`m_plus`,
+class table plus one of the pair codes, and `one` the weight-one Gram.  The
+scalar route reads |R|_F^2 off the 1d factors (`AxisFactors.fro2`).  The
+series needs only R, as S_J = n - |R_J|_F^2; the dense M+ (`m_plus`,
 `ideal_m_plus`) is a test oracle.
 """
 
@@ -55,6 +55,7 @@ __all__ = [
 
 MAX_EFFECTIVE_NODES = 1e9
 _BLOCK_BYTES = 2 ** 18  # bound on gram_suite's per-block temporary
+_LAYOUTS = ((0, 1, 2), (2, 1, 0), (0, 2, 1))  # (i, j, k) of G0 and G3, G1, G2
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,6 @@ class GramMatrices(AxisFactors):
                 acc.take(flat, out=out[t], mode="clip")
         out[0] *= self.m
         return out
-
-
-_LAYOUTS = ((0, 1, 2), (2, 1, 0), (0, 2, 1))  # (i, j, k) of G0 and G3, G1, G2
 
 
 def axis_factors(shell: Shell, m: float, grid: QuadGrid) -> AxisFactors:

@@ -6,7 +6,6 @@ output) plus named checks with tolerances (the pass/fail summary).  The
 acceptance tests drive the same functions.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +25,10 @@ class ExperimentConfig:
     """The settings of one experiment run and the one place of their defaults.
 
     Building it checks every setting before any numerics (the rules of
-    `quadrature.mass_squared`, `build_grid`, `divergence.checked_tail`) and
-    raises ValueError on an unusable one, also on a shell whose Gram suite
-    (`_suite_bytes`) exceeds the physical memory.  It keeps vacuum-divergence's
-    grid and reference grid: the order doubled or, past the node cap, halved."""
+    `quadrature.mass_squared`, `build_grid`, `divergence.checked_tail`,
+    `checked_suite_bytes`) and raises ValueError on an unusable one.  It keeps
+    vacuum-divergence's grid and reference grid: the order doubled or, past
+    the node cap, halved."""
 
     m: float = 1.0
     shells: int = 3
@@ -47,10 +46,7 @@ class ExperimentConfig:
                              f"shells={self.shells!r}, seed={self.seed!r}")
         grid = quadrature.build_grid(self.cutoff, self.panels, self.order)
         divergence.checked_tail(grid, self.shells)
-        need, have = _suite_bytes(self.shells), _physical_memory()
-        if need > have:
-            raise ValueError(f"shell {self.shells} needs about {need / 1e9:.2f} GB, more than "
-                             f"the {have / 1e9:.2f} GB of physical memory")
+        divergence.checked_suite_bytes(self.shells)
         doubled = quadrature.fits_node_cap(self.cutoff, self.panels, 2 * self.order)
         ref_order = 2 * self.order if doubled else max(2, self.order // 2)
         if ref_order == self.order:
@@ -59,17 +55,6 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "reference_grid",
                            quadrature.build_grid(self.cutoff, self.panels, ref_order))
-
-
-def _suite_bytes(K: int) -> int:
-    """Bytes of the shell-K Gram suite's two accumulators, 32 nf^3 with
-    nf = (K+1)^2, its class table and the trace route's row-block buffer."""
-    nf, M = (int(K) + 1) ** 2, 2 * int(K) + 1
-    return 32 * nf ** 3 + M ** 4 * np.min_scalar_type(2 * nf ** 3).itemsize + 1024 * (M ** 3 - 1)
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass

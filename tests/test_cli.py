@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from fockcharge import cli, quadrature, suites
+from fockcharge import cli, divergence, quadrature, suites
 
 FAST_ARGS = ["--cutoff", "8", "--panels", "1", "--order", "4", "--shells", "1"]
 
@@ -165,7 +165,7 @@ def test_oversized_shell_exits_2_before_building_a_suite(monkeypatch, capsys):
     def refused(*args, **kwargs):
         raise AssertionError("a Gram suite was built")
 
-    monkeypatch.setattr(suites, "_physical_memory", lambda: 100 * 10 ** 6)
+    monkeypatch.setattr(divergence, "_physical_memory", lambda: 100 * 10 ** 6)
     monkeypatch.setattr(quadrature, "gram_suite", refused)
     code, _, err = run_cli(["vacuum-divergence", "--shells", "12"], capsys)
     assert code == 2
