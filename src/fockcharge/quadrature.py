@@ -220,9 +220,8 @@ class GramMatrices(AxisFactors):
 
     def __post_init__(self):
         a, M, nf = self.shell.modes + self.shell.K, len(self.pair_index), len(self.acc0)
-        q = (self.pair_index >> 1).astype(np.min_scalar_type(self.acc0.size - 1))
-        table = (q[:, None, :, None] * nf + q[None, :, None, :]) * (2 * nf)
-        self.class_table = table.reshape(M * M, M * M)
+        Q = (self.pair_index >> 1).astype(np.min_scalar_type(self.acc0.size - 1)) * (2 * nf)
+        self.class_table = (Q[:, None, :, None] * nf + Q[None, :, None, :]).reshape(M * M, M * M)
         self.codes = np.array([(a[:, i] * M + a[:, j], a[:, k]) for i, j, k in _LAYOUTS],
                               dtype=np.min_scalar_type(M * M - 1))
 
@@ -243,12 +242,14 @@ class GramMatrices(AxisFactors):
             r, c = self.codes[..., rows[:, 0]], self.codes[..., cols]
             Tc = T.take(c[:, 0], axis=1).transpose(1, 0, 2).copy()
             Pc = PI.take(c[:, 1], axis=1).transpose(1, 0, 2).copy()
-            flats = (Tc[l].take(r[l, 0], axis=0) + Pc[l].take(r[l, 1], axis=0) for l in range(3))
+            parts = ((Tc[l].take(r[l, 0], axis=0), Pc[l].take(r[l, 1], axis=0)) for l in range(3))
         else:
             r, c = self.codes[..., rows], self.codes[..., cols]
-            flats = (T[r[l, 0], c[l, 0]] + PI[r[l, 1], c[l, 1]] for l in range(3))
+            parts = ((T[r[l, 0], c[l, 0]], PI[r[l, 1], c[l, 1]]) for l in range(3))
         reads = (((self.acc0, 0), (self.acc3, 3)), ((self.acc3, 1),), ((self.acc3, 2),))
-        for flat, layout_reads in zip(flats, reads):
+        flat = None  # one index buffer for all layouts; each layout's parts die in np.add
+        for layout_reads in reads:
+            flat = np.add(*next(parts), out=flat)
             out = np.empty((4,) + flat.shape) if out is None else out
             for acc, t in layout_reads:
                 acc.take(flat, out=out[t], mode="clip")
