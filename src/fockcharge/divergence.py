@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import fock
 from .charge import SubspaceBasis, vacuum_norm
+from .fock import ToyModel
 from .modes import Shell, enumerate_shell
 from .quadrature import AxisFactors, QuadGrid, GramMatrices, axis_factors, m_plus_terms
 from .spinor import conjugation_matrix
@@ -68,6 +68,7 @@ __all__ = [
     "vacuum_series_trace",
     "vacuum_series_scalar",
     "checked_tail",
+    "checked_suite_bytes",
     "growth_diagnostics",
     "toy_oracle_equivalence",
     "c_invariant_transform",
@@ -134,16 +135,6 @@ def _shell_frame(K: int):
     return np.flatnonzero(partner == idx), L, partner[L]
 
 
-def _frame(K: int, basis_kind: str):
-    """Column groups sum_u R_u (x) Q_u of a basis on the shell of radius K,
-    each term given as (rows, Q) with R_u the selection of `rows`."""
-    if basis_kind not in FRAMES:
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
-    T0, A, B = FRAMES[basis_kind]
-    fixed, L, pL = _shell_frame(K)
-    return [[(fixed, T0)], [(L, A), (pL, B)]]
-
-
 def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     """Sparse unitary whose columns express a conjugation-invariant ONB of
     the shell's spinor modes in the product basis.
@@ -157,10 +148,9 @@ def c_invariant_transform(shell: Shell) -> sparse.csc_matrix:
     standard seeds, in closed form, assembled from its Kronecker frame.
     """
     eye = sparse.identity(shell.count, format="csc")
-    groups = [sum(sparse.kron(eye[:, rows], Q, format="csc")
-                  for rows, Q in group)
-              for group in _frame(shell.K, C_INVARIANT)]
-    return sparse.hstack(groups, format="csc")
+    Vf, VL, VpL = (sparse.kron(eye[:, rows], Q, format="csc")
+                   for rows, Q in zip(_shell_frame(shell.K), FRAMES[C_INVARIANT]))
+    return sparse.hstack([Vf, VL + VpL], format="csc")
 
 
 def _block_grams(suite: GramMatrices, col_sets, counts, signs) -> np.ndarray:
@@ -175,7 +165,9 @@ def _block_grams(suite: GramMatrices, col_sets, counts, signs) -> np.ndarray:
     buffer (0.75 MB at K=4) and transposed (the Grams are symmetric): a row
     block p0..p1 adds its square (columns p0..p1) whole and the strip below
     it (columns 0..p0) weighted 1 + s_a s_b, the strip and its mirror above
-    the diagonal, all of it into the row block's layer.
+    the diagonal, all of it into the row block's layer.  An entry of opposite
+    parities sums a symmetric block against an antisymmetric one over a
+    symmetric region: zero in exact arithmetic, so none reaches |R|^2.
     """
     rows, T = col_sets[0], 4 * len(col_sets)
     D = np.zeros((len(counts), T, T))
@@ -344,9 +336,15 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
     and then `suite.terms`: no spinor matrix.  Only (fixed, fixed), (L, L)
     and (L, pi L) are read; (pi L, L) reads the same slots as (L, pi L), and
     (pi L, pi L) is eps_t (L, L) exactly, a copy or negation of the slot.
+    The odd terms G1..G3 add exact zeros: their spin diagonals vanish on
+    (L, L) and (pi L, pi L), their Grams at the zero mode and at (u, -u),
+    where the self-mirror axis pairs' h rows are 0, so eps_t multiplies
+    zeros; they stay so that `c-invariant-diag-half` would see a nonzero h.
     """
+    if basis_kind not in FRAMES:
+        raise ValueError(f"unknown basis kind {basis_kind!r}")
     Y, eps = (np.array(t) for t in zip((0.5 * np.eye(4), 1.0), *m_plus_terms()))
-    (fixed, T0), (L, A), (pL, B) = [t for group in _frame(suite.shell.K, basis_kind) for t in group]
+    (fixed, T0), (L, A), (pL, B) = zip(_shell_frame(suite.shell.K), FRAMES[basis_kind])
     ff, ll, lm = (np.concatenate([suite.one(r, r2)[None], suite.terms(r, r2)])
                   for r, r2 in ((fixed, fixed), (L, L), (L, pL)))
     blocks = [[(ff, T0, T0)], [(ll, A, A), (lm, A, B), (lm, B, A), (eps[:, None] * ll, B, B)]]
@@ -357,8 +355,8 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
                            for g in groups])
 
 
-def growth_diagnostics(series: DivergenceSeries) -> dict:
-    """Increment table and Cauchy verdict.
+def growth_diagnostics(series: DivergenceSeries) -> str:
+    """Cauchy verdict on the series' increments.
 
     The verdict is "no Cauchy convergence" when the last shell still adds at
     least half the median increment; an (almost) vanishing last increment
@@ -369,11 +367,10 @@ def growth_diagnostics(series: DivergenceSeries) -> dict:
     inc = np.asarray(series.increments(), dtype=float)
     scale = max(1.0, float(np.max(np.abs(series.S))))
     growing = abs(inc[-1]) > 1e-12 * scale and inc[-1] >= 0.5 * float(np.median(inc))
-    return {"increments": inc.tolist(),
-            "verdict": "no Cauchy convergence" if growing else "converged"}
+    return "no Cauchy convergence" if growing else "converged"
 
 
-def toy_oracle_equivalence(model: fock.ToyModel, basis: SubspaceBasis, J: int) -> float:
+def toy_oracle_equivalence(model: ToyModel, basis: SubspaceBasis, J: int) -> float:
     """|Q^J Omega|^2 on the toy Fock space versus tr(M+) - tr(M+^2) with the
     exact toy Gram M+_ij = <f_i, P+ f_j>; returns the absolute deviation."""
     fock_value, trace_value = vacuum_norm(model, basis, J)

@@ -52,6 +52,7 @@ from .involution import AntiUnitary
 
 __all__ = [
     "ToyModel",
+    "random_unitary",
     "random_model",
     "vacuum",
     "creator_b",
@@ -359,19 +360,24 @@ class ToyModel:
         self.fock_dim = 2 ** self.n
 
 
+def random_unitary(rng, d: int) -> np.ndarray:
+    """Haar-random d x d unitary: the phase-fixed QR of a complex Gaussian."""
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Q, R = np.linalg.qr(A)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
 def random_model(n: int, rng) -> ToyModel:
     """Random toy model with dim ran(P+) = dim ran(P-) = n/2.
 
-    P+ and C are generated together: a Haar-ish unitary V = [V+ V-] fixes the
-    two subspaces and a random real orthogonal O pairs them, C(V- x) =
-    V+ O conj(x).  This guarantees C P- C = P+ by construction.
+    P+ and C are generated together: a Haar-random unitary V = [V+ V-]
+    fixes the two subspaces and a random real orthogonal O pairs them,
+    C(V- x) = V+ O conj(x).  This guarantees C P- C = P+ by construction.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be even and >= 2")
     d = n // 2
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    V, R = np.linalg.qr(A)
-    V = V * (np.diagonal(R) / np.abs(np.diagonal(R)))  # fix phases
+    V = random_unitary(rng, n)
     Vp, Vm = V[:, :d], V[:, d:]
     O, r = np.linalg.qr(rng.normal(size=(d, d)))
     O = O * np.sign(np.diagonal(r))

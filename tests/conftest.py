@@ -22,14 +22,8 @@ def model8(rng):
     return fock.random_model(8, rng)
 
 
-def random_unitary(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(A)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-
-
 def random_involution(rng, d):
-    W = random_unitary(rng, d)
+    W = fock.random_unitary(rng, d)
     return W @ W.T
 
 

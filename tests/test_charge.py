@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import assert_bitwise_csr, dense_spectrum_deviation, random_unitary, sorted_csr
+from conftest import assert_bitwise_csr, dense_spectrum_deviation, sorted_csr
 from fockcharge import charge, fock, suites
 from fockcharge.charge import max_abs
 
@@ -166,7 +166,7 @@ def test_spectrum_independent_of_which_subset(model6, rng):
 def test_basis_independence(model6, rng):
     basis = charge.random_subspace(model6, 3, rng)
     assert charge.q_basis_independence_check(model6, basis, [np.eye(3)]) == 0.0
-    assert charge.q_basis_independence_check(model6, basis, [random_unitary(rng, 3)]) < 1e-10
+    assert charge.q_basis_independence_check(model6, basis, [fock.random_unitary(rng, 3)]) < 1e-10
     perm = np.eye(3)[rng.permutation(3)]
     assert charge.q_basis_independence_check(model6, basis, [perm]) < 1e-12
     assert charge.q_basis_independence_check(model6, basis, [np.eye(3), perm]) < 1e-12
@@ -188,7 +188,7 @@ def test_basis_independence_class_sum_matches_sparse_oracle(seed):
     rng = np.random.default_rng(seed)
     model = fock.random_model(6, rng)
     basis = charge.random_subspace(model, 3, rng)
-    unitaries = [np.eye(3)] + [random_unitary(rng, 3) for _ in range(100)]
+    unitaries = [np.eye(3)] + [fock.random_unitary(rng, 3) for _ in range(100)]
     check = charge.q_basis_independence_check(model, basis, unitaries)
     assert check == oracle_basis_independence(model, basis, unitaries) > 0.0
     assert (charge.q_basis_independence_check(model, basis, unitaries[7:8])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import dense_gram, random_unitary
+from conftest import dense_gram
 from fockcharge import charge, divergence as dv, fock, modes, quadrature as quad, spinor, suites
 
 SMALL_GRID = quad.build_grid(10, 1, 5)
@@ -185,13 +185,19 @@ def test_mplus_diagonal_matches_dense_oracle(K):
         assert np.max(np.abs(diag - np.diagonal(dense).real)) < 1e-14
 
 
+def test_mplus_diagonal_rejects_unknown_basis_kind(small_suite):
+    with pytest.raises(ValueError, match="unknown basis kind 'nope'"):
+        dv.mplus_diagonal(small_suite, "nope")
+
+
 def blockwise_mplus_diagonal(suite, basis_kind):
     # every (u, u') block of each column group read through `one` and
     # `terms`, each spin factor's diagonal taken apart, summed term-major
     Ys = [0.5 * np.eye(4)] + [Y for Y, _ in quad.m_plus_terms()]
+    (fixed, T0), (L, A), (pL, B) = zip(dv._shell_frame(suite.shell.K), dv.FRAMES[basis_kind])
     groups = [[([suite.one(r, r2), *suite.terms(r, r2)], Q, Q2)
                for r, Q in group for r2, Q2 in group]
-              for group in dv._frame(suite.shell.K, basis_kind)]
+              for group in ([(fixed, T0)], [(L, A), (pL, B)])]
     return np.concatenate([
         sum(np.outer(Xs[t], np.diagonal(Q.conj().T @ Y @ Q2).real)
             for t, Y in enumerate(Ys) for Xs, Q, Q2 in blocks).ravel()
@@ -232,7 +238,8 @@ def test_folded_blocks_reproduce_frame_blocks(K):
     R = quad.ideal_m_plus(suite) - 0.5 * np.eye(4 * suite.shell.count)
     eye = np.eye(suite.shell.count)
     for kind in dv.FRAMES:
-        (fixed, T0), (L, A), (pL, B) = [t for group in dv._frame(K, kind) for t in group]
+        fixed, L, pL = dv._shell_frame(K)
+        T0, A, B = dv.FRAMES[kind]
         Vf = np.kron(eye[:, fixed], T0)
         V2 = np.kron(eye[:, L], A) + np.kron(eye[:, pL], B)
         Y, e = (np.array(t) for t in zip(*quad.m_plus_terms()))
@@ -342,7 +349,7 @@ def test_complete_shell_sums_invariant_under_intra_shell_mixing(small_suite, rng
     # unitary mixing inside complete shells must not move the shell sums
     M = quad.ideal_m_plus(small_suite)
     sizes = [4 * c for c in (1, 26, 98)]  # spinor modes added per shell
-    blocks = [random_unitary(rng, s) for s in sizes]
+    blocks = [fock.random_unitary(rng, s) for s in sizes]
     U = np.zeros((M.shape[0], M.shape[0]), dtype=complex)
     at = 0
     for B in blocks:
@@ -410,18 +417,29 @@ def test_scalar_route_without_suite_builds_no_accumulators():
     assert peak < 10 * 2 ** 20
 
 
+@pytest.mark.parametrize("K", range(7))
+def test_suite_bytes_estimate_matches_the_arrays_it_estimates(K):
+    # the accumulators and class table of a built suite plus the row-block
+    # buffer of `_block_grams`, 8 doubles per mode of L and block row: exact
+    # once L fills a block, an upper bound before
+    suite = quad.gram_suite(modes.enumerate_shell(K), 1.0, SMALL_GRID)
+    rows = ((2 * K + 1) ** 3 - 1) // 2
+    built = (suite.acc0.nbytes + suite.acc3.nbytes + suite.class_table.nbytes
+             + 64 * rows * min(dv._ROW_BLOCK, rows))
+    need = dv.checked_suite_bytes(K)
+    assert need == built if rows >= dv._ROW_BLOCK else need >= built
+
+
 def test_growth_diagnostics_verdicts():
     grown = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
                                 [0.5, 8.0, 26.0, 54.0], dv.PRODUCT, 0.01)
-    rep = dv.growth_diagnostics(grown)
-    assert rep["verdict"] == "no Cauchy convergence"
-    assert len(rep["increments"]) == 4
+    assert dv.growth_diagnostics(grown) == "no Cauchy convergence"
     flat = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
                                [1.0, 1.0, 1.0, 1.0], dv.PRODUCT, 0.01)
-    assert dv.growth_diagnostics(flat)["verdict"] == "converged"
+    assert dv.growth_diagnostics(flat) == "converged"
     stalled = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
                                   [0.0, 2.0, 2.4, 2.41], dv.PRODUCT, 0.01)
-    assert dv.growth_diagnostics(stalled)["verdict"] == "converged"
+    assert dv.growth_diagnostics(stalled) == "converged"
     with pytest.raises(ValueError):
         dv.growth_diagnostics(dv.DivergenceSeries([0, 1], [4, 108], [0.5, 8.0],
                                                   dv.PRODUCT, 0.01))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import random_involution, random_unitary
+from conftest import random_involution
 from fockcharge import involution as inv
-from fockcharge import modes, suites
+from fockcharge import fock, modes, suites
 
 
 def test_plain_conjugation_is_valid():
@@ -135,7 +135,7 @@ def test_conjugation_of_coefficients_rule(rng):
 def test_seed_permutation_never_changes_rank(rng):
     d = 8
     C = inv.make_involution(random_involution(rng, d))
-    base = random_unitary(rng, d)
+    base = fock.random_unitary(rng, d)
     for _ in range(6):
         p = rng.permutation(d)
         F = inv.c_invariant_onb(C, base[:, p])
@@ -210,7 +210,7 @@ def test_c_invariant_onb_matches_the_written_out_walk(rng):
         cases.append((inv.make_involution(random_involution(rng, dim)), np.eye(dim, dtype=complex)))
     cases.append((inv.make_involution(np.eye(8)), suites._footnote_seed_basis()))
     C = inv.make_involution(random_involution(rng, 8))
-    base = random_unitary(rng, 8)
+    base = fock.random_unitary(rng, 8)
     cases += [(C, base[:, rng.permutation(8)]) for _ in range(5)]
     for C, seeds in cases:
         F = inv.c_invariant_onb(C, seeds)
