@@ -1,16 +1,17 @@
 """Modified Bessel functions K0, K1 and the position-space kernel of the
 inverse energy 1/lambda.
 
-The implementation is self-contained: the defining power series below the
-crossover z = 2 and a Chebyshev-resummed asymptotic form of
-sqrt(z) e^z K_nu(z) in the variable 4/z - 1 above it.  The independent
-check kept alongside is the exponentially damped integral representation
+K0 and K1 come from the defining power series below the crossover z = 2
+and a Chebyshev-resummed asymptotic form of sqrt(z) e^z K_nu(z) in the
+variable 4/z - 1 above it.  The independent check kept alongside is the
+exponentially damped integral representation
 
     K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
 
 equal to the conditionally convergent cosine form
 int_0^inf cos(z t) / sqrt(t^2 + 1) dt, which is also evaluated directly
-(lobe summation plus averaging acceleration) at moderate accuracy.
+(lobe summation plus averaging acceleration) at moderate accuracy.  Both
+read the Gauss-Legendre rule that `quadrature` caches for its grids.
 
 K0, K1 and the damped-integral oracles take scalars or arrays, and an array
 call gives each entry bit for bit as the scalar call; verify_kernel_identity
@@ -18,9 +19,9 @@ makes one array call per side of its finite difference.  Every argument and
 mass must be positive: zero, negative and NaN inputs raise ValueError.
 """
 
-from functools import lru_cache
-
 import numpy as np
+
+from .quadrature import _gauss_legendre
 
 __all__ = [
     "k0",
@@ -166,16 +167,6 @@ def k0(z):
 def k1(z):
     """Modified Bessel function of the second kind, order 1."""
     return _eval(z, 1)
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre(order: int):
-    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1],
-    computed once per order and read-only, since every caller shares them."""
-    xi, wi = np.polynomial.legendre.leggauss(order)
-    xi.flags.writeable = False
-    wi.flags.writeable = False
-    return xi, wi
 
 
 def _damped_integral(z, nu):

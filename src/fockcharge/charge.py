@@ -31,7 +31,7 @@ from scipy import sparse
 
 from . import fock
 from .fock import ToyModel
-from .involution import c_invariant_onb
+from .involution import c_invariant_onb, gram_deviation
 
 __all__ = [
     "SubspaceBasis",
@@ -87,7 +87,7 @@ class SubspaceBasis:
         if V.ndim != 2 or V.shape[0] != model.n:
             raise ValueError(f"expected shape ({model.n}, d)")
         d = V.shape[1]
-        if d and not np.max(np.abs(V.conj().T @ V - np.eye(d))) <= ONB_TOL:
+        if d and not gram_deviation(V) <= ONB_TOL:
             raise ValueError("basis is not orthonormal")
         dplus = float(np.real(np.einsum("ij,ik,kj->", V.conj(), model.p_plus, V)))
         return cls(vectors=V, dplus=dplus, dminus=d - dplus)
@@ -106,9 +106,7 @@ def random_subspace(model: ToyModel, d: int, rng) -> SubspaceBasis:
 
 def c_invariant_subspace(model: ToyModel, d: int, rng) -> SubspaceBasis:
     """Subspace with C k = k, spanned by d vectors fixed by C."""
-    A = rng.normal(size=(model.n, model.n)) + 1j * rng.normal(size=(model.n, model.n))
-    Q, _ = np.linalg.qr(A)
-    F = c_invariant_onb(model.conj, Q)
+    F = c_invariant_onb(model.conj, random_subspace(model, model.n, rng).vectors)
     return SubspaceBasis.from_vectors(model, F[:, :d])
 
 
@@ -204,7 +202,7 @@ def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitaries)
 def _rotated(model: ToyModel, basis: SubspaceBasis, unitary) -> SubspaceBasis:
     U = np.asarray(unitary, dtype=complex)
     d = basis.dim
-    if U.shape != (d, d) or np.max(np.abs(U.conj().T @ U - np.eye(d))) > 1e-12:
+    if U.shape != (d, d) or gram_deviation(U) > 1e-12:
         raise ValueError("need a d x d unitary")
     return SubspaceBasis.from_vectors(model, basis.vectors @ U)
 

@@ -92,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, help="record format (default csv)")
     p.add_argument("--no-timestamp", action="store_true", default=None,
                    help="suppress the timestamp header line in CSV output")
+    p.add_argument("--timestamp", dest="no_timestamp", action="store_false", default=None,
+                   help="write the timestamp header line (the default; overrides a config file)")
     return p
 
 

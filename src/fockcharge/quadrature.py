@@ -33,6 +33,7 @@ series needs only R, as S_J = n - |R_J|_F^2; the dense M+ (`m_plus`,
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def build_grid(cutoff: int, panels_per_unit: int, gauss_order: int) -> QuadGrid:
         raise ValueError("gauss_order must be an integer >= 2")
     if not fits_node_cap(cutoff, panels_per_unit, gauss_order):
         raise ValueError(f"grid of more than {MAX_EFFECTIVE_NODES:.0e} effective nodes rejected")
-    xi, wi = np.polynomial.legendre.leggauss(int(gauss_order))
+    xi, wi = _gauss_legendre(int(gauss_order))
     width = 1.0 / panels_per_unit
     starts = np.arange(-cutoff * panels_per_unit, cutoff * panels_per_unit) * width
     nodes = (starts[:, None] + 0.5 * width * (xi[None, :] + 1.0)).ravel()
@@ -107,6 +108,16 @@ def build_grid(cutoff: int, panels_per_unit: int, gauss_order: int) -> QuadGrid:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadGrid(int(cutoff), int(panels_per_unit), int(gauss_order), nodes, weights)
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(order: int):
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and read-only, since every caller shares them."""
+    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi.flags.writeable = False
+    wi.flags.writeable = False
+    return xi, wi
 
 
 def fits_node_cap(cutoff: int, panels_per_unit: int, gauss_order: int) -> bool:

@@ -29,10 +29,6 @@ class GammaSet:
     alpha: tuple  # (alpha1, alpha2, alpha3)
     beta: np.ndarray
 
-    @property
-    def gammas(self):
-        return (self.gamma0, self.gamma1, self.gamma2, self.gamma3)
-
 
 @lru_cache(maxsize=1)
 def gamma_matrices() -> GammaSet:

@@ -221,7 +221,7 @@ def run_additivity(cfg: ExperimentConfig) -> SuiteResult:
     for i in range(12):
         n = (6, 8)[i % 2]
         model = fock.random_model(n, rng)
-        frame, _ = np.linalg.qr(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+        frame = charge.random_subspace(model, 4, rng).vectors
         b1 = charge.SubspaceBasis.from_vectors(model, frame[:, :2])
         b2 = charge.SubspaceBasis.from_vectors(model, frame[:, 2:])
         rep = charge.q_additivity_and_commutation(model, b1, b2)
@@ -229,7 +229,7 @@ def run_additivity(cfg: ExperimentConfig) -> SuiteResult:
         worst_add = max(worst_add, rep["additivity"])
     for i in range(8):
         model = fock.random_model(6, rng)
-        frame, _ = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
+        frame = charge.random_subspace(model, 3, rng).vectors
         k1 = charge.SubspaceBasis.from_vectors(model, frame[:, :2])  # A + B
         k2 = charge.SubspaceBasis.from_vectors(model, frame[:, [0, 2]])  # A + C
         rep = charge.q_additivity_and_commutation(model, k1, k2, require_orthogonal=False)
@@ -325,9 +325,9 @@ def run_cbasis(cfg: ExperimentConfig) -> SuiteResult:
 def run_qtilde(cfg: ExperimentConfig) -> SuiteResult:
     rng = np.random.default_rng(QTILDE_WITNESS_SEED)
     model = fock.random_model(6, rng)
-    frame, _ = np.linalg.qr(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
-    b1 = charge.SubspaceBasis.from_vectors(model, frame[:, :2])
-    b2 = charge.SubspaceBasis.from_vectors(model, frame[:, 2:])
+    joint = charge.random_subspace(model, 4, rng)
+    b1 = charge.SubspaceBasis.from_vectors(model, joint.vectors[:, :2])
+    b2 = charge.SubspaceBasis.from_vectors(model, joint.vectors[:, 2:])
     t1 = charge.q_tilde(model, b1)
     t2 = charge.q_tilde(model, b2)
     witness = charge.max_abs(t1 @ t2 - t2 @ t1)
@@ -336,7 +336,6 @@ def run_qtilde(cfg: ExperimentConfig) -> SuiteResult:
     q_comm = charge.max_abs(q1 @ q2 - q2 @ q1)
 
     hermitian = charge.max_abs(t1 - t1.conj().T)
-    joint = charge.SubspaceBasis.from_vectors(model, frame)
     additive = charge.max_abs(charge.q_tilde(model, joint) - t1 - t2)
     rotated = charge.SubspaceBasis.from_vectors(model, b1.vectors @ fock.random_unitary(rng, 2))
     indep = charge.max_abs(t1 - charge.q_tilde(model, rotated))

@@ -173,19 +173,3 @@ def test_array_call_is_the_scalar_loop_bitwise(name, zs):
 def test_kernel_identity_over_a_grid_is_the_scalar_loop_bitwise(rs):
     assert bessel.verify_kernel_identity(1.0, rs) == max(
         bessel.verify_kernel_identity(1.0, [r]) for r in rs)
-
-
-def test_gauss_legendre_rule_cached_once_per_order_and_read_only():
-    bessel._gauss_legendre.cache_clear()
-    for order in (20, 40):
-        xi, wi = bessel._gauss_legendre(order)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-        assert np.array_equal(xi, ref_x) and np.array_equal(wi, ref_w)
-        for arr in (xi, wi):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-    bessel.k0_integral(1.0)
-    bessel.k1_integral(2.0)
-    bessel.k0_cosine_representation(1.0)
-    info = bessel._gauss_legendre.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)

@@ -452,7 +452,12 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
     (lambda model, basis: charge.SubspaceBasis.from_vectors(model, np.eye(4)), "expected shape"),
     (lambda model, basis: charge.q_weighted(model, basis, [0.5]), "one weight per basis vector"),
     (lambda model, basis: charge.q_basis_independence_check(model, basis, [2 * np.eye(2)]),
-     "unitary"),
+     "^need a d x d unitary$"),
+    # the rotation's Gram deviation, 2e-11, is above the 1e-12 it is held to
+    (lambda model, basis: charge.q_basis_independence_check(
+        model, basis, [(1 + 1e-11) * np.eye(2)]), "^need a d x d unitary$"),
+    (lambda model, basis: charge.q_basis_independence_check(model, basis, [np.eye(3)]),
+     "^need a d x d unitary$"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),
     (lambda model, basis: charge.sector_norm_decomposition(model, basis, 3, [], []),
@@ -464,7 +469,8 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
         model, np.diag(np.arange(model.fock_dim) % 2.0), [0.0, 1.0, 2.0]), None),
     (lambda model, basis: charge.spectrum_deviation(model, np.diag([0.0, 1.0]), [0.0, 1.0]),
      r"expected a \(64, 64\) matrix"),
-], ids=["basis-shape", "weight-count", "non-unitary-rotation", "witness-j-above",
+], ids=["basis-shape", "weight-count", "non-unitary-rotation", "near-unitary-rotation",
+        "wrong-size-rotation", "witness-j-above",
         "witness-j-below", "decomposition-J-above", "decomposition-J-below",
         "spectrum-count-mismatch", "spectrum-wrong-shape"])
 def test_unusable_inputs_rejected(call, message, model6, rng):

@@ -259,6 +259,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out_file.read_text().startswith("check,")  # flag overrode json
 
 
+@pytest.mark.parametrize("flags, header", [
+    ([], False), (["--timestamp"], True), (["--no-timestamp"], False),
+    (["--no-timestamp", "--timestamp"], True), (["--timestamp", "--no-timestamp"], False),
+])
+def test_timestamp_flags_override_a_config_file(tmp_path, capsys, flags, header):
+    """--timestamp reverses a file's no_timestamp = true; of the two flags
+    the last one given wins."""
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text("no_timestamp = true\n")
+    out_file = tmp_path / "w.csv"
+    code, _, _ = run_cli(["weighted", "--seed", "1", "--config", str(cfg), *flags,
+                          "--output", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_text().startswith("# generated ") is header
+
+
 def test_config_file_settings_parse_to_experiment_config_types(tmp_path):
     cfg = tmp_path / "all.cfg"
     cfg.write_text("m = 2\nshells = 1\ncutoff = 8\npanels = 1\norder = 4\nseed = 7\n"

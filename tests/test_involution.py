@@ -144,8 +144,21 @@ def test_seed_permutation_never_changes_rank(rng):
 
 def test_non_orthonormal_seed_rejected(rng):
     C = inv.make_involution(np.eye(3))
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="^seed basis is not orthonormal$"):
         inv.c_invariant_onb(C, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("scale, rejected", [(1 + 1e-9, True), (1 + 1e-12, False)])
+def test_seed_basis_orthonormal_to_1e_10(scale, rejected):
+    """The seed check reads the seeds' Gram deviation, here 2 (scale - 1),
+    against 1e-10."""
+    C = inv.make_involution(np.eye(3))
+    seeds = scale * np.eye(3)
+    if rejected:
+        with pytest.raises(ValueError, match="^seed basis is not orthonormal$"):
+            inv.c_invariant_onb(C, seeds)
+    else:
+        assert inv.gram_deviation(inv.c_invariant_onb(C, seeds)) < 1e-15
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (4, 2)])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (axis_pair_gather, dense_gram, folded_at_pair_triples, mode_ft,
                       spectral_projector, unfolded_axis_tables, unfolded_dense, unfolded_grams)
-from fockcharge import divergence, modes, quadrature as quad
+from fockcharge import bessel, divergence, modes, quadrature as quad
 
 GS = ("g1", "g2", "g3")
 
@@ -31,6 +31,27 @@ def naive_grams(shell, grid, masses):
 def test_build_grid_node_count():
     grid = quad.build_grid(8, 1, 8)
     assert grid.nodes_per_axis == 128
+
+
+def test_gauss_legendre_rule_cached_once_per_order_and_read_only():
+    """The headline grid, its reference grid and both Bessel oracles read one
+    Gauss-Legendre rule per order, computed on the first call and shared."""
+    quad._gauss_legendre.cache_clear()
+    for _ in range(2):
+        quad.build_grid(40, 2, 6)
+        quad.build_grid(40, 2, 3)
+        bessel.k0_integral(1.0)
+        bessel.k1_integral(2.0)
+        bessel.k0_cosine_representation(1.0)
+    info = quad._gauss_legendre.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    for order in (3, 6, bessel.COSINE_ORDER, bessel.INTEGRAL_ORDER):
+        xi, wi = quad._gauss_legendre(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(xi, ref_x) and np.array_equal(wi, ref_w)
+        for arr in (xi, wi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_build_grid_rejects_absurd_sizes():

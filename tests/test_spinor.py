@@ -9,9 +9,10 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 def test_clifford_relations():
     g = spinor.gamma_matrices()
+    gammas = (g.gamma0, g.gamma1, g.gamma2, g.gamma3)
     for a in range(4):
         for b in range(4):
-            anti = g.gammas[a] @ g.gammas[b] + g.gammas[b] @ g.gammas[a]
+            anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
             assert np.allclose(anti, 2 * ETA[a, b] * np.eye(4), atol=1e-15)
 
 
