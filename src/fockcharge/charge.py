@@ -202,7 +202,7 @@ def q_basis_independence_check(model: ToyModel, basis: SubspaceBasis, unitaries)
 def _rotated(model: ToyModel, basis: SubspaceBasis, unitary) -> SubspaceBasis:
     U = np.asarray(unitary, dtype=complex)
     d = basis.dim
-    if U.shape != (d, d) or gram_deviation(U) > 1e-12:
+    if U.shape != (d, d) or not gram_deviation(U) <= 1e-12:  # also rejects NaN
         raise ValueError("need a d x d unitary")
     return SubspaceBasis.from_vectors(model, basis.vectors @ U)
 

@@ -106,7 +106,7 @@ def c_invariant_onb(C: AntiUnitary, seed_basis=None) -> np.ndarray:
         seeds = np.asarray(seed_basis, dtype=complex)
         if seeds.shape != (n, n):
             raise ValueError(f"seed basis must be {n}x{n}, got {seeds.shape}")
-        if gram_deviation(seeds) > 1e-10:
+        if not gram_deviation(seeds) <= 1e-10:  # also rejects NaN
             raise ValueError("seed basis is not orthonormal")
 
     out = np.zeros((n, n), dtype=complex, order="F")

@@ -458,6 +458,8 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
         model, basis, [(1 + 1e-11) * np.eye(2)]), "^need a d x d unitary$"),
     (lambda model, basis: charge.q_basis_independence_check(model, basis, [np.eye(3)]),
      "^need a d x d unitary$"),
+    (lambda model, basis: charge.q_basis_independence_check(
+        model, basis, [np.full((2, 2), np.nan)]), "^need a d x d unitary$"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, 3), "j must lie in"),
     (lambda model, basis: charge.eigenvector_witness(model, basis, -1), "j must lie in"),
     (lambda model, basis: charge.sector_norm_decomposition(model, basis, 3, [], []),
@@ -470,7 +472,7 @@ def test_q_weighted_rejects_out_of_range(model6, rng):
     (lambda model, basis: charge.spectrum_deviation(model, np.diag([0.0, 1.0]), [0.0, 1.0]),
      r"expected a \(64, 64\) matrix"),
 ], ids=["basis-shape", "weight-count", "non-unitary-rotation", "near-unitary-rotation",
-        "wrong-size-rotation", "witness-j-above",
+        "wrong-size-rotation", "nan-rotation", "witness-j-above",
         "witness-j-below", "decomposition-J-above", "decomposition-J-below",
         "spectrum-count-mismatch", "spectrum-wrong-shape"])
 def test_unusable_inputs_rejected(call, message, model6, rng):

@@ -148,10 +148,12 @@ def test_non_orthonormal_seed_rejected(rng):
         inv.c_invariant_onb(C, np.ones((3, 3)))
 
 
-@pytest.mark.parametrize("scale, rejected", [(1 + 1e-9, True), (1 + 1e-12, False)])
+@pytest.mark.parametrize("scale, rejected", [(1 + 1e-9, True), (1 + 1e-12, False),
+                                            (np.nan, True)])
+@pytest.mark.filterwarnings("ignore:invalid value")
 def test_seed_basis_orthonormal_to_1e_10(scale, rejected):
     """The seed check reads the seeds' Gram deviation, here 2 (scale - 1),
-    against 1e-10."""
+    against 1e-10, and rejects NaN."""
     C = inv.make_involution(np.eye(3))
     seeds = scale * np.eye(3)
     if rejected:
