@@ -44,11 +44,11 @@ assembly, the four-spin reduction of |R|^2, where the mass enters
 quadrature both share, nor the sign of a mirrored pair's accumulator slot,
 which a squared norm cannot see (the tests' unfolded oracle does).  The
 honest quadrature M+, weight-one Gram included, enters only
-`mplus_diagonal`, which reads its diagonal off the same frames;
-`c_invariant_transform` (a sparse frame) and the dense M+
-(`quadrature.m_plus`) are oracles for the tests.  On complete shells the
-sums are basis independent; the basis matters for partial shells, which is
-why the series itself is basis sensitive.
+`mplus_diagonal`, which reads its diagonal in the invariant basis off the
+same skeleton, in `c_invariant_transform` order; that sparse frame and the
+dense M+ (`quadrature.m_plus`) are oracles for the tests.  On complete
+shells the sums are basis independent; the basis matters for partial
+shells, which is why the series itself is basis sensitive.
 """
 
 import os
@@ -85,10 +85,8 @@ _ROW_BLOCK = 32  # rows of the top shell the trace route gathers at a time
 class DivergenceSeries:
     """Per-shell partial sums of the vacuum-norm series."""
 
-    shells: list          # shell radii K
     mode_counts: list     # spinor mode count 4 (2K+1)^3 per shell
     S: list               # partial sums at the shell boundaries
-    basis_kind: str
     tail: float           # estimated quadrature mass loss at the top shell
 
     def increments(self):
@@ -288,16 +286,16 @@ def vacuum_series_trace(shells, suite: GramMatrices) -> tuple:
     reduced through the Dirac cross-Gram of the frame; no spinor matrix.
     The mass, the grid and the tail estimate are those of `suite`.
 
-    Returns one series per basis in FRAMES: the plane-wave spinor modes
-    ("product") and the invariant basis of the shell conjugation
+    Returns one series per basis, in FRAMES order: the plane-wave spinor
+    modes ("product") and the invariant basis of the shell conjugation
     ("c_invariant"), the basis whose terms all carry weight 1/2.  Both read
     the top shell's scalar blocks once.
     """
     shells, ns, tail = _prepare(shells, suite)
     fro2 = _frame_fro2(suite, shells[-1])
-    return tuple(DivergenceSeries(shells, [4 * n for n in ns],
-                                  [n - f[K] for n, K in zip(ns, shells)], kind, tail)
-                 for kind, f in fro2.items())
+    return tuple(DivergenceSeries([4 * n for n in ns],
+                                  [n - f[K] for n, K in zip(ns, shells)], tail)
+                 for f in fro2.values())
 
 
 def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
@@ -322,13 +320,13 @@ def vacuum_series_scalar(shells, m: float, grid: QuadGrid,
         raise ValueError(f"precomputed Gram suite covers shell {suite.shell.K} "
                          f"at m={suite.m}, not shell {shells[-1]} at m={m}")
     S = [n - suite.fro2(K) for n, K in zip(ns, shells)]
-    return DivergenceSeries(shells, [4 * n for n in ns], S, PRODUCT, tail)
+    return DivergenceSeries([4 * n for n in ns], S, tail)
 
 
-def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
-    """Diagonal of the honest (quadrature) M+ in the basis `basis_kind`, in
-    frame order (`c_invariant_transform` order for "c_invariant"); for
-    "c_invariant" the entries sit at 1/2 up to the quadrature tolerance.
+def mplus_diagonal(suite: GramMatrices) -> np.ndarray:
+    """Diagonal of the honest (quadrature) M+ in the invariant basis of the
+    shell conjugation, in `c_invariant_transform` order; the entries sit at
+    1/2 up to the quadrature tolerance.
 
     Read off the frame: column (l, c) of a group sum_u R_u (x) Q_u gives
     sum_t sum_uu' X_t[r_u[l], r_u'[l]] Re diag(Q_u* Y_t Q_u')[c] over the
@@ -341,10 +339,8 @@ def mplus_diagonal(suite: GramMatrices, basis_kind: str) -> np.ndarray:
     where the self-mirror axis pairs' h rows are 0, so eps_t multiplies
     zeros; they stay so that `c-invariant-diag-half` would see a nonzero h.
     """
-    if basis_kind not in FRAMES:
-        raise ValueError(f"unknown basis kind {basis_kind!r}")
     Y, eps = (np.array(t) for t in zip((0.5 * np.eye(4), 1.0), *m_plus_terms()))
-    (fixed, T0), (L, A), (pL, B) = zip(_shell_frame(suite.shell.K), FRAMES[basis_kind])
+    (fixed, T0), (L, A), (pL, B) = zip(_shell_frame(suite.shell.K), FRAMES[C_INVARIANT])
     ff, ll, lm = (np.concatenate([suite.one(r, r2)[None], suite.terms(r, r2)])
                   for r, r2 in ((fixed, fixed), (L, L), (L, pL)))
     blocks = [[(ff, T0, T0)], [(ll, A, A), (lm, A, B), (lm, B, A), (eps[:, None] * ll, B, B)]]

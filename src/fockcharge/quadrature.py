@@ -74,7 +74,7 @@ class QuadGrid:
     def nodes_per_axis(self) -> int:
         return self.nodes.size
 
-    def tail_estimate(self, kmax: int = 0) -> float:
+    def tail_estimate(self, kmax: int) -> float:
         """Estimated relative mass lost outside the cutoff for modes with
         |k|_inf <= kmax, from the 1d envelope 4 sin^2(pi q)/q^2 whose tail
         integrates to ~4/Q per axis against a total of 4 pi^2."""

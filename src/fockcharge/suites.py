@@ -79,7 +79,6 @@ class Check:
 
 @dataclass
 class SuiteResult:
-    experiment: str
     columns: list
     rows: list = field(default_factory=list)
     checks: list = field(default_factory=list)
@@ -93,10 +92,19 @@ class SuiteResult:
                  "status": "PASS" if c.passed else "FAIL"} for c in self.checks]
 
 
-def _check_result(experiment, checks):
-    res = SuiteResult(experiment, ["check", "value", "tolerance", "status"], checks=checks)
+def _check_result(checks):
+    res = SuiteResult(["check", "value", "tolerance", "status"], checks=checks)
     res.rows = res.check_rows()
     return res
+
+
+def _rejects(fn, *args) -> bool:
+    """Whether fn(*args) raises ValueError."""
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def _random_vec(rng, n, normalize=False):
@@ -146,7 +154,7 @@ def run_car_check(cfg: ExperimentConfig) -> SuiteResult:
         for name, column in zip(names[:-1], deviations.T):
             worst[name] = max(worst[name], float(column.max()))
     checks = [Check.below(f"car/{k}", v, 1e-12) for k, v in worst.items()]
-    return _check_result("car-check", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +213,8 @@ def run_spectrum(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("spectrum-law/basis-independence", worst_indep, 1e-10),
         Check.below("spectrum-law/eigenvector-witness", worst_witness, 1e-10),
     ]
-    res = SuiteResult("spectrum",
-                      ["instance", "kind", "n", "d", "dminus", "deviation",
-                       "tolerance", "status"], rows=rows, checks=checks)
-    return res
+    return SuiteResult(["instance", "kind", "n", "d", "dminus", "deviation",
+                        "tolerance", "status"], rows=rows, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +250,7 @@ def run_additivity(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("overlapping-pair/overlap-commutator", worst_overlap, 1e-11),
         Check.below("orthogonal-pair/trivial-pair", max(rep["commutator"], rep["additivity"]), 1e-15),
     ]
-    return _check_result("additivity", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +298,11 @@ def run_cbasis(cfg: ExperimentConfig) -> SuiteResult:
 
     # a diagonal phase matrix like diag(i, 1, ...) still composes with
     # conjugation to an involution; a plain rotation does not
-    rejected = False
     theta = np.pi / 4
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
-    try:
-        involution.make_involution(rot)
-    except ValueError:
-        rejected = True
-    phase_ok = True
-    try:
-        involution.make_involution(np.diag([1j, 1.0, 1.0]))
-    except ValueError:
-        phase_ok = False
+    rejected = _rejects(involution.make_involution, rot)
+    phase_ok = not _rejects(involution.make_involution, np.diag([1j, 1.0, 1.0]))
 
     checks = [
         Check.below("cbasis/c-fixed", worst_fix, 1e-10),
@@ -315,7 +313,7 @@ def run_cbasis(cfg: ExperimentConfig) -> SuiteResult:
         Check.holds("cbasis/non-involution-rejected", rejected),
         Check.holds("cbasis/phase-involution-accepted", phase_ok),
     ]
-    return _check_result("cbasis", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +357,7 @@ def run_qtilde(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("qtilde/aligned-equals-q", tilde_eq_q, 1e-11),
         Check.at_least("qtilde/noninteger-spectrum", nonint, 1e-3),
     ]
-    return _check_result("qtilde", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +378,7 @@ def run_weighted(cfg: ExperimentConfig) -> SuiteResult:
     predicted = sorted({sum(w[j] * (mus[j] if (s >> j) & 1 else mus[j] - 1.0)
                             for j in range(2)) for s in range(4)})
     eig_dev = charge.spectrum_deviation(model, Qw, predicted)
-    rejected = False
-    try:
-        charge.q_weighted(model, basis, [0.5, 1.5])
-    except ValueError:
-        rejected = True
+    rejected = _rejects(charge.q_weighted, model, basis, [0.5, 1.5])
     checks = [
         Check.below("weighted/zero-weights", zero, 1e-15),
         Check.below("weighted/unit-weights", ones, 1e-12),
@@ -392,7 +386,7 @@ def run_weighted(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("weighted/subset-sum-spectrum", eig_dev, 1e-9),
         Check.holds("weighted/range-rejected", rejected),
     ]
-    return _check_result("weighted", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def run_total_charge(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("total/sector-projector-commutes", worst_proj, 1e-12),
         Check.below("total/integer-lattice", lattice, 1e-9),
     ]
-    return _check_result("total-charge", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +441,7 @@ def run_aligned(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("aligned/integer-spectrum", lattice, 1e-9),
         Check.below("aligned/vacuum-series-termwise-zero", series_max, 1e-24),
     ]
-    return _check_result("aligned", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +480,7 @@ def run_bessel_check(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("kernel/kernel-decay-ratio", decay, 0.25 ** 2),
         Check.holds("kernel/monotone-decreasing", mono),
     ]
-    return _check_result("bessel-check", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +508,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
     tail = c_inv.tail
     positivity = min(min(scalar.S), min(S_ci))
 
-    diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
+    diag = divergence.mplus_diagonal(suite)
     diag_dev = float(np.max(np.abs(diag - 0.5)))
 
     scalar_other = divergence.vacuum_series_scalar(shells, cfg.m, cfg.reference_grid)
@@ -549,8 +543,7 @@ def run_vacuum_divergence(cfg: ExperimentConfig) -> SuiteResult:
         "deltaS": delta,
         "tail_estimate": cfg.grid.tail_estimate(K),
     } for idx, (K, delta) in enumerate(zip(shells, c_inv.increments()))]
-    return SuiteResult("vacuum-divergence",
-                       ["shell", "K", "J", "S", "deltaS", "tail_estimate"],
+    return SuiteResult(["shell", "K", "J", "S", "deltaS", "tail_estimate"],
                        rows=rows, checks=checks)
 
 
@@ -587,7 +580,7 @@ def run_decomposition(cfg: ExperimentConfig) -> SuiteResult:
                 vac_corrections = max(vac_corrections,
                                       *map(abs, r.sums_direct[1:] + r.sums_kernel[1:]))
     checks.append(Check.below("decomposition/vacuum/corrections-vanish", vac_corrections, 1e-15))
-    return _check_result("decomposition", checks)
+    return _check_result(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +607,8 @@ def run_oracle_equivalence(cfg: ExperimentConfig) -> SuiteResult:
         Check.below("oracle/fock-vs-trace", worst, 1e-10),
         Check.below("oracle/c-invariant-diag-half", diag_dev, 1e-10),
     ]
-    res = SuiteResult("oracle-equivalence",
-                      ["n", "J", "deviation", "tolerance", "status"],
-                      rows=rows, checks=checks)
-    return res
+    return SuiteResult(["n", "J", "deviation", "tolerance", "status"],
+                       rows=rows, checks=checks)
 
 
 EXPERIMENTS = {

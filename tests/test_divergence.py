@@ -52,8 +52,8 @@ def test_single_c_invariant_mode_quarter():
 
 
 def test_c_invariant_route_matches_at_shell_boundaries(small_suite):
-    prod, ci = dv.vacuum_series_trace(SHELLS, small_suite)
-    assert (prod.basis_kind, ci.basis_kind) == (dv.PRODUCT, dv.C_INVARIANT)
+    series = dict(zip(dv.FRAMES, dv.vacuum_series_trace(SHELLS, small_suite)))
+    prod, ci = series[dv.PRODUCT], series[dv.C_INVARIANT]
     for a, b in zip(prod.S, ci.S):
         assert abs(a - b) / abs(b) < 1e-8
 
@@ -162,32 +162,15 @@ def test_trace_route_reads_the_triangle_of_the_symmetric_group(monkeypatch):
     assert sum(filled) <= 0.6 * 2 * square
 
 
-def _product_frame_order(K):
-    # the product frame's columns: the zero mode's four spins, then per mode
-    # of L the spins of L[l] and of pi L[l]
-    fixed, L, pL = dv._shell_frame(K)
-    modes_ = np.concatenate([fixed, np.stack([L, pL], axis=1).ravel()])
-    return (4 * modes_[:, None] + np.arange(4)).ravel()
-
-
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_mplus_diagonal_matches_dense_oracle(K):
-    # the frame diagonal against diag(V* M+ V) on the dense M+, both bases
+    # the frame diagonal against diag(V* M+ V) on the dense M+
     shell = modes.enumerate_shell(K)
     suite = quad.gram_suite(shell, 1.0, SMALL_GRID)
     M = quad.m_plus(suite)
     V = dv.c_invariant_transform(shell).toarray()
-    order = _product_frame_order(K)
-    assert np.array_equal(np.sort(order), np.arange(4 * shell.count))
-    for kind, dense in ((dv.PRODUCT, M[np.ix_(order, order)]),
-                        (dv.C_INVARIANT, V.conj().T @ M @ V)):
-        diag = dv.mplus_diagonal(suite, kind)
-        assert np.max(np.abs(diag - np.diagonal(dense).real)) < 1e-14
-
-
-def test_mplus_diagonal_rejects_unknown_basis_kind(small_suite):
-    with pytest.raises(ValueError, match="unknown basis kind 'nope'"):
-        dv.mplus_diagonal(small_suite, "nope")
+    diag = dv.mplus_diagonal(suite)
+    assert np.max(np.abs(diag - np.diagonal(V.conj().T @ M @ V).real)) < 1e-14
 
 
 def blockwise_mplus_diagonal(suite, basis_kind):
@@ -211,9 +194,8 @@ def test_folded_mplus_diagonal_matches_blockwise_read_bitwise(K):
     shell = modes.enumerate_shell(K)
     for m in (0.0, 0.1, 1.0, 10.0):
         suite = quad.gram_suite(shell, m, SMALL_GRID)
-        for kind in dv.FRAMES:
-            assert np.array_equal(dv.mplus_diagonal(suite, kind),
-                                  blockwise_mplus_diagonal(suite, kind)), (m, kind)
+        assert np.array_equal(dv.mplus_diagonal(suite),
+                              blockwise_mplus_diagonal(suite, dv.C_INVARIANT)), m
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
@@ -283,10 +265,10 @@ def test_trace_route_gathers_each_block_once(kind, small_suite, monkeypatch):
         return terms(self, rows, cols, out)
 
     monkeypatch.setattr(quad.GramMatrices, "terms", counted)
-    top = {s.basis_kind: s for s in dv.vacuum_series_trace([2], small_suite)}
+    top = dict(zip(dv.FRAMES, dv.vacuum_series_trace([2], small_suite)))
     top_only = len(calls)
     calls.clear()
-    every = {s.basis_kind: s for s in dv.vacuum_series_trace(SHELLS, small_suite)}
+    every = dict(zip(dv.FRAMES, dv.vacuum_series_trace(SHELLS, small_suite)))
     assert top_only > 0 and len(calls) == top_only
     assert every[kind].S[-1] == top[kind].S[0]
 
@@ -431,18 +413,15 @@ def test_suite_bytes_estimate_matches_the_arrays_it_estimates(K):
 
 
 def test_growth_diagnostics_verdicts():
-    grown = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                                [0.5, 8.0, 26.0, 54.0], dv.PRODUCT, 0.01)
+    counts = [4, 108, 500, 1372]
+    grown = dv.DivergenceSeries(counts, [0.5, 8.0, 26.0, 54.0], 0.01)
     assert dv.growth_diagnostics(grown) == "no Cauchy convergence"
-    flat = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                               [1.0, 1.0, 1.0, 1.0], dv.PRODUCT, 0.01)
+    flat = dv.DivergenceSeries(counts, [1.0, 1.0, 1.0, 1.0], 0.01)
     assert dv.growth_diagnostics(flat) == "converged"
-    stalled = dv.DivergenceSeries([0, 1, 2, 3], [4, 108, 500, 1372],
-                                  [0.0, 2.0, 2.4, 2.41], dv.PRODUCT, 0.01)
+    stalled = dv.DivergenceSeries(counts, [0.0, 2.0, 2.4, 2.41], 0.01)
     assert dv.growth_diagnostics(stalled) == "converged"
     with pytest.raises(ValueError):
-        dv.growth_diagnostics(dv.DivergenceSeries([0, 1], [4, 108], [0.5, 8.0],
-                                                  dv.PRODUCT, 0.01))
+        dv.growth_diagnostics(dv.DivergenceSeries(counts[:2], [0.5, 8.0], 0.01))
 
 
 def test_toy_oracle_equivalence(model8, rng):
@@ -473,8 +452,6 @@ def test_shell_and_grid_validation():
     with pytest.raises(ValueError, match="tail"):
         dv.vacuum_series_scalar([0, 1, 2], 1.0, tiny)
     small = quad.gram_suite(modes.enumerate_shell(0), 1.0, SMALL_GRID)
-    with pytest.raises(ValueError, match="basis kind"):
-        dv.mplus_diagonal(small, "bogus")
     with pytest.raises(ValueError, match="covers shell"):
         dv.vacuum_series_scalar([0, 1], 1.0, SMALL_GRID, suite=small)
     with pytest.raises(ValueError, match="covers shell"):

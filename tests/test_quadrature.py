@@ -391,7 +391,7 @@ def test_m_plus_properties():
     # product-basis trace: beta and alpha traces cancel over the spins
     assert abs(np.trace(M).real - 2.0 * shell.count) < 4 * shell.count * tail
     # C-invariant diagonal sits at 1/2
-    diag = divergence.mplus_diagonal(suite, divergence.C_INVARIANT)
+    diag = divergence.mplus_diagonal(suite)
     assert np.max(np.abs(diag - 0.5)) < tail
 
 
